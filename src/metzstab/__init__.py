@@ -21,6 +21,7 @@ from .core import (
     selected_leading_eigenpair,
     spectral_abscissa,
     spectral_radius,
+    strong_components,
     translation_shift,
 )
 from .errors import (
@@ -110,6 +111,7 @@ __all__ = [
     "sign_pattern",
     "spectral_abscissa",
     "spectral_radius",
+    "strong_components",
     "stabilize_2d_lss",
     "stabilize_lss_by_signs",
     "translation_shift",

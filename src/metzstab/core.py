@@ -4,7 +4,9 @@ Everything downstream leans on two facts about Metzler matrices: adding h*I
 translates the spectrum (so the leading eigenvalue can always be exposed to a
 power method by shifting into the nonnegative cone), and for nonnegative
 matrices the spectral radius is attained at a real leading eigenvalue with a
-nonnegative eigenvector.
+nonnegative eigenvector. Reducible matrices are split into their strongly
+connected components first, so the power method only ever sees irreducible
+blocks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import IterationLimitError, PreconditionError
 
@@ -183,35 +186,54 @@ def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
     return PowerIterationResult(lam, x, it, resid, False, sign_changes)
 
 
-def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
-    """Leading eigenvalue of a Metzler matrix with its selected eigenvector.
+# Dense escape bound: a stalled irreducible block up to this size goes to
+# np.linalg.eig; above it the IterationLimitError propagates.
+DENSE_FALLBACK_DIM = 64
 
-    Runs the power method on the translated matrix A + (h+1)I, which is
-    nonnegative with positive diagonal, starting from the uniform vector.
-    Starting strictly inside the cone makes the limit the "selected"
-    eigenvector: the one reached when reducible zero patterns are broken by
-    an infinitesimal positive perturbation.
 
-    Parameters
-    ----------
-    a : array_like
-        Metzler matrix.
-    tol : float
-        Convergence threshold: relative change of the eigenvalue estimate
-        and absolute residual ||A v - value v||_inf must both fall below it.
-    max_iter : int
-        Iteration budget; exhaustion raises IterationLimitError carrying the
-        best pair seen.
+def strong_components(a) -> tuple[np.ndarray, ...]:
+    """Strongly connected components of the off-diagonal pattern of ``a``.
 
-    Returns
-    -------
-    EigenPair
+    Node i points to node j when ``a[i, j]`` is nonzero and i != j. Each
+    component is an ascending index array, and each comes after every
+    component it points to, so a system in ``a`` can be solved component by
+    component in the returned order. A pattern with every off-diagonal entry
+    nonzero is one component, found without a graph search.
     """
-    arr = validate_metzler(a)
-    d = arr.shape[0]
-    shift = translation_shift(arr) + 1.0
-    shifted = arr + shift * np.eye(d)
+    pattern = np.asarray(a) != 0
+    d = pattern.shape[0]
+    if np.count_nonzero(pattern) - np.count_nonzero(pattern.diagonal()) == d * (d - 1):
+        return (np.arange(d),)
+    rows, cols = np.nonzero(pattern)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
+    # A float CSR graph: csgraph would copy any other dtype first.
+    graph = sp.csr_matrix((np.ones(rows.size), cols, indptr), shape=(d, d))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    if n_comp == 1:
+        return (np.arange(d),)
+    src, dst = labels[rows], labels[cols]
+    cross = src != dst
+    points = np.zeros((n_comp, n_comp), dtype=bool)
+    points[src[cross], dst[cross]] = True
+    # Place, level by level, the components whose targets are all placed.
+    pending = points.sum(axis=1)
+    placed = np.zeros(n_comp, dtype=bool)
+    order: list[int] = []
+    while len(order) < n_comp:
+        ready = np.flatnonzero((pending == 0) & ~placed)
+        placed[ready] = True
+        pending -= points[:, ready].sum(axis=1)
+        order.extend(int(c) for c in ready)
+    return tuple(np.flatnonzero(labels == c) for c in order)
+
+
+def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
+                 dense_dim: int) -> EigenPair:
+    # Translative power method on an irreducible Metzler block: iterate
+    # A + (h+1)I, nonnegative with positive diagonal, from the uniform vector.
+    d = block.shape[0]
+    shift = translation_shift(block) + 1.0
+    shifted = block + shift * np.eye(d)
     op = shifted
     if d >= _SPARSE_DIM and np.count_nonzero(shifted) < _SPARSE_DENSITY * d * d:
         op = sp.csr_matrix(shifted)
@@ -228,29 +250,157 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
             return EigenPair(lam - shift, x, it, resid)
         lam_prev = lam
         x = y / lam
+    if d <= dense_dim:
+        # The block is irreducible, so its Perron vector is unique and the
+        # dense solver needs no perturbation to find it.
+        dense = dense_leading_eigenpair(block)
+        return EigenPair(dense.value, dense.vector, max_iter, dense.residual)
     best = EigenPair(lam - shift, x, max_iter, resid)
     raise IterationLimitError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations "
-        f"(residual {resid:.3e})", best=best)
+        f"power iteration on a {d}-node irreducible block did not reach "
+        f"tol={tol} in {max_iter} iterations (residual {resid:.3e})", best=best)
+
+
+def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
+    # Left Perron vector w of an irreducible block, scaled so that w.u = 1:
+    # the null vector of (value I - B)^T. The rank-one term u u^T makes the
+    # system regular while u and w are positive.
+    try:
+        w = np.linalg.solve(value * np.eye(u.size) - block.T + np.outer(u, u), u)
+    except np.linalg.LinAlgError:
+        w = u
+    if not (np.isfinite(w).all() and w @ u > 0.0):
+        # Entries near the underflow threshold have zeroed u where w lives.
+        # w = u still makes the result an eigenvector, if not the selected one.
+        w = u
+    return w / (w @ u)
+
+
+def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
+                    dense_dim: int) -> EigenPair:
+    # Solve (tI - A) x(t) = 1 block by block, in the order of ``blocks``,
+    # keeping for every node the pole order p and leading coefficient c of
+    # x_i(t) ~ c (t - lam)^-p as t falls to lam. The nodes of highest order
+    # carry the limit direction.
+    d = arr.shape[0]
+    iterations = 0
+    values = np.empty(len(blocks))
+    right: dict[int, np.ndarray] = {}
+    for k, nodes in enumerate(blocks):
+        if nodes.size == 1:
+            values[k] = arr[nodes[0], nodes[0]]
+            continue
+        pair = _perron_pair(arr[np.ix_(nodes, nodes)], tol, max_iter, dense_dim)
+        iterations += pair.iterations
+        values[k], right[k] = pair.value, pair.vector
+    lam = float(values.max())
+    critical = lam - values <= tol * max(1.0, abs(lam))
+    left: dict[int, np.ndarray] = {}
+    for k, u in right.items():
+        if critical[k]:
+            block = arr[np.ix_(blocks[k], blocks[k])]
+            left[k] = _left_perron(block, values[k], u)
+            # Two-sided Rayleigh quotient: its error is the product of the
+            # errors of u and w, well below that of the power estimate.
+            values[k] = left[k] @ block @ u
+    lam = float(values[critical].max())
+
+    # Node i's coefficient is coef[i] * 2**scale[order[i]]. Coefficients only
+    # combine within one order, so each order keeps its own power-of-two
+    # scale, exact to apply and renewed when a coefficient leaves
+    # [2**-500, 2**500]: long chains of large or small entries cannot
+    # overflow or underflow.
+    order = np.full(d, -1)
+    coef = np.zeros(d)
+    scale: dict[int, int] = {}
+    for k, nodes in enumerate(blocks):
+        inflow = arr[nodes]
+        inflow[:, nodes] = 0.0
+        p = int(order[(inflow != 0.0).any(axis=0)].max(initial=0))
+        top = order == p
+        e = scale.get(p, 0)
+        r = inflow[:, top] @ coef[top] + (np.ldexp(1.0, -e) if p == 0 else 0.0)
+        if critical[k]:
+            p += 1
+            c = r if nodes.size == 1 else (left[k] @ r) * right[k]
+        elif nodes.size == 1:
+            c = r / (lam - values[k])
+        else:
+            c = np.linalg.solve(lam * np.eye(nodes.size) - arr[np.ix_(nodes, nodes)], r)
+        old = scale.setdefault(p, e)
+        if old != e or not 2.0**-500 < c.max() < 2.0**500:
+            # c carries the scale 2**e. Bring it and the nodes already of
+            # order p to the larger of the two scales (shifts <= 0 cannot
+            # overflow), then renormalize them to a peak below 1.
+            common = max(e, old)
+            same = order == p
+            coef[same] = np.ldexp(coef[same], old - common)
+            c = np.ldexp(c, e - common)
+            _, shift = np.frexp(max(c.max(), coef[same].max(initial=0.0)))
+            coef[same] = np.ldexp(coef[same], -shift)
+            c = np.ldexp(c, -shift)
+            scale[p] = common + int(shift)
+        order[nodes] = p
+        coef[nodes] = c
+    v = np.where(order == order.max(), coef, 0.0)
+    v /= v.sum()
+    resid = float(np.abs(arr @ v - lam * v).max())
+    return EigenPair(lam, v, iterations, resid)
+
+
+def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
+                               max_iter: int = DEFAULT_MAX_ITER,
+                               dense_dim: int = 0) -> EigenPair:
+    """Leading eigenvalue of a Metzler matrix with its selected eigenvector.
+
+    The selected vector is the limit of the normalized (tI - A)^{-1} 1 as t
+    falls to the leading eigenvalue lam, which is also where the power method
+    from the uniform vector goes. An irreducible matrix runs the translative
+    power method on A + (h+1)I. A reducible one is split by
+    :func:`strong_components`: lam is the largest block value (a single
+    node's diagonal entry, or an irreducible block's power-method value),
+    and the vector follows exactly by back-substitution over the blocks of
+    the pole order and leading coefficient of (tI - A)^{-1} 1 at lam. A block
+    is *critical* when lam minus its value is at most ``tol * max(1, |lam|)``.
+    A critical block raises the order of its inflow r by one, with
+    coefficient (w.r / w.u) u for its right and left Perron vectors u and w
+    (u = w = 1 for a single node), and its value is refined to w.Bu / w.u; a
+    non-critical block B keeps the order and solves (lam I - B) c = r.
+
+    ``tol`` is the power method's threshold on the relative change of the
+    value and on the residual ||B v - value v||_inf, and the criticality
+    threshold; ``max_iter`` is each block's budget. Irreducible blocks of at
+    most ``dense_dim`` nodes that exhaust it are solved by
+    :func:`dense_leading_eigenpair`; larger ones raise IterationLimitError
+    carrying the block's best pair. ``iterations`` of the result sums the
+    power iterations of all blocks, budgets spent before a dense escape
+    included; ``residual`` is measured against A.
+    """
+    arr = validate_metzler(a)
+    blocks = strong_components(arr)
+    if len(blocks) == 1 and arr.shape[0] > 1:
+        return _perron_pair(arr, tol, max_iter, dense_dim)
+    return _reducible_pair(arr, blocks, tol, max_iter, dense_dim)
 
 
 def dense_leading_eigenpair(a, *, perturbation: float = 0.0) -> EigenPair:
     """Leading eigenpair via a dense eigendecomposition.
 
-    Escape hatch for iterates where the power method stalls (near-defective
-    leading pair). With ``perturbation`` > 0 the eigenvector is taken from
-    A + eps*ones, approximating the selected vector on reducible matrices;
-    the reported residual is measured against A itself, so it stays honest
-    about the approximation.
+    Escape hatch for irreducible blocks where the power method stalls. With
+    ``perturbation`` > 0 the eigenvector is taken from A + eps*ones instead;
+    the reported value and residual are measured against A itself, so they
+    stay honest about the approximation.
     """
     arr = as_square_matrix(a)
     d = arr.shape[0]
-    values = np.linalg.eigvals(arr)
-    value = float(values.real.max())
     target = arr if perturbation == 0.0 else arr + perturbation
     vals, vecs = np.linalg.eig(target)
-    v = vecs[:, int(np.argmax(vals.real))]
-    v = v.real.copy()
+    k = int(np.argmax(vals.real))
+    if perturbation == 0.0:
+        value = float(vals[k].real)
+    else:
+        value = float(np.linalg.eigvals(arr).real.max())
+    v = vecs[:, k].real.copy()
     if v.sum() < 0:
         v = -v
     v = np.clip(v, 0.0, None)
@@ -260,30 +410,17 @@ def dense_leading_eigenpair(a, *, perturbation: float = 0.0) -> EigenPair:
     return EigenPair(value, v, 0, resid)
 
 
-# Dense fallback bound: above this, stalled power iterations propagate.
-DENSE_FALLBACK_DIM = 64
-
-
 def leading_eigenpair_with_fallback(a, *, tol: float = DEFAULT_TOL,
                                     max_iter: int = DEFAULT_MAX_ITER,
                                     dense_dim: int = DENSE_FALLBACK_DIM) -> EigenPair:
-    """selected_leading_eigenpair with a dense-eig escape hatch.
+    """selected_leading_eigenpair with the dense escape for blocks up to ``dense_dim``.
 
-    Iterates of the greedy stabilizers routinely pass through matrices whose
-    leading eigenvalue is defective (nilpotent-like blocks after row cuts),
-    where the power method converges like 1/k and exhausts any budget. For
-    dimensions up to ``dense_dim`` such stalls fall back to the dense
-    eigensolver with a tiny positive perturbation for the selected vector;
-    beyond that the IterationLimitError propagates.
+    Iterates of the greedy stabilizers pass through reducible, often
+    defective matrices; the SCC split solves those exactly, and the dense
+    escape covers irreducible blocks whose power method still stalls.
     """
-    arr = validate_metzler(a)
-    try:
-        return selected_leading_eigenpair(arr, tol=tol, max_iter=max_iter)
-    except IterationLimitError:
-        if arr.shape[0] > dense_dim:
-            raise
-        eps = 1e-9 * max(1.0, float(np.abs(arr).max()))
-        return dense_leading_eigenpair(arr, perturbation=eps)
+    return selected_leading_eigenpair(a, tol=tol, max_iter=max_iter,
+                                      dense_dim=dense_dim)
 
 
 def spectral_abscissa(a, *, tol: float = DEFAULT_TOL,

@@ -11,11 +11,8 @@ minimization unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import core
 from .errors import CycleSuspicionError, PreconditionError
@@ -159,7 +156,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     choice_trace: list[tuple[int, ...]] = [tuple(choices)]
     pair = None
     for it in range(1, max_iter + 1):
-        pair = core.selected_leading_eigenpair(x, tol=eig_tol, max_iter=eig_max_iter)
+        pair = core.leading_eigenpair_with_fallback(x, tol=eig_tol, max_iter=eig_max_iter)
         abscissa_trace.append(pair.value)
         changed = False
         for i in range(d):
@@ -207,20 +204,14 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     spectra of its diagonal blocks and the family optimum is assembled
     blockwise.
     """
-    adj = union_adjacency(family)
-    n_comp, labels = connected_components(csr_matrix(adj), directed=True,
-                                          connection="strong")
-    deps: dict[int, set[int]] = {c: set() for c in range(n_comp)}
-    for i, j in zip(*np.nonzero(adj)):
-        if labels[i] != labels[j]:
-            deps[int(labels[j])].add(int(labels[i]))
-    order = list(TopologicalSorter(deps).static_order())
+    # strong_components places each block after the blocks it points to;
+    # reversed, every member is block upper triangular in the node order.
+    components = core.strong_components(union_adjacency(family))[::-1]
 
     blocks = []
     subfamilies = []
-    for comp in order:
-        nodes = tuple(int(k) for k in np.flatnonzero(labels == comp))
-        cols = np.array(nodes)
+    for cols in components:
+        nodes = tuple(int(k) for k in cols)
         sets = tuple(
             UncertaintySet(local, family.sets[node].rows[:, cols])
             for local, node in enumerate(nodes))
@@ -290,7 +281,7 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
         for local, node in enumerate(nodes):
             choices[node] = out.row_choices[local]
     x = family.matrix(choices)
-    pair = core.selected_leading_eigenpair(x)
+    pair = core.leading_eigenpair_with_fallback(x)
     return GreedyOutcome(
         matrix=x, abscissa=max(block_abscissas), row_choices=tuple(choices),
         iterations=iterations, eigenvector=pair.vector, reducibility_flag=True,

@@ -24,7 +24,6 @@ from . import core
 from .errors import IterationLimitError, PreconditionError
 
 ZERO_TOL = 1e-8
-DENSE_FALLBACK_DIM = 64
 _SWEEP_TOL = 1e-10
 _FP_RTOL = 1e-12
 _NEG_GUARD = 1e-7
@@ -182,11 +181,6 @@ def _sweep(base: np.ndarray, x: np.ndarray, v: np.ndarray, tau: float,
     return x_next, CRDecomposition(c=c, r=r, tau=tau)
 
 
-def _eigenpair_fallback(x: np.ndarray, tol: float, max_iter: int) -> core.EigenPair:
-    return core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=max_iter,
-                                                dense_dim=DENSE_FALLBACK_DIM)
-
-
 def _threshold(v: np.ndarray) -> np.ndarray:
     out = v.copy()
     out[out <= core.SUPPORT_RTOL * float(out.max())] = 0.0
@@ -206,16 +200,16 @@ def _ball_minimum(base: np.ndarray, tau: float, schur: bool, level: float, *,
     cr_last = None
     scale = max(1.0, float(np.abs(base).max()) + tau)
     for sweep in range(1, max_sweeps + 1):
-        pair = _eigenpair_fallback(x, _SWEEP_TOL, eig_max_iter)
+        pair = core.leading_eigenpair_with_fallback(x, tol=_SWEEP_TOL, max_iter=eig_max_iter)
         obj = pair.value
         if cr_last is not None and obj < level - zero_tol:
-            tight = _eigenpair_fallback(x, tol, eig_max_iter)
+            tight = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
             if tight.value < level - zero_tol:
                 return _BallMinimum("stable", x, tight.value, cr_last, sweep)
             obj, pair = tight.value, tight
         x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
         if float(np.abs(x_next - x).max()) <= _FP_RTOL * scale:
-            tight = _eigenpair_fallback(x, tol, eig_max_iter)
+            tight = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
             if abs(tight.value - level) <= zero_tol:
                 status = "boundary"
             elif tight.value > level:
@@ -246,7 +240,7 @@ def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | N
         return None
     m = np.maximum(m, 0.0)
     try:
-        lam = _eigenpair_fallback(m, core.DEFAULT_TOL, core.DEFAULT_MAX_ITER).value
+        lam = core.leading_eigenpair_with_fallback(m).value
     except IterationLimitError:
         return None
     if lam <= 1e-14:

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from metzstab import core
 from metzstab.errors import IterationLimitError, PreconditionError
 
+import exact
 import goldens
 import oracles
 
@@ -153,10 +154,137 @@ def test_fallback_handles_defective_leading_pair():
 
 
 def test_fallback_respects_dense_dim_cap():
+    # A stalled irreducible block above dense_dim still raises.
+    with pytest.raises(IterationLimitError):
+        core.leading_eigenpair_with_fallback(goldens.OSCILLATING_3, max_iter=3,
+                                             dense_dim=2)
+    # An acyclic pattern splits into single nodes and needs no iteration.
     a = np.zeros((3, 3))
     a[0, 1] = 1.0
+    pair = core.leading_eigenpair_with_fallback(a, max_iter=200, dense_dim=2)
+    assert pair.value == 0.0
+    assert pair.iterations == 0
+
+
+def test_fallback_escapes_per_irreducible_block():
+    # OSCILLATING_3 stalls at max_iter=3; inside a reducible matrix it is one
+    # block, solved densely while the single node is read off its diagonal.
+    a = np.zeros((4, 4))
+    a[:3, :3] = goldens.OSCILLATING_3
+    a[3, 3] = -5.0
+    a[3, 0] = 1.0
+    pair = core.leading_eigenpair_with_fallback(a, max_iter=3, dense_dim=3)
+    assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
+    assert pair.iterations >= 3
+    assert pair.residual <= 1e-12
     with pytest.raises(IterationLimitError):
-        core.leading_eigenpair_with_fallback(a, max_iter=200, dense_dim=2)
+        core.leading_eigenpair_with_fallback(a, max_iter=3, dense_dim=2)
+
+
+def _reach(a: np.ndarray) -> np.ndarray:
+    # reach[i, j]: j is reachable from i along nonzero off-diagonal entries.
+    d = a.shape[0]
+    reach = (a != 0) | np.eye(d, dtype=bool)
+    for _ in range(d):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return reach
+
+
+def test_strong_components_order_and_membership():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        a = rng.random((d, d)) * (rng.random((d, d)) < float(rng.uniform(0.1, 0.6)))
+        comps = core.strong_components(a)
+        assert sorted(int(i) for c in comps for i in c) == list(range(d))
+        reach = _reach(a)
+        mutual = reach & reach.T
+        position = np.empty(d, dtype=int)
+        for k, c in enumerate(comps):
+            position[c] = k
+            assert mutual[np.ix_(c, c)].all()
+        assert np.array_equal(mutual, position[:, None] == position[None, :])
+        rows, cols = np.nonzero(a)
+        assert (position[cols] <= position[rows]).all()
+    # every off-diagonal entry nonzero: one component, whatever the diagonal
+    assert [c.tolist() for c in core.strong_components(np.ones((4, 4)) - np.eye(4))] == [
+        [0, 1, 2, 3]]
+
+
+# Two Jordan chains of length 2 on the eigenvalue 1 (defective).
+EQUAL_DIAGONAL_CHAIN = np.array([
+    [1.0, 1.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 2.0],
+    [0.0, 0.0, 0.0, 1.0],
+])
+# Blocks {0,1} and {2,3} both have Perron root 1; node 4 (value 0) points
+# to both and shares their pole order.
+TWO_CRITICAL_BLOCKS = np.array([
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 2.0, 0.0],
+    [0.0, 0.0, 0.5, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 0.0],
+])
+TWO_CRITICAL_VECTOR = np.array([1.0, 1.0, 1.5, 0.75, 2.5]) / 6.75
+# Critical block {0,1} (Perron root 2), fed by node 4, feeds the
+# non-critical block {2,3} (Perron root 1).
+CRITICAL_FEEDS_NONCRITICAL = np.array([
+    [1.0, 2.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 2.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, -1.0],
+])
+
+
+@pytest.mark.parametrize("a", [EQUAL_DIAGONAL_CHAIN, TWO_CRITICAL_BLOCKS,
+                               CRITICAL_FEEDS_NONCRITICAL],
+                         ids=["equal-diagonal-chain", "two-critical-blocks",
+                              "critical-feeds-noncritical"])
+def test_selected_vector_matches_exact_limit(a):
+    value, vector = exact.selected_pair(a)
+    pair = core.selected_leading_eigenpair(a)
+    assert pair.value == pytest.approx(value, abs=1e-12)
+    np.testing.assert_allclose(pair.vector, vector, rtol=0.0, atol=1e-12)
+    assert pair.residual <= 1e-12
+
+
+def test_selected_vector_worked_examples():
+    np.testing.assert_allclose(exact.selected_pair(EQUAL_DIAGONAL_CHAIN)[1],
+                               [1 / 3, 0.0, 2 / 3, 0.0], atol=1e-15)
+    np.testing.assert_allclose(exact.selected_pair(TWO_CRITICAL_BLOCKS)[1],
+                               TWO_CRITICAL_VECTOR, atol=1e-15)
+
+
+def test_selected_vector_on_long_chain_with_large_entries():
+    # A 200-node chain with equal diagonals: node 0 carries a pole of order
+    # 200 with coefficient 1e8**199, far beyond the float range.
+    d = 200
+    a = np.diag(np.full(d - 1, 1e8), 1) - 0.5 * np.eye(d)
+    pair = core.selected_leading_eigenpair(a)
+    assert pair.value == -0.5
+    np.testing.assert_array_equal(pair.vector, np.eye(d)[0])
+    assert pair.iterations == 0
+
+
+def test_selected_vector_matches_exact_limit_on_random_reducible():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 40:
+        d = int(rng.integers(3, 6))
+        a = rng.integers(0, 3, (d, d)) * (rng.random((d, d)) < 0.45)
+        np.fill_diagonal(a, rng.integers(-2, 2, d))
+        a = a.astype(float)
+        if _reach(a).all():
+            continue  # irreducible
+        value, vector = exact.selected_pair(a)
+        pair = core.selected_leading_eigenpair(a)
+        assert pair.value == pytest.approx(value, abs=1e-12), a
+        np.testing.assert_allclose(pair.vector, vector, rtol=0.0, atol=1e-12,
+                                   err_msg=str(a))
+        checked += 1
 
 
 def test_hurwitz_certificate():

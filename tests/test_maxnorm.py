@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core
+from metzstab import core, gen
 from metzstab.errors import PreconditionError
 from metzstab.maxnorm import clamp_shift, closest_stable_max, closest_unstable_max
 
@@ -90,6 +90,18 @@ def test_stabilize_matches_bisection_oracle():
         assert out.tau_star == pytest.approx(want, abs=1e-8)
         assert core.matrix_norm(out.matrix - a, "max") == pytest.approx(
             out.tau_star, abs=1e-10)
+
+
+@pytest.mark.parametrize("d,s", [(200, 2), (200, 4), (300, 0), (300, 1), (300, 2), (300, 5)])
+def test_stabilize_large_instances_with_diagonal_top_breakpoint(d, s):
+    # The clamp iterate at the top breakpoint is diagonal, and after the
+    # power method's shift its two largest entries have ratio 0.9998: the
+    # power method stalled there.
+    a = gen.generate_metzler(d, unstable=True, seed=1000 * d + s)
+    out = closest_stable_max(a)
+    # Entries are below 1, so 40 halvings leave a bracket under 1e-12.
+    assert a.max() < 1.0
+    assert out.tau_star == pytest.approx(oracles.clamp_tau_root(a, iters=40), abs=1e-8)
 
 
 def test_stabilization_is_sharp():
