@@ -230,10 +230,17 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
 def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
                  dense_dim: int) -> EigenPair:
     # Translative power method on an irreducible Metzler block: iterate
-    # A + (h+1)I, nonnegative with positive diagonal, from the uniform vector.
+    # A + (h + 0.1m)I from the uniform vector, h making the block nonnegative
+    # and m the largest entry of A + hI. The positive diagonal rules out
+    # periodicity; a shift in the block's own units keeps the convergence
+    # ratio independent of its scale (an absolute +1 gives about 0.99 on
+    # entries near 1e-3).
     d = block.shape[0]
-    shift = translation_shift(block) + 1.0
-    shifted = block + shift * np.eye(d)
+    diag = block.diagonal()
+    h = max(0.0, -float(diag.min()))
+    shift = h + 0.1 * max(float(block.max()), float(diag.max()) + h)
+    shifted = block.copy()
+    shifted.flat[:: d + 1] += shift
     op = shifted
     if d >= _SPARSE_DIM and np.count_nonzero(shifted) < _SPARSE_DENSITY * d * d:
         op = sp.csr_matrix(shifted)
@@ -356,7 +363,10 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     The selected vector is the limit of the normalized (tI - A)^{-1} 1 as t
     falls to the leading eigenvalue lam, which is also where the power method
     from the uniform vector goes. An irreducible matrix runs the translative
-    power method on A + (h+1)I. A reducible one is split by
+    power method on A + (h + 0.1m)I, with h the shift that makes A
+    nonnegative and m the largest entry of A + hI, so the shift scales with
+    A and the convergence ratio does not depend on its units. A reducible
+    one is split by
     :func:`strong_components`: lam is the largest block value (a single
     node's diagonal entry, or an irreducible block's power-method value),
     and the vector follows exactly by back-substitution over the blocks of

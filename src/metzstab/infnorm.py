@@ -102,32 +102,33 @@ def _sorted_support(v: np.ndarray) -> np.ndarray:
     return sup[order]
 
 
-def _minimize_row(base_row: np.ndarray, i: int, cols: np.ndarray, tau: float,
-                  schur: bool):
-    """Closed-form row minimizer over the l1 ball slice; returns (x, c, pivot).
+def _minimize_rows(rows: np.ndarray, cols: np.ndarray, tau: float,
+                   stop, clamp: bool):
+    """Closed-form minimizers of several rows over their l1-ball slices.
 
-    ``cols`` is the eigenvector support sorted by weight. Entries are zeroed
-    in that order; the cutoff is the first position where the cumulative mass
-    exceeds tau or, in the Hurwitz regime, the diagonal's position, whichever
-    comes first (the unbounded diagonal absorbs any leftover budget there).
+    ``cols`` is the eigenvector support sorted by weight, shared by every row.
+    Entries are zeroed in that order; row r's pivot is the first position
+    where its cumulative mass exceeds tau, or ``stop[r]`` if that comes
+    first. In the Hurwitz regime ``stop`` is the diagonal's position (the
+    unbounded diagonal absorbs any leftover budget there) and the pivot keeps
+    its mass minus tau; otherwise ``stop`` is the last position and the pivot
+    is clamped at zero. Returns (x, c, pivots) with c holding the pivots'
+    cumulative masses.
     """
-    vals = base_row[cols]
-    cums = np.cumsum(vals)
-    over = np.flatnonzero(cums > tau)
-    cross = int(over[0]) if over.size else None
-    if schur:
-        li = cross if cross is not None else len(cols) - 1
-    else:
-        p = int(np.flatnonzero(cols == i)[0])
-        li = p if cross is None else min(p, cross)
-    x = base_row.copy()
-    x[cols[:li]] = 0.0
-    value = float(cums[li]) - tau
-    x[cols[li]] = max(value, 0.0) if schur else value
-    c = base_row.copy()
-    c[cols[:li]] = 0.0
-    c[cols[li]] = float(cums[li])
-    return x, c, int(cols[li])
+    cums = np.cumsum(rows[:, cols], axis=1)
+    at = np.arange(rows.shape[0])
+    # A True column past the end makes a row that never crosses read k.
+    cross = np.hstack([cums > tau, np.ones((at.size, 1), bool)]).argmax(axis=1)
+    li = np.minimum(cross, stop)
+    pivots = cols[li]
+    c = rows.copy()
+    c[:, cols] = np.where(np.arange(cols.size) < li[:, None], 0.0, c[:, cols])
+    c[at, pivots] = cums[at, li]
+    x = c.copy()
+    x[at, pivots] -= tau
+    if clamp:
+        x[at, pivots] = np.maximum(x[at, pivots], 0.0)
+    return x, c, pivots
 
 
 def ball_row_minimizer(row, v, tau: float, row_index: int, *,
@@ -150,34 +151,28 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
     cols = _sorted_support(w)
     if cols.size == 0:
         return base
-    if not schur and w[row_index] <= 0.0:
-        # No diagonal stop: zero support entries in weight order within budget.
-        vals = base[cols]
-        cums = np.cumsum(vals)
-        over = np.flatnonzero(cums > tau)
-        if over.size == 0:
-            base[cols] = 0.0
-            return base
-        li = int(over[0])
-        base[cols[:li]] = 0.0
-        base[cols[li]] = float(cums[li]) - tau
-        return base
-    x, _, _ = _minimize_row(base, row_index, cols, tau, schur)
-    return x
+    # A Hurwitz row whose diagonal is outside the support has no diagonal
+    # stop, and then minimizes exactly like a Schur row.
+    diag = np.flatnonzero(cols == row_index)
+    free = not schur and diag.size > 0
+    stop = diag[0] if free else cols.size - 1
+    x, _, _ = _minimize_rows(base[None], cols, tau, stop, clamp=not free)
+    return x[0]
 
 
 def _sweep(base: np.ndarray, x: np.ndarray, v: np.ndarray, tau: float,
            schur: bool):
     d = base.shape[0]
     cols = _sorted_support(v)
+    # Row cols[p] has its diagonal at position p of cols.
+    stop = cols.size - 1 if schur else np.arange(cols.size)
+    rows_x, rows_c, pivots = _minimize_rows(base[cols], cols, tau, stop, clamp=schur)
     x_next = x.copy()
+    x_next[cols] = rows_x
     c = x.copy()
+    c[cols] = rows_c
     r = np.zeros((d, d))
-    for i in cols:
-        xi, ci, pivot = _minimize_row(base[i], int(i), cols, tau, schur)
-        x_next[int(i)] = xi
-        c[int(i)] = ci
-        r[int(i), pivot] = 1.0
+    r[cols, pivots] = 1.0
     return x_next, CRDecomposition(c=c, r=r, tau=tau)
 
 
@@ -227,21 +222,26 @@ def _ball_minimum(base: np.ndarray, tau: float, schur: bool, level: float, *,
 def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | None:
     # Root of (leading eigenvalue of C - t*R) = level in t, valid while the
     # (C, R) structure is frozen; None signals the caller to bisect instead.
+    # R = S E_J^T for its k distinct pivot columns J, so the nonzero spectrum
+    # of -X^{-1} R (or (level I - X)^{-1} R) is that of the k x k matrix
+    # Y[J], for the k-column solve Y = -X^{-1} S (or (level I - X)^{-1} S).
     xf = cr.matrix()
     d = xf.shape[0]
+    rows, pivots = np.nonzero(cr.r)
+    cols, slot = np.unique(pivots, return_inverse=True)
+    s = np.zeros((d, cols.size))
+    s[rows, slot] = 1.0
     try:
         if schur:
-            m = np.linalg.solve(level * np.eye(d) - xf, cr.r)
+            y = np.linalg.solve(level * np.eye(d) - xf, s)
         else:
-            m = -np.linalg.solve(xf, cr.r)
+            y = -np.linalg.solve(xf, s)
+        if not np.isfinite(y).all() or float(y.min()) < -_NEG_GUARD:
+            return None
+        # Only a proposal, which the next ball minimum verifies, so the
+        # dense eigenvalue of the small compression serves without iteration.
+        lam = core.dense_leading_eigenpair(np.maximum(y[cols], 0.0)).value
     except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(m).all() or float(m.min()) < -_NEG_GUARD:
-        return None
-    m = np.maximum(m, 0.0)
-    try:
-        lam = core.leading_eigenpair_with_fallback(m).value
-    except IterationLimitError:
         return None
     if lam <= 1e-14:
         return None

@@ -139,6 +139,29 @@ def test_shifted_iteration_converges_where_plain_stalls():
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-9)
 
 
+DENSE_5 = np.array([
+    [-2.0, 0.3, 0.8, 0.1, 0.6],
+    [0.9, -1.0, 0.2, 0.7, 0.4],
+    [0.5, 0.6, -3.0, 0.3, 0.9],
+    [0.2, 0.8, 0.4, 0.5, 0.1],
+    [0.7, 0.1, 0.6, 0.9, -0.5],
+])
+
+
+@pytest.mark.parametrize("a", [goldens.OSCILLATING_3, DENSE_5],
+                         ids=["oscillating_3", "dense_5"])
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+def test_power_shift_follows_the_scale(a, s):
+    # The shift is relative to the block's entries, so the iteration count
+    # does not grow as the matrix shrinks. The stopping test is absolute
+    # (tol on the residual), which bounds the value's error by tol rather
+    # than by tol relative at the smallest scale.
+    want = s * float(np.linalg.eigvals(a).real.max())
+    pair = core.selected_leading_eigenpair(s * a)
+    assert pair.iterations <= 100
+    assert pair.value == pytest.approx(want, rel=1e-9, abs=core.DEFAULT_TOL)
+
+
 def test_power_iteration_budget_error():
     with pytest.raises(IterationLimitError) as err:
         core.selected_leading_eigenpair(goldens.OSCILLATING_3, max_iter=3)

@@ -256,3 +256,115 @@ def test_metzler_relaxation_never_farther():
 def test_schur_stabilize_rejects_stable_input():
     with pytest.raises(PreconditionError):
         closest_stable_inf_schur([[0.5]])
+
+
+def _full_jump_reference(cr, schur, level):
+    # cr.tau - 1/rho, with rho the Perron root of the full d x d matrix
+    # -X^{-1} R (or (level I - X)^{-1} R); None where that matrix fails the
+    # jump's guard or rho vanishes.
+    from metzstab.infnorm import _NEG_GUARD
+
+    x = cr.matrix()
+    d = x.shape[0]
+    if schur:
+        m = np.linalg.solve(level * np.eye(d) - x, cr.r)
+    else:
+        m = -np.linalg.solve(x, cr.r)
+    if float(m.min()) < -_NEG_GUARD:
+        return None
+    rho = float(np.linalg.eigvals(m).real.max())
+    return cr.tau - 1.0 / rho if rho > 1e-14 else None
+
+
+def test_jump_candidate_matches_the_full_resolvent():
+    from metzstab.infnorm import _jump_candidate, _sweep
+
+    rng = np.random.default_rng(73)
+    seen = {(False, "1"): 0, (False, "d"): 0, (True, "1"): 0, (True, "d"): 0}
+    compared = 0
+    for trial in range(160):
+        schur = bool(trial % 2)
+        d = int(rng.integers(2, 8))
+        if schur:
+            base = rng.uniform(0.0, 1.0, (d, d)) * rng.uniform(0.2, 1.5) / d
+        else:
+            base = helpers.random_metzler(rng, d)
+        v = rng.uniform(0.0, 1.0, d)
+        if trial % 4 == 0:
+            # One swept row, a single pivot: k = 1. A stable base keeps the
+            # Hurwitz iterate stable, since the sweep only lowers that row.
+            v = np.zeros(d)
+            v[int(rng.integers(0, d))] = 1.0
+            if not schur:
+                base = helpers.random_stable_metzler(rng, d)
+        row_mass = float(np.abs(base).sum(axis=1).max())
+        tau = float(rng.choice([0.05, 0.5, 2.0, 8.0]) * row_mass)
+        _, cr = _sweep(base, base.copy(), v, tau, schur)
+        level = 1.0 if schur else 0.0
+        got = _jump_candidate(cr, schur, level)
+        want = _full_jump_reference(cr, schur, level)
+        if want is None:
+            assert got is None
+            continue
+        assert got == pytest.approx(want, rel=1e-10)
+        compared += 1
+        k = np.unique(np.nonzero(cr.r)[1]).size
+        if k == 1:
+            seen[(schur, "1")] += 1
+        if k == d:
+            seen[(schur, "d")] += 1
+    assert compared >= 40
+    assert min(seen.values()) >= 1, seen
+
+
+def test_jump_candidate_rejects_a_negative_resolvent():
+    from metzstab.infnorm import CRDecomposition, _jump_candidate
+
+    # X = C - R = diag(1, -1) is unstable: -X^{-1} has the entry -1.
+    cr = CRDecomposition(c=np.array([[2.0, 0.0], [0.0, 0.0]]), r=np.eye(2), tau=1.0)
+    assert _jump_candidate(cr, False, 0.0) is None
+    # rho(X) = 2 > 1: (I - X)^{-1} has the entry -1.
+    cr = CRDecomposition(c=np.array([[3.0, 0.0], [0.0, 0.5]]), r=np.eye(2), tau=1.0)
+    assert _jump_candidate(cr, True, 1.0) is None
+
+
+def test_sweep_rows_match_the_row_minimizer():
+    from metzstab.infnorm import _sorted_support, _sweep
+
+    rng = np.random.default_rng(79)
+    cases = {"tie": 0, "no_cross": 0, "clamped": 0}
+    for trial in range(60):
+        schur = bool(trial % 2)
+        d = int(rng.integers(2, 8))
+        base = helpers.random_metzler(rng, d)
+        if schur:
+            base = np.abs(base)
+        x = helpers.random_metzler(rng, d)
+        v = rng.uniform(0.0, 1.0, d)
+        if trial % 3 == 0:  # ties in v, broken by column index
+            v = rng.choice([0.0, 0.25, 0.5], d)
+            v[0] = 0.5
+        row_mass = float(np.abs(base).sum(axis=1).max())
+        tau = float(rng.choice([0.1, 0.6, 3.0]) * row_mass)
+        x_next, cr = _sweep(base, x, v, tau, schur)
+        cols = _sorted_support(v)
+        cases["tie"] += np.unique(v[cols]).size < cols.size
+        for i in range(d):
+            if i not in cols:
+                np.testing.assert_array_equal(x_next[i], x[i])
+                np.testing.assert_array_equal(cr.r[i], np.zeros(d))
+                continue
+            np.testing.assert_array_equal(
+                x_next[i], ball_row_minimizer(base[i], v, tau, i, schur=schur))
+            (pivot,) = np.flatnonzero(cr.r[i])
+            assert cr.r[i, pivot] == 1.0
+            # C keeps x's row off the pivot and holds the pivot's mass on it.
+            np.testing.assert_array_equal(np.delete(cr.c[i], pivot),
+                                          np.delete(x_next[i], pivot))
+            p = int(np.flatnonzero(cols == pivot)[0])
+            assert cr.c[i, pivot] == pytest.approx(base[i, cols[:p + 1]].sum(), abs=1e-12)
+            formal = cr.c[i, pivot] - tau
+            assert x_next[i, pivot] == (max(formal, 0.0) if schur else formal)
+            cases["no_cross"] += bool(base[i, cols].sum() <= tau)
+            cases["clamped"] += bool(schur and formal < 0.0)
+    assert min(cases.values()) >= 1, cases
