@@ -6,6 +6,11 @@ digits); one-line human summaries go to stderr so results stay pipeable.
 
 Exit codes: 0 success, 2 precondition or input violation, 3 iteration
 budget exhausted.
+
+Handlers return ``(payload, text, summary)``: the ``--json`` document
+without ``schema`` and ``command`` (``None`` when the command has no JSON
+form), the stdout text and the stderr line (or ``None``); :func:`main`
+writes them.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ from . import bench, core, family, formats, gen, infnorm, lss, maxnorm, sign
 from .errors import IterationLimitError, PreconditionError
 
 SCHEMA = "metzstab.result/1"
-_SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+def _read(reader, path: str):
+    return reader(sys.stdin.read() if path == "-" else Path(path).read_text())
 
 
 def _mat(a) -> list[list[float]]:
@@ -35,139 +37,78 @@ def _mat(a) -> list[list[float]]:
 
 
 def _sign_rows(m: sign.SignMatrix) -> list[list[str]]:
-    return [[_SIGN_CHARS[int(x)] for x in row] for row in m.entries]
+    return [line.split() for line in formats.write_sign_matrix(m).splitlines()[1:]]
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-
-
-def _summary(text: str) -> None:
-    print(text, file=sys.stderr)
-
-
-def _norm_for(args, allowed: tuple[str, ...], default: str) -> str:
-    norm = args.norm or default
-    if norm not in allowed:
-        raise PreconditionError(
-            f"--norm {norm} is not applicable to {args.command} (allowed: {', '.join(allowed)})")
-    return norm
-
-
-def _maybe_transposed(args, arr: np.ndarray, norm: str) -> np.ndarray:
-    return arr.T.copy() if norm == "one" else arr
-
-
-def _cmd_eig(args) -> int:
-    if args.norm:
-        raise PreconditionError("--norm is not applicable to eig")
-    arr = formats.read_matrix(_read_source(args.matrix))
+def _cmd_eig(args):
     pair = core.selected_leading_eigenpair(
-        arr, tol=args.tol or core.DEFAULT_TOL,
+        _read(formats.read_matrix, args.matrix), tol=args.tol or core.DEFAULT_TOL,
         max_iter=args.max_iter or core.DEFAULT_MAX_ITER)
-    if args.json:
-        _emit_json({"command": "eig", "value": pair.value,
-                    "vector": [float(x) for x in pair.vector],
-                    "iterations": pair.iterations, "residual": pair.residual})
+    payload = {"value": pair.value, "vector": [float(x) for x in pair.vector],
+               "iterations": pair.iterations, "residual": pair.residual}
+    text = f"{pair.value:.12g}\n" + " ".join(f"{x:.12g}" for x in pair.vector) + "\n"
+    return payload, text, (f"abscissa = {pair.value:.12g}  iterations = {pair.iterations}  "
+                           f"residual = {pair.residual:.3e}")
+
+
+# The closest (un)stable matrix commands: name -> (help, allowed --norm values
+# with the default first, boundary level the residual is measured against
+# (destab-schur's --level overrides it), solve(a, args)). Under --norm one the
+# solver runs on the transpose and the result is transposed back.
+_CLOSEST = {
+    "destab-max": (
+        "closest unstable matrix, max norm", ("max",), 0.0,
+        lambda a, args: maxnorm.closest_unstable_max(a)),
+    "stab-max": (
+        "closest stable matrix, max norm", ("max",), 0.0,
+        lambda a, args: maxnorm.closest_stable_max(
+            a, tol=args.tol or core.DEFAULT_TOL,
+            eig_max_iter=args.max_iter or core.DEFAULT_MAX_ITER)),
+    "destab-inf": (
+        "closest unstable matrix, l-inf norm", ("inf", "one"), 0.0,
+        lambda a, args: infnorm.closest_unstable_inf_hurwitz(a)),
+    "stab-inf": (
+        "closest stable matrix, l-inf norm", ("inf", "one"), 0.0,
+        lambda a, args: infnorm.closest_stable_inf_hurwitz(
+            a, tol=args.tol or core.DEFAULT_TOL, max_outer=args.max_iter or 200)),
+    "destab-schur": (
+        "closest matrix with rho >= level, l-inf norm", ("inf", "one"), 1.0,
+        lambda a, args: infnorm.closest_unstable_inf_schur(a, level=args.level)),
+    "stab-schur": (
+        "closest Schur-stable matrix, l-inf norm", ("inf", "one"), 1.0,
+        lambda a, args: infnorm.closest_stable_inf_schur(
+            a, allow_metzler=args.allow_metzler, tol=args.tol or core.DEFAULT_TOL,
+            max_outer=args.max_iter or 200)),
+}
+
+
+def _cmd_closest(args):
+    one = args.norm == "one"
+    arr = _read(formats.read_matrix, args.matrix)
+    *_, solve = _CLOSEST[args.command]
+    result = solve(arr.T.copy() if one else arr, args)
+    matrix = result.matrix.T if one else result.matrix
+    payload = {"norm": args.norm, "tau_star": float(result.tau_star), "matrix": _mat(matrix)}
+    if isinstance(result, core.StabilizationResult):
+        payload.update(iterations=int(result.iterations),
+                       residual=abs(float(result.abscissa) - args.level),
+                       abscissa=float(result.abscissa),
+                       trace=[[float(t), float(e)] for t, e in result.trace])
+        summary = (f"tau_star = {result.tau_star:.12g}  iterations = {result.iterations}  "
+                   f"abscissa = {result.abscissa:.12g}")
     else:
-        print(f"{pair.value:.12g}")
-        print(" ".join(f"{x:.12g}" for x in pair.vector))
-        _summary(f"abscissa = {pair.value:.12g}  iterations = {pair.iterations}  "
-                 f"residual = {pair.residual:.3e}")
-    return 0
-
-
-def _stab_common(args, result: core.StabilizationResult, command: str,
-                 norm: str, level: float) -> int:
-    matrix = result.matrix.T if norm == "one" else result.matrix
-    if args.json:
-        _emit_json({"command": command, "norm": norm,
-                    "tau_star": float(result.tau_star), "matrix": _mat(matrix),
-                    "iterations": int(result.iterations),
-                    "residual": abs(float(result.abscissa) - level),
-                    "abscissa": float(result.abscissa),
-                    "trace": [[float(t), float(e)] for t, e in result.trace]})
-    else:
-        sys.stdout.write(formats.write_matrix(matrix))
-        _summary(f"tau_star = {result.tau_star:.12g}  iterations = {result.iterations}  "
-                 f"abscissa = {result.abscissa:.12g}")
-    return 0
-
-
-def _destab_common(args, result: core.DestabilizationResult, command: str,
-                   norm: str, level: float) -> int:
-    matrix = result.matrix.T if norm == "one" else result.matrix
-    check = core.spectral_abscissa(result.matrix)
-    axis = "row" if norm == "one" else "column"
-    if args.json:
-        payload = {"command": command, "norm": norm,
-                   "tau_star": float(result.tau_star), "matrix": _mat(matrix),
-                   "iterations": 0, "residual": abs(check - level)}
+        axis = "row" if one else "column"
+        payload.update(iterations=0,
+                       residual=abs(core.spectral_abscissa(result.matrix) - args.level))
         if result.column is not None:
-            payload["index"] = int(result.column)
-            payload["axis"] = axis
-        _emit_json(payload)
-    else:
-        sys.stdout.write(formats.write_matrix(matrix))
+            payload.update(index=int(result.column), axis=axis)
         where = "" if result.column is None else f"  {axis} = {result.column}"
-        _summary(f"tau_star = {result.tau_star:.12g}{where}")
-    return 0
+        summary = f"tau_star = {result.tau_star:.12g}{where}"
+    return payload, formats.write_matrix(matrix), summary
 
 
-def _cmd_destab_max(args) -> int:
-    _norm_for(args, ("max",), "max")
-    arr = formats.read_matrix(_read_source(args.matrix))
-    return _destab_common(args, maxnorm.closest_unstable_max(arr),
-                          "destab-max", "max", 0.0)
-
-
-def _cmd_stab_max(args) -> int:
-    _norm_for(args, ("max",), "max")
-    arr = formats.read_matrix(_read_source(args.matrix))
-    result = maxnorm.closest_stable_max(
-        arr, tol=args.tol or core.DEFAULT_TOL,
-        eig_max_iter=args.max_iter or core.DEFAULT_MAX_ITER)
-    return _stab_common(args, result, "stab-max", "max", 0.0)
-
-
-def _cmd_destab_inf(args) -> int:
-    norm = _norm_for(args, ("inf", "one"), "inf")
-    arr = _maybe_transposed(args, formats.read_matrix(_read_source(args.matrix)), norm)
-    return _destab_common(args, infnorm.closest_unstable_inf_hurwitz(arr),
-                          "destab-inf", norm, 0.0)
-
-
-def _cmd_stab_inf(args) -> int:
-    norm = _norm_for(args, ("inf", "one"), "inf")
-    arr = _maybe_transposed(args, formats.read_matrix(_read_source(args.matrix)), norm)
-    result = infnorm.closest_stable_inf_hurwitz(
-        arr, tol=args.tol or core.DEFAULT_TOL,
-        max_outer=args.max_iter or 200)
-    return _stab_common(args, result, "stab-inf", norm, 0.0)
-
-
-def _cmd_destab_schur(args) -> int:
-    norm = _norm_for(args, ("inf", "one"), "inf")
-    arr = _maybe_transposed(args, formats.read_matrix(_read_source(args.matrix)), norm)
-    result = infnorm.closest_unstable_inf_schur(arr, level=args.level)
-    return _destab_common(args, result, "destab-schur", norm, args.level)
-
-
-def _cmd_stab_schur(args) -> int:
-    norm = _norm_for(args, ("inf", "one"), "inf")
-    arr = _maybe_transposed(args, formats.read_matrix(_read_source(args.matrix)), norm)
-    result = infnorm.closest_stable_inf_schur(
-        arr, allow_metzler=args.allow_metzler,
-        tol=args.tol or core.DEFAULT_TOL, max_outer=args.max_iter or 200)
-    return _stab_common(args, result, "stab-schur", norm, 1.0)
-
-
-def _cmd_opt_family(args) -> int:
-    if args.norm:
-        raise PreconditionError("--norm is not applicable to opt-family")
-    fam = formats.read_family(_read_source(args.family))
+def _cmd_opt_family(args):
+    fam = _read(formats.read_family, args.family)
     kwargs = {}
     if args.tol:
         kwargs["eig_tol"] = args.tol
@@ -177,90 +118,70 @@ def _cmd_opt_family(args) -> int:
         out = family.optimize_with_irreducibility_patch(fam, "max", **kwargs)
     else:
         out = family.selective_greedy(fam, args.direction, **kwargs)
-    if args.json:
-        _emit_json({"command": "opt-family", "direction": args.direction,
-                    "abscissa": float(out.abscissa), "matrix": _mat(out.matrix),
-                    "row_choices": [int(c) for c in out.row_choices],
-                    "iterations": int(out.iterations),
-                    "reducible": bool(out.reducibility_flag),
-                    "eigenvector": [float(x) for x in out.eigenvector]})
-    else:
-        sys.stdout.write(formats.write_matrix(out.matrix))
-        _summary(f"abscissa = {out.abscissa:.12g}  iterations = {out.iterations}  "
-                 f"choices = {list(out.row_choices)}  reducible = {out.reducibility_flag}")
-    return 0
+    payload = {"direction": args.direction,
+               "abscissa": float(out.abscissa), "matrix": _mat(out.matrix),
+               "row_choices": [int(c) for c in out.row_choices],
+               "iterations": int(out.iterations),
+               "reducible": bool(out.reducibility_flag),
+               "eigenvector": [float(x) for x in out.eigenvector]}
+    return payload, formats.write_matrix(out.matrix), (
+        f"abscissa = {out.abscissa:.12g}  iterations = {out.iterations}  "
+        f"choices = {list(out.row_choices)}  reducible = {out.reducibility_flag}")
 
 
-def _cmd_sign_stab(args) -> int:
-    m = formats.read_sign_matrix(_read_source(args.matrix))
-    out = sign.closest_stable_sign(m)
-    if args.json:
-        _emit_json({"command": "sign-stab", "k_star": int(out.k_star),
-                    "abscissa": float(out.abscissa),
-                    "sign_matrix": _sign_rows(out.sign_matrix),
-                    "evaluated": [[int(k), float(e)] for k, e in out.evaluated]})
-    else:
-        sys.stdout.write(formats.write_sign_matrix(out.sign_matrix))
-        _summary(f"k_star = {out.k_star}  abscissa = {out.abscissa:.12g}")
-    return 0
+def _cmd_sign_stab(args):
+    out = sign.closest_stable_sign(_read(formats.read_sign_matrix, args.matrix))
+    payload = {"k_star": int(out.k_star),
+               "abscissa": float(out.abscissa),
+               "sign_matrix": _sign_rows(out.sign_matrix),
+               "evaluated": [[int(k), float(e)] for k, e in out.evaluated]}
+    return payload, formats.write_sign_matrix(out.sign_matrix), (
+        f"k_star = {out.k_star}  abscissa = {out.abscissa:.12g}")
 
 
-def _cmd_lss_check(args) -> int:
-    system = formats.read_switching_system(_read_source(args.system))
+def _cmd_lss_check(args):
+    system = _read(formats.read_switching_system, args.system)
     per_mode = [core.leading_eigenpair_with_fallback(m).value for m in system.modes]
     hull = lss.hull_max_abscissa(system, resolution=args.resolution)
     verdict = bool(hull.abscissa < 0.0) if system.dim == 2 else None
-    if args.json:
-        _emit_json({"command": "lss-check",
-                    "mode_abscissas": [float(x) for x in per_mode],
-                    "hull_abscissa": float(hull.abscissa),
-                    "hull_weights": [float(w) for w in hull.weights],
-                    "stable": verdict})
+    payload = {"mode_abscissas": [float(x) for x in per_mode],
+               "hull_abscissa": float(hull.abscissa),
+               "hull_weights": [float(w) for w in hull.weights],
+               "stable": verdict}
+    lines = [f"mode {k}: abscissa = {value:.12g}" for k, value in enumerate(per_mode)]
+    lines.append(f"hull max abscissa = {hull.abscissa:.12g} at weights "
+                 + " ".join(f"{w:.12g}" for w in hull.weights))
+    if verdict is None:
+        lines.append("verdict: hull stability is sufficient only in dimension 2")
     else:
-        for k, value in enumerate(per_mode):
-            print(f"mode {k}: abscissa = {value:.12g}")
-        print(f"hull max abscissa = {hull.abscissa:.12g} at weights "
-              + " ".join(f"{w:.12g}" for w in hull.weights))
-        if verdict is None:
-            print("verdict: hull stability is sufficient only in dimension 2")
-        else:
-            print(f"verdict: {'stable' if verdict else 'not stable'} under arbitrary switching")
-    return 0
+        lines.append(f"verdict: {'stable' if verdict else 'not stable'} under arbitrary switching")
+    return payload, "".join(line + "\n" for line in lines), None
 
 
-def _cmd_lss_stab_2d(args) -> int:
-    system = formats.read_switching_system(_read_source(args.system))
-    out = lss.stabilize_2d_lss(system, resolution=args.resolution)
-    if args.json:
-        _emit_json({"command": "lss-stab-2d",
-                    "modes": [_mat(m) for m in out.system.modes],
-                    "mode_taus": [float(t) for t in out.mode_taus],
-                    "iterations": int(out.iterations),
-                    "hull_abscissa": float(out.hull.abscissa),
-                    "hull_weights": [float(w) for w in out.hull.weights]})
-    else:
-        sys.stdout.write(formats.write_switching_system(out.system))
-        _summary(f"mode_taus = {[round(t, 9) for t in out.mode_taus]}  "
-                 f"hull abscissa = {out.hull.abscissa:.12g}")
-    return 0
+def _cmd_lss_stab_2d(args):
+    out = lss.stabilize_2d_lss(_read(formats.read_switching_system, args.system),
+                               resolution=args.resolution)
+    payload = {"modes": [_mat(m) for m in out.system.modes],
+               "mode_taus": [float(t) for t in out.mode_taus],
+               "iterations": int(out.iterations),
+               "hull_abscissa": float(out.hull.abscissa),
+               "hull_weights": [float(w) for w in out.hull.weights]}
+    return payload, formats.write_switching_system(out.system), (
+        f"mode_taus = {[round(t, 9) for t in out.mode_taus]}  "
+        f"hull abscissa = {out.hull.abscissa:.12g}")
 
 
-def _cmd_lss_stab_sign(args) -> int:
-    system = formats.read_switching_system(_read_source(args.system))
-    out = lss.stabilize_lss_by_signs(system)
-    if args.json:
-        _emit_json({"command": "lss-stab-sign",
-                    "modes": [_mat(m) for m in out.system.modes],
-                    "k_star": int(out.k_star),
-                    "mode_budgets": [int(b) for b in out.mode_budgets],
-                    "abscissa": float(out.abscissa),
-                    "acyclic": bool(out.acyclic),
-                    "stable_sign": _sign_rows(out.stable_sign)})
-    else:
-        sys.stdout.write(formats.write_switching_system(out.system))
-        _summary(f"k_star = {out.k_star}  mode_budgets = {list(out.mode_budgets)}  "
-                 f"abscissa = {out.abscissa:.12g}  acyclic = {out.acyclic}")
-    return 0
+def _cmd_lss_stab_sign(args):
+    out = lss.stabilize_lss_by_signs(_read(formats.read_switching_system, args.system))
+    payload = {"modes": [_mat(m) for m in out.system.modes],
+               "k_star": int(out.k_star),
+               "mode_budgets": [int(b) for b in out.mode_budgets],
+               "abscissa": float(out.abscissa),
+               "acyclic": bool(out.acyclic),
+               "stable_sign": _sign_rows(out.stable_sign)}
+    return payload, formats.write_switching_system(out.system), (
+        f"k_star = {out.k_star}  mode_budgets = {list(out.mode_budgets)}  "
+        f"abscissa = {out.abscissa:.12g}  acyclic = {out.acyclic}")
 
 
 def _density_percent(args):
@@ -274,33 +195,28 @@ def _density_percent(args):
     return lo / 100.0, hi / 100.0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     density = _density_percent(args)
     fam = gen.generate_family(args.dim, args.count, kind=args.kind,
                               density=density, seed=args.seed)
     text = formats.write_family(fam)
     if args.output and args.output != "-":
         Path(args.output).write_text(text)
-        _summary(f"wrote family to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+        return None, "", f"wrote family to {args.output}"
+    return None, text, None
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args):
     density = _density_percent(args)
-    rows = bench.run_bench(ops=args.op, dims=args.dim, counts=args.count,
+    rows = bench.run_bench(ops=args.op, dims=args.dim, counts=args.count or [50],
                            kind=args.kind, density=density, trials=args.trials,
-                           seed=args.seed or 0, workers=args.workers)
+                           seed=args.seed or 0)
+    summary = None
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             bench.write_csv(rows, handle)
-        _summary(f"wrote CSV to {args.csv}")
-    if args.json:
-        _emit_json({"command": "bench", "rows": rows})
-    else:
-        sys.stdout.write(bench.format_table(rows))
-    return 0
+        summary = f"wrote CSV to {args.csv}"
+    return {"rows": rows}, bench.format_table(rows), summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,32 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization, sign and switching-system stabilization.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, help_text, **kwargs):
-        p = subs.add_parser(name, parents=[common], help=help_text, **kwargs)
-        p.set_defaults(func=func)
+    def sub(name, func, help_text, norms=(), **defaults):
+        p = subs.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(func=func, norms=norms, **defaults)
         return p
 
     p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix")
     p.add_argument("matrix", help="matrix file or - for stdin")
 
-    p = sub("destab-max", _cmd_destab_max, "closest unstable matrix, max norm")
-    p.add_argument("matrix")
-    p = sub("stab-max", _cmd_stab_max, "closest stable matrix, max norm")
-    p.add_argument("matrix")
-
-    p = sub("destab-inf", _cmd_destab_inf, "closest unstable matrix, l-inf norm")
-    p.add_argument("matrix")
-    p = sub("stab-inf", _cmd_stab_inf, "closest stable matrix, l-inf norm")
-    p.add_argument("matrix")
-
-    p = sub("destab-schur", _cmd_destab_schur, "closest matrix with rho >= level, l-inf norm")
-    p.add_argument("matrix")
-    p.add_argument("--level", type=float, default=1.0,
-                   help="target spectral radius level (default 1)")
-    p = sub("stab-schur", _cmd_stab_schur, "closest Schur-stable matrix, l-inf norm")
-    p.add_argument("matrix")
-    p.add_argument("--allow-metzler", action="store_true",
-                   help="allow Metzler results with abscissa 1 instead of nonnegative")
+    for name, (help_text, norms, level, _) in _CLOSEST.items():
+        sub(name, _cmd_closest, help_text, norms, level=level).add_argument("matrix")
+    subs.choices["destab-schur"].add_argument(
+        "--level", type=float, default=1.0, help="target spectral radius level (default 1)")
+    subs.choices["stab-schur"].add_argument(
+        "--allow-metzler", action="store_true",
+        help="allow Metzler results with abscissa 1 instead of nonnegative")
 
     p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family")
     p.add_argument("family", help="family file or - for stdin")
@@ -384,27 +289,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--csv", default=None, help="also write results to a CSV file")
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
+def _resolve_norm(args) -> None:
+    """Default --norm to the command's first allowed norm; reject the others."""
+    if args.norm is None:
+        args.norm = args.norms[0] if args.norms else None
+    elif not args.norms:
+        raise PreconditionError(f"--norm is not applicable to {args.command}")
+    elif args.norm not in args.norms:
+        raise PreconditionError(
+            f"--norm {args.norm} is not applicable to {args.command} "
+            f"(allowed: {', '.join(args.norms)})")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "count", None) is None and args.command == "bench":
-        args.count = [50]
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _resolve_norm(args)
+        payload, text, summary = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IterationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.json and payload is not None:
+        json.dump({"schema": SCHEMA, "command": args.command, **payload}, sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(text)
+        if summary is not None:
+            print(summary, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -137,7 +137,6 @@ class StabilizationResult:
     iterations: int
     abscissa: float
     trace: tuple = ()
-    degenerate_perron: bool = False
 
 
 def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
@@ -393,23 +392,17 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     return _reducible_pair(arr, blocks, tol, max_iter, dense_dim)
 
 
-def dense_leading_eigenpair(a, *, perturbation: float = 0.0) -> EigenPair:
+def dense_leading_eigenpair(a) -> EigenPair:
     """Leading eigenpair via a dense eigendecomposition.
 
-    Escape hatch for irreducible blocks where the power method stalls. With
-    ``perturbation`` > 0 the eigenvector is taken from A + eps*ones instead;
-    the reported value and residual are measured against A itself, so they
-    stay honest about the approximation.
+    Escape hatch for irreducible blocks where the power method stalls. Value
+    and vector come from one ``eig`` call.
     """
     arr = as_square_matrix(a)
     d = arr.shape[0]
-    target = arr if perturbation == 0.0 else arr + perturbation
-    vals, vecs = np.linalg.eig(target)
+    vals, vecs = np.linalg.eig(arr)
     k = int(np.argmax(vals.real))
-    if perturbation == 0.0:
-        value = float(vals[k].real)
-    else:
-        value = float(np.linalg.eigvals(arr).real.max())
+    value = float(vals[k].real)
     v = vecs[:, k].real.copy()
     if v.sum() < 0:
         v = -v

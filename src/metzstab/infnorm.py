@@ -341,8 +341,7 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
         return core.StabilizationResult(
             tau_star=inner.tau_star, matrix=inner.matrix + np.eye(d),
             iterations=inner.iterations, abscissa=inner.abscissa + 1.0,
-            trace=tuple((t, e + 1.0) for t, e in inner.trace),
-            degenerate_perron=inner.degenerate_perron)
+            trace=tuple((t, e + 1.0) for t, e in inner.trace))
     return _closest_stable_ball(arr, schur=True, level=1.0, tol=tol,
                                 zero_tol=zero_tol, max_outer=max_outer,
                                 max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)

@@ -120,7 +120,6 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         return core.StabilizationResult(tau_star=tau2, matrix=a2,
                                         iterations=eval_count, abscissa=eta2,
                                         trace=tuple(trace))
-    degenerate = bool((np.abs(m).sum(axis=1) <= zero_tol).any())
     m = np.maximum(m, 0.0)  # clip solver noise; m is nonnegative in theory
     rho = core.spectral_radius(m, tol=tol, max_iter=eig_max_iter)
     if rho <= 0.0:
@@ -130,5 +129,4 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     eta = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
     trace.append((tau, eta))
     return core.StabilizationResult(tau_star=tau, matrix=x, iterations=eval_count + 1,
-                                    abscissa=eta, trace=tuple(trace),
-                                    degenerate_perron=degenerate)
+                                    abscissa=eta, trace=tuple(trace))

@@ -16,7 +16,6 @@ same eigenvector-guided sweep as the numeric modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -98,16 +97,9 @@ def is_sign_stable(m: SignMatrix, *, strict: bool = True,
     if not strict:
         return core.leading_eigenpair_with_fallback(m.realize()).value <= tol
 
-    if int(np.diag(e).max()) >= 0:
-        combinatorial = False
-    else:
-        d = m.dim
-        graph = {i: set(np.flatnonzero(e[i] > 0)) - {i} for i in range(d)}
-        try:
-            list(TopologicalSorter(graph).static_order())
-            combinatorial = True
-        except CycleError:
-            combinatorial = False
+    # The + graph is acyclic exactly when every strong component is one node.
+    combinatorial = (int(np.diag(e).max()) < 0
+                     and len(core.strong_components(e > 0)) == m.dim)
     if cross_check:
         spectral = core.leading_eigenpair_with_fallback(m.realize()).value < -tol
         if combinatorial != spectral:

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from metzstab import cli, core, formats, infnorm
+from metzstab import cli, core, formats, gen, infnorm
 from metzstab.family import selective_greedy
+from metzstab.lss import SwitchingSystem
 from metzstab.sign import SignMatrix
 
 import goldens
@@ -268,3 +269,76 @@ def test_entry_point_runs_as_module(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout.splitlines()[0]) == pytest.approx(-1.0, abs=1e-9)
+
+
+def _matrix_text(a):
+    return formats.write_matrix(np.asarray(a, dtype=float))
+
+
+_SWITCH_TEXT = formats.write_switching_system(SwitchingSystem(goldens.SWITCH_MODES))
+_PLANAR_TEXT = formats.write_switching_system(SwitchingSystem(
+    (np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([[-3.0, 4.0], [1.0, -2.0]]))))
+_SIGN_TEXT = formats.write_sign_matrix(SignMatrix(goldens.SIGN_LATTICE))
+_STAB_KEYS = ["norm", "tau_star", "matrix", "iterations", "residual", "abscissa", "trace"]
+_DESTAB_KEYS = _STAB_KEYS[:5]
+
+JSON_KEYS = [
+    ("eig", _matrix_text(goldens.STABLE_5), ["value", "vector", "iterations", "residual"]),
+    ("stab-max", _matrix_text(goldens.SWAP_2), _STAB_KEYS),
+    ("stab-inf", _matrix_text(goldens.UNSTABLE_5), _STAB_KEYS),
+    ("stab-schur", _matrix_text(goldens.SPIN_2), _STAB_KEYS),
+    ("destab-max", _matrix_text(-np.eye(2)), _DESTAB_KEYS),
+    ("destab-inf", _matrix_text(goldens.STABLE_5), _DESTAB_KEYS + ["index", "axis"]),
+    ("destab-schur", _matrix_text(np.zeros((2, 2))), _DESTAB_KEYS + ["index", "axis"]),
+    ("opt-family", formats.write_family(gen.generate_family(5, 4, seed=11)),
+     ["direction", "abscissa", "matrix", "row_choices", "iterations", "reducible",
+      "eigenvector"]),
+    ("sign-stab", _SIGN_TEXT, ["k_star", "abscissa", "sign_matrix", "evaluated"]),
+    ("lss-check", _SWITCH_TEXT,
+     ["mode_abscissas", "hull_abscissa", "hull_weights", "stable"]),
+    ("lss-stab-2d", _PLANAR_TEXT,
+     ["modes", "mode_taus", "iterations", "hull_abscissa", "hull_weights"]),
+    ("lss-stab-sign", _SWITCH_TEXT,
+     ["modes", "k_star", "mode_budgets", "abscissa", "acyclic", "stable_sign"]),
+]
+
+
+@pytest.mark.parametrize("command, text, keys", JSON_KEYS, ids=[row[0] for row in JSON_KEYS])
+def test_json_document_keys_in_order(tmp_path, capsys, command, text, keys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    payload = run_json(capsys, command, str(path))
+    assert list(payload) == ["schema", "command", *keys]
+    assert payload["schema"] == cli.SCHEMA
+    assert payload["command"] == command
+
+
+def test_gen_prints_its_family_text_under_json(capsys):
+    argv = ("gen", "--dim", "4", "--count", "3", "--seed", "5")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_text, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json_text == text
+
+
+def test_stab_one_norm_transposes(tmp_path, capsys):
+    a = goldens.UNSTABLE_5
+    payload = run_json(capsys, "stab-inf", matrix_file(tmp_path, a), "--norm", "one")
+    direct = infnorm.closest_stable_inf_hurwitz(a.T)
+    assert payload["norm"] == "one"
+    assert payload["tau_star"] == pytest.approx(direct.tau_star, abs=1e-12)
+    np.testing.assert_allclose(payload["matrix"], direct.matrix.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("command, text, norm", [
+    ("sign-stab", _SIGN_TEXT, "inf"),
+    ("lss-check", _SWITCH_TEXT, "one"),
+], ids=["sign-stab", "lss-check"])
+def test_norm_is_rejected_where_it_does_not_apply(tmp_path, capsys, command, text, norm):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path), "--norm", norm)
+    assert code == 2
+    assert out == ""
+    assert f"--norm is not applicable to {command}" in err
