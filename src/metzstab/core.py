@@ -51,8 +51,9 @@ def offdiagonal_min(a: np.ndarray) -> float:
     d = a.shape[0]
     if d == 1:
         return 0.0
-    mask = ~np.eye(d, dtype=bool)
-    return float(a[mask].min())
+    # Past the first entry, each run of d + 1 entries of the flat array holds
+    # d off-diagonal entries and then a diagonal one: a strided view, no mask.
+    return float(np.ravel(a)[1:].reshape(d - 1, d + 1)[:, :d].min())
 
 
 def is_metzler(a) -> bool:
@@ -188,6 +189,23 @@ def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
 # Dense escape bound: a stalled irreducible block up to this size goes to
 # np.linalg.eig; above it the IterationLimitError propagates.
 DENSE_FALLBACK_DIM = 64
+# Rounding floor of the power method's residual, in units of eps times the
+# shifted value: below it the residual of a converged iterate is noise.
+_RESIDUAL_FLOOR_ULPS = 16
+
+
+def _reaches_all(pattern: np.ndarray) -> bool:
+    # Breadth-first search from node 0 along the rows of ``pattern``.
+    seen = np.zeros(pattern.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = pattern[frontier].any(axis=0) & ~seen
+        seen |= new
+        if seen.all():
+            return True
+        frontier = np.flatnonzero(new)
+    return False
 
 
 def strong_components(a) -> tuple[np.ndarray, ...]:
@@ -196,12 +214,16 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
     Node i points to node j when ``a[i, j]`` is nonzero and i != j. Each
     component is an ascending index array, and each comes after every
     component it points to, so a system in ``a`` can be solved component by
-    component in the returned order. A pattern with every off-diagonal entry
-    nonzero is one component, found without a graph search.
+    component in the returned order. A pattern in which node 0 reaches every
+    node and every node reaches node 0 is one component, proved by two
+    breadth-first searches without building a graph; the searches are
+    skipped when some node has no off-diagonal entry in its row or column.
     """
     pattern = np.asarray(a) != 0
     d = pattern.shape[0]
-    if np.count_nonzero(pattern) - np.count_nonzero(pattern.diagonal()) == d * (d - 1):
+    np.fill_diagonal(pattern, False)  # self-loops join no components
+    if d == 1 or (pattern.any(axis=1).all() and pattern.any(axis=0).all()
+                  and _reaches_all(pattern) and _reaches_all(pattern.T)):
         return (np.arange(d),)
     rows, cols = np.nonzero(pattern)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
@@ -248,11 +270,15 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     lam = 0.0
     lam_prev = np.inf
     resid = np.inf
+    floor = _RESIDUAL_FLOOR_ULPS * np.finfo(float).eps
     for it in range(1, max_iter + 1):
         y = op @ x
         lam = float(y.sum())  # x sums to one, so this is the Rayleigh value
         resid = float(np.abs(y - lam * x).max())
-        if resid <= tol and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        # Rounding keeps the residual near eps * lam, which exceeds tol once
+        # lam passes about tol / (16 eps), some 280 at the default tol.
+        if (resid <= max(tol, floor * lam)
+                and abs(lam - lam_prev) <= tol * max(1.0, abs(lam))):
             return EigenPair(lam - shift, x, it, resid)
         lam_prev = lam
         x = y / lam
@@ -378,10 +404,12 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
 
     ``tol`` is the power method's threshold on the relative change of the
     value and on the residual ||B v - value v||_inf, and the criticality
-    threshold; ``max_iter`` is each block's budget. Irreducible blocks of at
-    most ``dense_dim`` nodes that exhaust it are solved by
-    :func:`dense_leading_eigenpair`; larger ones raise IterationLimitError
-    carrying the block's best pair. ``iterations`` of the result sums the
+    threshold; the residual test is floored at 16 eps times the shifted
+    value, the rounding level of the product, so a block with a large
+    Perron root stops once it has settled. ``max_iter`` is each block's
+    budget. Irreducible blocks of at most ``dense_dim`` nodes that exhaust
+    it are solved by :func:`dense_leading_eigenpair`; larger ones raise
+    IterationLimitError carrying the block's best pair. ``iterations`` of the result sums the
     power iterations of all blocks, budgets spent before a dense escape
     included; ``residual`` is measured against A.
     """
@@ -447,6 +475,23 @@ def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
     if not np.isfinite(inv).all():
         return None
     return inv
+
+
+def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solution y of m y = b when it is finite and entrywise positive, else None.
+
+    A positive y with A y = -1 certifies that a Metzler A is Hurwitz, and a
+    positive y with (hI - A) y = 1 certifies rho(A) < h for a nonnegative A,
+    so one LU factorization gives the closed-form destabilizers both their
+    precondition and their answer. A singular m gives None.
+    """
+    try:
+        y = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(y).all() and y.min() > 0.0):
+        return None
+    return y
 
 
 def is_hurwitz_stable(a, *, strict: bool = True, tol: float = STABILITY_TOL) -> bool:

@@ -2,7 +2,9 @@
 
 Destabilization has a closed form: for Hurwitz-stable Metzler A the nearest
 boundary matrix adds tau* = 1 / max_k(-A^{-1} e)_k to one column; the Schur
-version at level h uses (h I - A)^{-1} e instead.
+version at level h uses (h I - A)^{-1} e instead. The vector y = -A^{-1} e
+(or (h I - A)^{-1} e) comes from one solve, and y > 0 is itself the
+certificate of stability that the closed form requires.
 
 Stabilization minimizes the abscissa (or radius) over the row-wise l1 ball
 B_tau(A) by a selective greedy sweep whose row minimizers have a closed form:
@@ -58,16 +60,15 @@ class _BallMinimum:
 def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
     """Closest matrix with eta >= 0 in the l-inf norm, for Hurwitz-stable Metzler A.
 
-    The optimum bumps a single column k (the argmax of -A^{-1} e) by
-    tau* = 1 / (-A^{-1} e)_k; eta of the result is exactly 0.
+    The optimum bumps a single column k (the argmax of y = -A^{-1} e) by
+    tau* = 1 / y_k; eta of the result is exactly 0. One solve gives y, and a
+    finite, entrywise positive y certifies that A is Hurwitz.
     """
     arr = core.validate_metzler(a)
-    if not core.is_hurwitz_stable(arr):
+    y = core.positive_solution(arr, -np.ones(arr.shape[0]))
+    if y is None:
         raise PreconditionError("matrix must be strictly Hurwitz stable")
-    y = np.linalg.solve(arr, -np.ones(arr.shape[0]))
     k = int(np.argmax(y))
-    if y[k] <= 0.0:
-        raise PreconditionError("inverse-positivity certificate failed")
     tau = 1.0 / float(y[k])
     x = arr.copy()
     x[:, k] += tau
@@ -77,19 +78,19 @@ def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
 def closest_unstable_inf_schur(a, *, level: float = 1.0) -> core.DestabilizationResult:
     """Closest matrix with rho >= level in the l-inf norm, for nonnegative A.
 
-    Requires rho(A) < level; bumps column k = argmax((level*I - A)^{-1} e)
-    by the reciprocal of that component, landing exactly on rho = level.
+    Requires rho(A) < level; bumps column k, the argmax of
+    y = (level*I - A)^{-1} e, by 1 / y_k, landing exactly on rho = level.
+    One solve gives y, and a finite, entrywise positive y certifies
+    rho(A) < level.
     """
     arr = core.validate_nonnegative(a)
     if level <= 0.0:
         raise PreconditionError("level must be positive")
-    if not core.is_schur_stable(arr, level=level):
-        raise PreconditionError(f"matrix must satisfy rho(A) < {level}")
     d = arr.shape[0]
-    y = np.linalg.solve(level * np.eye(d) - arr, np.ones(d))
+    y = core.positive_solution(level * np.eye(d) - arr, np.ones(d))
+    if y is None:
+        raise PreconditionError(f"matrix must satisfy rho(A) < {level}")
     k = int(np.argmax(y))
-    if y[k] <= 0.0:
-        raise PreconditionError("resolvent-positivity certificate failed")
     tau = 1.0 / float(y[k])
     x = arr.copy()
     x[:, k] += tau

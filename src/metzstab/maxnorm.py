@@ -1,7 +1,9 @@
 """Closest unstable / stable Metzler matrices in the max norm (largest entry).
 
 Destabilization of a Hurwitz-stable A has the closed form tau* =
-1 / sum(-A^{-1}), reached by the uniform perturbation A + tau*ones.
+1 / sum(-A^{-1}) = 1 / sum(y) with y = -A^{-1} e, reached by the uniform
+perturbation A + tau*ones; one solve gives y, and y > 0 certifies that A
+is Hurwitz.
 Stabilization of an unstable A searches over the clamp family
 A(tau) = (A - tau*ones) clamped to keep off-diagonal entries nonnegative:
 A(tau) is piecewise linear in tau with breakpoints at the distinct positive
@@ -30,16 +32,15 @@ def clamp_shift(a, tau: float) -> np.ndarray:
 def closest_unstable_max(a) -> core.DestabilizationResult:
     """Closest matrix with eta >= 0 in the max norm, for Hurwitz-stable Metzler A.
 
-    Returns tau* and X = A + tau* (added to every entry); eta(X) = 0.
+    Returns tau* = 1 / sum(y), y = -A^{-1} e, and X = A + tau* (added to
+    every entry); eta(X) = 0. sum(y) is the entrywise l1 mass of A^{-1}, and
+    a finite, entrywise positive y certifies that A is Hurwitz.
     """
     arr = core.validate_metzler(a)
-    if not core.is_hurwitz_stable(arr):
+    y = core.positive_solution(arr, -np.ones(arr.shape[0]))
+    if y is None:
         raise PreconditionError("matrix must be strictly Hurwitz stable")
-    inv = np.linalg.inv(arr)
-    total = float(-inv.sum())  # equals the entrywise l1 mass of A^{-1}
-    if total <= 0.0:
-        raise PreconditionError("inverse-positivity certificate failed")
-    tau = 1.0 / total
+    tau = 1.0 / float(y.sum())
     return core.DestabilizationResult(tau_star=tau, matrix=arr + tau)
 
 

@@ -43,3 +43,54 @@ def random_unstable_sign(rng: np.random.Generator, d: int, *,
         e = random_sign_entries(rng, d, density=density)
         if oracles.abscissa(e.astype(float)) > 0.05:
             return e
+
+
+# Inputs of the closed-form destabilizers' one-solve certificate: two kinds
+# each destabilizer accepts and two it must reject.
+CERTIFICATE_KINDS = ("stable", "reducible", "unstable", "singular")
+
+
+def _certificate_base(rng: np.random.Generator, kind: str, d: int) -> np.ndarray:
+    a = rng.uniform(0.0, 1.0, size=(d, d))
+    if kind == "reducible":
+        a[d // 2:, : d // 2] = 0.0  # block upper triangular, exact zeros
+    return a
+
+
+def hurwitz_certificate_input(kind: str, d: int, seed: int) -> np.ndarray:
+    """Metzler matrix of one of ``CERTIFICATE_KINDS``.
+
+    Every row sums to -m ("stable", "reducible") or +m ("unstable"), with
+    m ~ U(0.1, 1) per row. "singular" is a stable matrix shifted onto its
+    boundary: its last row is zero but for the diagonal entry -0.05, which
+    is then its abscissa, and adding 0.05 I leaves that row exactly zero.
+    """
+    rng = np.random.default_rng([seed, d])
+    a = _certificate_base(rng, kind, d)
+    np.fill_diagonal(a, 0.0)
+    margin = rng.uniform(0.1, 1.0, size=d) * (1.0 if kind == "unstable" else -1.0)
+    np.fill_diagonal(a, margin - a.sum(axis=1))
+    if kind == "singular":
+        a[-1] = 0.0
+        a[-1, -1] = -0.05
+        a += 0.05 * np.eye(d)
+    return a
+
+
+def schur_certificate_input(kind: str, d: int, seed: int, *,
+                            level: float = 1.0) -> np.ndarray:
+    """Nonnegative matrix of one of ``CERTIFICATE_KINDS`` at a Schur level.
+
+    Row sums are level * U(0.5, 0.95) ("stable", "reducible"), so rho <
+    level, or level * U(1.05, 2) ("unstable"), so rho > level. "singular"
+    is a stable matrix whose last row is zero but for the diagonal entry
+    ``level``: rho = level, and level I - A has an exactly zero row.
+    """
+    rng = np.random.default_rng([seed, d])
+    a = _certificate_base(rng, kind, d)
+    lo, hi = (1.05, 2.0) if kind == "unstable" else (0.5, 0.95)
+    a *= (level * rng.uniform(lo, hi, size=d) / a.sum(axis=1))[:, None]
+    if kind == "singular":
+        a[-1] = 0.0
+        a[-1, -1] = level
+    return a

@@ -1,0 +1,55 @@
+"""Machine-independent cost guards: how many factorizations and graph searches
+a call makes. Counts repeat exactly, so they hold on any machine."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from metzstab import core
+from metzstab.infnorm import closest_unstable_inf_hurwitz, closest_unstable_inf_schur
+from metzstab.maxnorm import closest_unstable_max
+
+import helpers
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    calls = collections.Counter()
+    for name in ("solve", "inv", "eig", "eigvals"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("destabilize,a", [
+    (closest_unstable_inf_hurwitz, helpers.hurwitz_certificate_input("stable", 50, seed=7)),
+    (closest_unstable_max, helpers.hurwitz_certificate_input("stable", 50, seed=7)),
+    (closest_unstable_inf_schur, helpers.schur_certificate_input("stable", 50, seed=7)),
+], ids=["inf-hurwitz", "max", "inf-schur"])
+def test_each_destabilizer_makes_one_solve(destabilize, a, linalg_calls):
+    # The solution of the one solve is the stability certificate too: no
+    # inverse, no second factorization, no eigen call.
+    destabilize(a)
+    assert dict(linalg_calls) == {"solve": 1}
+
+
+def test_a_strongly_connected_pattern_needs_no_graph(monkeypatch):
+    searches = collections.Counter()
+
+    def counted(*args, **kwargs):
+        searches["graph"] += 1
+        return original(*args, **kwargs)
+
+    original = core.connected_components
+    monkeypatch.setattr(core, "connected_components", counted)
+    rng = np.random.default_rng(8)
+    a = rng.random((300, 300)) * (rng.random((300, 300)) < 0.5)
+    assert np.count_nonzero(a) < 300 * 299  # not the full pattern
+    assert len(core.strong_components(a)) == 1
+    assert searches["graph"] == 0
+    a[:, 3] = 0.0
+    assert len(core.strong_components(a)) == 2
+    assert searches["graph"] == 1

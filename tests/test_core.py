@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from metzstab import core
 from metzstab.errors import IterationLimitError, PreconditionError
@@ -150,12 +152,13 @@ DENSE_5 = np.array([
 
 @pytest.mark.parametrize("a", [goldens.OSCILLATING_3, DENSE_5],
                          ids=["oscillating_3", "dense_5"])
-@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
 def test_power_shift_follows_the_scale(a, s):
     # The shift is relative to the block's entries, so the iteration count
     # does not grow as the matrix shrinks. The stopping test is absolute
     # (tol on the residual), which bounds the value's error by tol rather
-    # than by tol relative at the smallest scale.
+    # than by tol relative at the smallest scale; at the largest scales the
+    # residual stops at its rounding floor, 16 eps times the value.
     want = s * float(np.linalg.eigvals(a).real.max())
     pair = core.selected_leading_eigenpair(s * a)
     assert pair.iterations <= 100
@@ -232,6 +235,78 @@ def test_strong_components_order_and_membership():
     # every off-diagonal entry nonzero: one component, whatever the diagonal
     assert [c.tolist() for c in core.strong_components(np.ones((4, 4)) - np.eye(4))] == [
         [0, 1, 2, 3]]
+
+
+def _graph_components(a):
+    # Reference: strong components of the whole pattern from csgraph, each
+    # placed after every component it points to, ties by label.
+    pattern = np.asarray(a) != 0
+    n, labels = connected_components(sp.csr_matrix(pattern.astype(float)),
+                                     directed=True, connection="strong")
+    rows, cols = np.nonzero(pattern)
+    points = np.zeros((n, n), dtype=bool)
+    points[labels[rows], labels[cols]] = True
+    np.fill_diagonal(points, False)
+    order = []
+    while len(order) < n:
+        order += [c for c in range(n) if c not in order
+                  and all(t in order for t in np.flatnonzero(points[c]))]
+    return tuple(np.flatnonzero(labels == c) for c in order)
+
+
+def _assert_same_components(a):
+    got, want = core.strong_components(a), _graph_components(a)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+def _out_star(d):
+    a = np.zeros((d, d))
+    a[0, 1:] = 1.0
+    return a
+
+
+def _out_star_with_cycles():
+    # Every row and column has an off-diagonal entry, and node 0 reaches
+    # every node, but nodes 3 and 4 do not reach node 0: components {0, 1, 2}
+    # and {3, 4}.
+    a = _out_star(5)
+    a[1, 0] = a[1, 2] = a[2, 1] = a[3, 4] = a[4, 3] = 1.0
+    return a
+
+
+def _dense_missing_column(d):
+    a = np.ones((d, d))
+    a[:, 2] = 0.0
+    a[2, 2] = 1.0
+    return a
+
+
+def test_strong_components_matches_the_graph_search():
+    rng = np.random.default_rng(505)
+    singles = 0
+    for _ in range(600):
+        d = int(rng.integers(1, 61))
+        density = float(rng.uniform(0.02, 0.9))
+        a = rng.random((d, d)) * (rng.random((d, d)) < density)
+        singles += len(_assert_same_components(a)) == 1
+    assert min(singles, 600 - singles) >= 50  # both sides of the shortcut
+
+
+@pytest.mark.parametrize("a,count", [
+    (_out_star(6), 6),
+    (_out_star(6).T, 6),
+    (_out_star_with_cycles(), 2),
+    (_out_star_with_cycles().T, 2),
+    (_dense_missing_column(7), 2),
+    (np.array([[-1.0]]), 1),
+    (np.array([[0.0, 2.0], [3.0, 0.0]]), 1),
+], ids=["out-star", "in-star", "out-star-with-cycles", "in-star-with-cycles",
+        "dense-missing-column", "d1", "two-cycle"])
+def test_strong_components_pinned_patterns(a, count):
+    assert len(_assert_same_components(a)) == count
 
 
 # Two Jordan chains of length 2 on the eigenvalue 1 (defective).

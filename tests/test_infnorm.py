@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core
+from metzstab import cli, core, formats
 from metzstab.errors import PreconditionError
 from metzstab.infnorm import (
     ZERO_TOL,
@@ -368,3 +368,58 @@ def test_sweep_rows_match_the_row_minimizer():
             cases["no_cross"] += bool(base[i, cols].sum() <= tau)
             cases["clamped"] += bool(schur and formal < 0.0)
     assert min(cases.values()) >= 1, cases
+
+
+SCHUR_LEVEL = 2.0
+
+
+@pytest.mark.parametrize("d", [5, 50, 600])
+@pytest.mark.parametrize("kind", helpers.CERTIFICATE_KINDS)
+def test_destabilize_accepts_exactly_the_hurwitz_inputs(kind, d):
+    # One solve of A y = -1 is both the precondition and the answer: the
+    # destabilizer accepts exactly the inputs the inverse-based test accepts,
+    # and its tau* and column are those of the inverse-based formula.
+    a = helpers.hurwitz_certificate_input(kind, d, seed=501)
+    stable = core.is_hurwitz_stable(a)
+    assert stable == (kind in ("stable", "reducible"))
+    if not stable:
+        with pytest.raises(PreconditionError, match="Hurwitz"):
+            closest_unstable_inf_hurwitz(a)
+        return
+    out = closest_unstable_inf_hurwitz(a)
+    y = -np.linalg.inv(a).sum(axis=1)
+    assert out.column == int(np.argmax(y))
+    assert out.tau_star == pytest.approx(1.0 / y.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [5, 50, 600])
+@pytest.mark.parametrize("kind", helpers.CERTIFICATE_KINDS)
+def test_schur_destabilize_accepts_exactly_the_schur_inputs(kind, d):
+    a = helpers.schur_certificate_input(kind, d, seed=502, level=SCHUR_LEVEL)
+    stable = core.is_schur_stable(a, level=SCHUR_LEVEL)
+    assert stable == (kind in ("stable", "reducible"))
+    if not stable:
+        with pytest.raises(PreconditionError, match="rho"):
+            closest_unstable_inf_schur(a, level=SCHUR_LEVEL)
+        return
+    out = closest_unstable_inf_schur(a, level=SCHUR_LEVEL)
+    y = np.linalg.inv(SCHUR_LEVEL * np.eye(d) - a).sum(axis=1)
+    assert out.column == int(np.argmax(y))
+    assert out.tau_star == pytest.approx(1.0 / y.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("command,destabilize,a", [
+    ("destab-inf", closest_unstable_inf_hurwitz, np.zeros((2, 2))),
+    ("destab-inf", closest_unstable_inf_hurwitz,
+     helpers.hurwitz_certificate_input("singular", 50, seed=503)),
+    ("destab-schur", closest_unstable_inf_schur, np.eye(2)),
+    ("destab-schur", closest_unstable_inf_schur,
+     helpers.schur_certificate_input("singular", 50, seed=503)),
+], ids=["hurwitz-zero", "hurwitz-boundary", "schur-identity", "schur-boundary"])
+def test_destabilize_rejects_a_singular_input(command, destabilize, a, tmp_path, capsys):
+    with pytest.raises(PreconditionError):  # not LinAlgError
+        destabilize(a)
+    path = tmp_path / "m.txt"
+    path.write_text(formats.write_matrix(a))
+    assert cli.main([command, str(path)]) == 2
+    assert "must" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core, gen
+from metzstab import cli, core, formats, gen
 from metzstab.errors import PreconditionError
 from metzstab.maxnorm import clamp_shift, closest_stable_max, closest_unstable_max
 
@@ -113,3 +113,44 @@ def test_stabilization_is_sharp():
         delta = 1e-4 * out.tau_star
         assert oracles.abscissa(clamp_shift(a, out.tau_star - delta)) > 0.0
         assert oracles.abscissa(out.matrix) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [5, 50, 600])
+@pytest.mark.parametrize("kind", helpers.CERTIFICATE_KINDS)
+def test_destabilize_accepts_exactly_the_hurwitz_inputs(kind, d):
+    # tau* = 1 / sum(y) with y from one solve of A y = -1, which also
+    # certifies the precondition: the same inputs as the inverse-based test,
+    # the same tau* as the sum of -A^{-1}.
+    a = helpers.hurwitz_certificate_input(kind, d, seed=511)
+    stable = core.is_hurwitz_stable(a)
+    assert stable == (kind in ("stable", "reducible"))
+    if not stable:
+        with pytest.raises(PreconditionError, match="Hurwitz"):
+            closest_unstable_max(a)
+        return
+    out = closest_unstable_max(a)
+    assert out.tau_star == pytest.approx(1.0 / float(-np.linalg.inv(a).sum()), rel=1e-12)
+    np.testing.assert_array_equal(out.matrix, a + out.tau_star)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((2, 2)), helpers.hurwitz_certificate_input("singular", 50, seed=512),
+], ids=["zero", "boundary"])
+def test_destabilize_rejects_a_singular_input(a, tmp_path, capsys):
+    with pytest.raises(PreconditionError):  # not LinAlgError
+        closest_unstable_max(a)
+    path = tmp_path / "m.txt"
+    path.write_text(formats.write_matrix(a))
+    assert cli.main(["destab-max", str(path)]) == 2
+    assert "Hurwitz" in capsys.readouterr().err
+
+
+def test_stabilize_when_the_jump_has_a_large_perron_root():
+    # The crossing sits 1e-6 below its bracket's upper breakpoint, so the
+    # jump's rho(-A(tau2)^{-1} H) is about 1e6. The power method settles in a
+    # few iterations there, but rounding keeps the residual near 2e-12: an
+    # absolute 1e-12 test, without the rounding floor, exhausts the budget.
+    a = gen.generate_metzler(200, unstable=True, seed=145)
+    out = closest_stable_max(a)
+    assert a.max() < 1.0
+    assert out.tau_star == pytest.approx(oracles.clamp_tau_root(a, iters=40), abs=1e-8)
