@@ -100,18 +100,27 @@ def translation_shift(a) -> float:
     return max(0.0, -float(np.diag(arr).min()))
 
 
+# How an EigenPair was computed, from the cheapest method to the costliest;
+# a reducible result reports the costliest method any of its blocks used.
+METHODS = ("diagonal", "power", "dense", "certified", "bisect")
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Leading eigenvalue with its selected nonnegative eigenvector.
 
     The vector is l1-normalized. ``residual`` is ||A v - value v||_inf,
-    reported for the matrix the pair was computed from.
+    reported for the matrix the pair was computed from. ``method`` is one of
+    :data:`METHODS` and ``bracket`` is an interval (lo, hi) holding the
+    leading eigenvalue; (-inf, inf) when nothing bounds it.
     """
 
     value: float
     vector: np.ndarray
     iterations: int
     residual: float
+    method: str = "power"
+    bracket: tuple[float, float] = (-np.inf, np.inf)
 
 
 @dataclass(frozen=True)
@@ -186,12 +195,17 @@ def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
     return PowerIterationResult(lam, x, it, resid, False, sign_changes)
 
 
-# Dense escape bound: a stalled irreducible block up to this size goes to
-# np.linalg.eig; above it the IterationLimitError propagates.
+# Irreducible blocks of at most this size get a short power budget and then
+# the certified step; larger ones keep the full budget and raise when it runs
+# out.
 DENSE_FALLBACK_DIM = 64
+# Power iterations a block of at most ``dense_dim`` nodes gets before the
+# certified step takes over.
+_POWER_BUDGET = 30
 # Rounding floor of the power method's residual, in units of eps times the
 # shifted value: below it the residual of a converged iterate is noise.
 _RESIDUAL_FLOOR_ULPS = 16
+_EPS = float(np.finfo(float).eps)
 
 
 def _reaches_all(pattern: np.ndarray) -> bool:
@@ -257,6 +271,8 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     # ratio independent of its scale (an absolute +1 gives about 0.99 on
     # entries near 1e-3).
     d = block.shape[0]
+    certify = d <= dense_dim
+    budget = min(max_iter, _POWER_BUDGET) if certify else max_iter
     diag = block.diagonal()
     h = max(0.0, -float(diag.min()))
     shift = h + 0.1 * max(float(block.max()), float(diag.max()) + h)
@@ -270,8 +286,8 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     lam = 0.0
     lam_prev = np.inf
     resid = np.inf
-    floor = _RESIDUAL_FLOOR_ULPS * np.finfo(float).eps
-    for it in range(1, max_iter + 1):
+    floor = _RESIDUAL_FLOOR_ULPS * _EPS
+    for it in range(1, budget + 1):
         y = op @ x
         lam = float(y.sum())  # x sums to one, so this is the Rayleigh value
         resid = float(np.abs(y - lam * x).max())
@@ -279,18 +295,75 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
         # lam passes about tol / (16 eps), some 280 at the default tol.
         if (resid <= max(tol, floor * lam)
                 and abs(lam - lam_prev) <= tol * max(1.0, abs(lam))):
-            return EigenPair(lam - shift, x, it, resid)
+            return EigenPair(lam - shift, x, it, resid, "power",
+                             _collatz_wielandt(x, y, shift))
         lam_prev = lam
         x = y / lam
-    if d <= dense_dim:
-        # The block is irreducible, so its Perron vector is unique and the
-        # dense solver needs no perturbation to find it.
-        dense = dense_leading_eigenpair(block)
-        return EigenPair(dense.value, dense.vector, max_iter, dense.residual)
+    if certify:
+        return _certified_pair(block, tol, budget)
     best = EigenPair(lam - shift, x, max_iter, resid)
     raise IterationLimitError(
         f"power iteration on a {d}-node irreducible block did not reach "
         f"tol={tol} in {max_iter} iterations (residual {resid:.3e})", best=best)
+
+
+def _collatz_wielandt(x: np.ndarray, y: np.ndarray,
+                      shift: float) -> tuple[float, float]:
+    # For a nonnegative irreducible S and y = S x with x > 0, the Perron root
+    # lies between the least and the largest ratio y_i / x_i. The pad covers
+    # the rounding of the d-term sums in y and of the shift. An entry of x
+    # that underflowed to zero leaves nothing proved.
+    if not x.min() > 0.0:
+        return -np.inf, np.inf
+    ratios = y / x
+    lo, hi = float(ratios.min()), float(ratios.max())
+    pad = (x.size + 2) * _EPS * max(hi, shift)
+    return lo - shift - pad, hi - shift + pad
+
+
+def _certified_pair(block: np.ndarray, tol: float, iterations: int) -> EigenPair:
+    # For a Metzler B, tI - B has a nonnegative inverse exactly when t
+    # exceeds the leading eigenvalue lam (Berman & Plemmons, ch. 6), so a
+    # positive solution of (tI - B) y = 1 proves lam < t and its absence
+    # proves lam >= t. Two such tests around the dense value prove it to
+    # within tol; if either fails, bisection on the same test finds lam.
+    d = block.shape[0]
+    ones = np.ones(d)
+
+    def above(t):  # positive (tI - B)^{-1} 1, or None when t <= lam
+        return positive_solution(t * np.eye(d) - block, ones)
+
+    value = float(np.linalg.eigvals(block).real.max())
+    width = tol * max(1.0, abs(value))
+    lo, hi = value - width, value + width
+    y = above(hi)
+    y_lo = None if y is None else above(lo)
+    method = "certified"
+    if y is None or y_lo is not None:
+        method = "bisect"
+        if y is None:  # lam >= hi, and at most the largest row sum
+            lo, hi = hi, float(block.sum(axis=1).max()) + width
+            y, step = above(hi), width
+            while y is None:  # only rounding fails above the row-sum bound
+                lo, hi, step = hi, hi + step, 2.0 * step
+                y = above(hi)
+        else:  # lam < lo, and at least the largest diagonal entry
+            lo, hi, y = float(block.diagonal().max()), lo, y_lo
+        # Halve down to rounding: the two ends are adjacent floats, or the
+        # width is eps in the units of max(1, |lam|).
+        while hi - lo > _EPS * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            y_mid = above(mid)
+            if y_mid is None:
+                lo = mid
+            else:
+                hi, y = mid, y_mid
+        value = 0.5 * (lo + hi)
+    v = y / y.sum()
+    resid = float(np.abs(block @ v - value * v).max())
+    return EigenPair(value, v, iterations, resid, method, (lo, hi))
 
 
 def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
@@ -316,15 +389,23 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
     # carry the limit direction.
     d = arr.shape[0]
     iterations = 0
+    method = "diagonal"
     values = np.empty(len(blocks))
     right: dict[int, np.ndarray] = {}
+    brackets: dict[int, tuple[float, float]] = {}
     for k, nodes in enumerate(blocks):
         if nodes.size == 1:
             values[k] = arr[nodes[0], nodes[0]]
             continue
         pair = _perron_pair(arr[np.ix_(nodes, nodes)], tol, max_iter, dense_dim)
         iterations += pair.iterations
-        values[k], right[k] = pair.value, pair.vector
+        method = max(method, pair.method, key=METHODS.index)
+        values[k], right[k], brackets[k] = pair.value, pair.vector, pair.bracket
+    # A single node's value is exact. lam is the largest block value, so the
+    # largest block bounds bracket it.
+    lows, highs = values.copy(), values.copy()
+    for k, (lo, hi) in brackets.items():
+        lows[k], highs[k] = lo, hi
     lam = float(values.max())
     critical = lam - values <= tol * max(1.0, abs(lam))
     left: dict[int, np.ndarray] = {}
@@ -333,8 +414,9 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
             block = arr[np.ix_(blocks[k], blocks[k])]
             left[k] = _left_perron(block, values[k], u)
             # Two-sided Rayleigh quotient: its error is the product of the
-            # errors of u and w, well below that of the power estimate.
-            values[k] = left[k] @ block @ u
+            # errors of u and w, well below that of the power estimate. It
+            # stays inside the block's bracket, which is proved.
+            values[k] = min(max(left[k] @ block @ u, lows[k]), highs[k])
     lam = float(values[critical].max())
 
     # Node i's coefficient is coef[i] * 2**scale[order[i]]. Coefficients only
@@ -377,7 +459,8 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
     v = np.where(order == order.max(), coef, 0.0)
     v /= v.sum()
     resid = float(np.abs(arr @ v - lam * v).max())
-    return EigenPair(lam, v, iterations, resid)
+    return EigenPair(lam, v, iterations, resid, method,
+                     (float(lows.max()), float(highs.max())))
 
 
 def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
@@ -406,12 +489,30 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     value and on the residual ||B v - value v||_inf, and the criticality
     threshold; the residual test is floored at 16 eps times the shifted
     value, the rounding level of the product, so a block with a large
-    Perron root stops once it has settled. ``max_iter`` is each block's
-    budget. Irreducible blocks of at most ``dense_dim`` nodes that exhaust
-    it are solved by :func:`dense_leading_eigenpair`; larger ones raise
-    IterationLimitError carrying the block's best pair. ``iterations`` of the result sums the
-    power iterations of all blocks, budgets spent before a dense escape
-    included; ``residual`` is measured against A.
+    Perron root stops once it has settled. ``max_iter`` is the power budget
+    of blocks above ``dense_dim`` nodes, which raise IterationLimitError
+    carrying the block's best pair when it runs out.
+
+    An irreducible block of at most ``dense_dim`` nodes gets at most 30
+    power iterations and then the *certified step*: lam is the largest real
+    part from ``eigvals``, proved by two M-matrix solves. For a Metzler B,
+    tI - B has a nonnegative inverse exactly when t exceeds its leading
+    eigenvalue, so a positive solution y of (hi I - B) y = 1 proves
+    lam < hi, and a non-positive or singular one at lo proves lam >= lo,
+    with hi and lo = lam +- ``tol * max(1, |lam|)``. If either test fails,
+    bisection on the same test, from the largest diagonal entry or the
+    largest row sum, narrows the bracket down to rounding. The vector is the
+    normalized y of the last solve at hi: (hi I - B)^{-1} 1, the definition
+    of the selected vector.
+
+    The result's ``method`` says how its value was found ("diagonal",
+    "power", "certified" or "bisect"; for a reducible matrix the costliest
+    one any block used), and ``bracket`` bounds the leading eigenvalue: the
+    proved interval of a certified or bisected block, the Collatz-Wielandt
+    ratios of the last power iterate, or the diagonal entry itself. A
+    critical block's refined value stays inside its bracket. ``iterations``
+    sums the power iterations actually spent on all blocks; ``residual`` is
+    measured against A.
     """
     arr = validate_metzler(a)
     blocks = strong_components(arr)
@@ -421,10 +522,12 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
 
 
 def dense_leading_eigenpair(a) -> EigenPair:
-    """Leading eigenpair via a dense eigendecomposition.
+    """Leading eigenpair via a dense eigendecomposition, uncertified.
 
-    Escape hatch for irreducible blocks where the power method stalls. Value
-    and vector come from one ``eig`` call.
+    Value and vector come from one ``eig`` call, with ``method`` "dense" and
+    no bracket. It serves callers that only need a proposal, such as the
+    l-inf stabilizer's jump candidate on a small compression; the eigen entry
+    points never call it.
     """
     arr = as_square_matrix(a)
     d = arr.shape[0]
@@ -438,17 +541,20 @@ def dense_leading_eigenpair(a) -> EigenPair:
     s = v.sum()
     v = np.full(d, 1.0 / d) if s == 0.0 else v / s
     resid = float(np.abs(arr @ v - value * v).max())
-    return EigenPair(value, v, 0, resid)
+    return EigenPair(value, v, 0, resid, "dense")
 
 
 def leading_eigenpair_with_fallback(a, *, tol: float = DEFAULT_TOL,
                                     max_iter: int = DEFAULT_MAX_ITER,
                                     dense_dim: int = DENSE_FALLBACK_DIM) -> EigenPair:
-    """selected_leading_eigenpair with the dense escape for blocks up to ``dense_dim``.
+    """selected_leading_eigenpair with the certified step for blocks up to ``dense_dim``.
 
     Iterates of the greedy stabilizers pass through reducible, often
-    defective matrices; the SCC split solves those exactly, and the dense
-    escape covers irreducible blocks whose power method still stalls.
+    defective matrices; the SCC split solves those exactly. An irreducible
+    block of at most ``dense_dim`` nodes gets 30 power iterations, and if
+    they do not converge its value comes from ``eigvals``, proved to within
+    ``tol * max(1, |lam|)`` by two M-matrix solves or found by bisection on
+    the same test, with the vector from the solve above the value.
     """
     return selected_leading_eigenpair(a, tol=tol, max_iter=max_iter,
                                       dense_dim=dense_dim)

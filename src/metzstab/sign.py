@@ -23,6 +23,8 @@ from . import core
 from .errors import CycleSuspicionError, PreconditionError
 
 _GAIN_TOL = 1e-15
+# Relative width, in units of max(v), within which two gains count as tied.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,19 @@ def _best_row(orig_row: np.ndarray, i: int, k: int, v: np.ndarray) -> np.ndarray
             gains.append((float(v[j]), j))
     steps = 1 + int(orig_row[i]) if orig_row[i] >= 0 else 0
     gains.extend([(float(v[i]), i)] * steps)
-    gains.sort(key=lambda g: (-g[0], -g[1]))  # weight desc, column desc
+    # Weight descending; a gain within _TIE_RTOL * max(v) of the first gain
+    # of its run is tied with it (eigensolver noise in the last ulps), and
+    # tied gains go higher column first.
+    gains.sort(key=lambda g: -g[0])
+    tie = _TIE_RTOL * float(v.max())
+    run, lead, ranked = -1, np.inf, []
+    for gain, j in gains:
+        if gain < lead - tie:
+            run, lead = run + 1, gain
+        ranked.append((run, -j, gain, j))
+    ranked.sort()
     row = orig_row.copy()
-    for gain, j in gains[:k]:
+    for _, _, gain, j in ranked[:k]:
         if gain <= _GAIN_TOL:
             break
         row[j] -= 1

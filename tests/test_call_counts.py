@@ -53,3 +53,17 @@ def test_a_strongly_connected_pattern_needs_no_graph(monkeypatch):
     a[:, 3] = 0.0
     assert len(core.strong_components(a)) == 2
     assert searches["graph"] == 1
+
+
+def test_a_stalled_small_block_makes_one_eigvals_and_two_solves(linalg_calls):
+    # A 20-cycle with unequal weights: the shifted power loop converges at a
+    # ratio near 0.998 and exhausts its budget. The dense value is then
+    # proved by two solves, one on each side of it.
+    a = np.diag(1.0 + np.arange(19) / 19, 1)
+    a[19, 0] = 1.0
+    pair = core.leading_eigenpair_with_fallback(a)
+    assert dict(linalg_calls) == {"eigvals": 1, "solve": 2}
+    assert pair.method == "certified"
+    assert pair.iterations <= 30
+    lo, hi = pair.bracket
+    assert lo < pair.value < hi

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +196,8 @@ def test_fallback_respects_dense_dim_cap():
 
 def test_fallback_escapes_per_irreducible_block():
     # OSCILLATING_3 stalls at max_iter=3; inside a reducible matrix it is one
-    # block, solved densely while the single node is read off its diagonal.
+    # block, solved by the certified step while the single node is read off
+    # its diagonal.
     a = np.zeros((4, 4))
     a[:3, :3] = goldens.OSCILLATING_3
     a[3, 3] = -5.0
@@ -205,6 +208,26 @@ def test_fallback_escapes_per_irreducible_block():
     assert pair.residual <= 1e-12
     with pytest.raises(IterationLimitError):
         core.leading_eigenpair_with_fallback(a, max_iter=3, dense_dim=2)
+
+
+def test_method_and_bracket_compose_over_blocks():
+    # All single nodes: the value is read off the diagonal, exactly.
+    pair = core.selected_leading_eigenpair(goldens.STABLE_5)
+    assert pair.method == "diagonal"
+    assert pair.bracket == (pair.value, pair.value)
+    # One irreducible block and one node: the block's method and bracket.
+    a = np.zeros((4, 4))
+    a[:3, :3] = goldens.OSCILLATING_3
+    a[3, 3] = -5.0
+    a[3, 0] = 1.0
+    # OSCILLATING_3 needs more than 30 power iterations.
+    for pair, method in ((core.selected_leading_eigenpair(a), "power"),
+                         (core.leading_eigenpair_with_fallback(a), "certified")):
+        assert pair.method == method
+        lo, hi = pair.bracket
+        assert lo <= goldens.OSCILLATING_3_ABSCISSA <= hi
+        assert lo <= pair.value <= hi
+    assert core.dense_leading_eigenpair(a).method == "dense"
 
 
 def _reach(a: np.ndarray) -> np.ndarray:
@@ -407,3 +430,55 @@ def test_monotonicity_in_the_metzler_order():
         a = rng.uniform(0.0, 1.0, (4, 4)) - np.diag(rng.uniform(0.0, 3.0, 4))
         p = rng.uniform(0.0, 0.5, (4, 4)) * (rng.random((4, 4)) < 0.5)
         assert core.spectral_abscissa(a + p) >= core.spectral_abscissa(a) - 1e-9
+
+
+def test_near_nilpotent_block_has_the_exact_value():
+    # -6I plus a nearly nilpotent part with subnormal weights t: the leading
+    # eigenvalue is -6 + O(t^(1/3)), which rounds to -6. The power loop
+    # converges like 1/k here, and a dense eig is off by about eps^(1/3).
+    t = 2.2e-308
+    a = np.array([[t, t, t], [1.0, t, 1.0], [1.0, t, t]]) - 6.0 * np.eye(3)
+    pair = core.leading_eigenpair_with_fallback(a)
+    assert pair.value == pytest.approx(-6.0, abs=1e-12)
+    assert pair.bracket[0] <= -6.0 <= pair.bracket[1]
+    assert pair.method == "bisect"
+    assert pair.iterations <= 30
+
+
+def _irreducible_block(rng, d, nearly_nilpotent):
+    # Dyadic entries keep the exact characteristic polynomial cheap.
+    if nearly_nilpotent:
+        # 0.1I plus a strictly upper triangular part closed into one cycle
+        # by a tiny corner entry: eigenvalues 0.1 + O(corner^(1/d)).
+        a = np.triu(np.round(rng.random((d, d)) * 64) / 64, 1)
+        a[np.arange(d - 1), np.arange(1, d)] += 0.5
+        a[d - 1, 0] = 2.0 ** -int(rng.integers(20, 60))
+        return a + 0.1 * np.eye(d)
+    while True:
+        density = rng.uniform(0.3, 1.0)
+        a = np.round(rng.random((d, d)) * 64) / 64 * (rng.random((d, d)) < density)
+        np.fill_diagonal(a, -np.round(rng.random(d) * 192) / 64)
+        if len(core.strong_components(a)) == 1:
+            return a
+
+
+def test_bracket_holds_the_exact_value_on_random_irreducible_blocks():
+    rng = np.random.default_rng(606)
+    methods = collections.Counter()
+    for n in range(80):
+        d = int(rng.integers(2, 13))
+        a = _irreducible_block(rng, d, nearly_nilpotent=n % 4 == 0)
+        value, vector = exact.perron_pair(a)
+        pair = core.leading_eigenpair_with_fallback(a)
+        methods[pair.method] += 1
+        lo, hi = pair.bracket
+        assert lo <= value <= hi, (a, pair.method)
+        assert lo <= pair.value <= hi
+        if pair.method != "power":  # a power bracket is not held to tol
+            assert hi - lo <= 2.5 * core.DEFAULT_TOL * max(1.0, abs(value))
+        eigs = np.linalg.eigvals(a)
+        gap = np.sort(np.abs(eigs - value))[1] / max(1.0, abs(value))
+        if gap >= 1e-3:
+            np.testing.assert_allclose(pair.vector, vector, rtol=0.0, atol=1e-9,
+                                       err_msg=f"{pair.method}\n{a}")
+    assert min(methods[m] for m in ("power", "certified", "bisect")) >= 5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core
+from metzstab import core, sign
 from metzstab.errors import PreconditionError
 from metzstab.sign import (
     SignMatrix,
@@ -97,6 +97,20 @@ def test_ball_minimize_printed_distance_one_optimum():
     np.testing.assert_array_equal(out.sign_matrix.entries,
                                   goldens.SIGN_LATTICE_BALL1)
     assert out.abscissa == pytest.approx(goldens.SIGN_LATTICE_BALL1_ETA, abs=1e-9)
+
+
+@pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
+def test_best_row_ignores_last_ulp_noise(ulps):
+    # Exact ties go to the higher column. A vector a few ulps away from those
+    # ties, as an eigensolver returns it, must choose the same row.
+    row = np.ones(4, dtype=np.int8)
+    tied = np.array([0.3, 0.3, 0.1, 0.3])
+    noisy = tied.copy()
+    noisy[1] += ulps * np.spacing(0.3)
+    for i in range(4):
+        for k in range(1, 6):
+            np.testing.assert_array_equal(sign._best_row(row, i, k, noisy),
+                                          sign._best_row(row, i, k, tied))
 
 
 def test_ball_minimize_matches_exhaustive_scan():
