@@ -222,44 +222,84 @@ def _reaches_all(pattern: np.ndarray) -> bool:
     return False
 
 
-def strong_components(a) -> tuple[np.ndarray, ...]:
-    """Strongly connected components of the off-diagonal pattern of ``a``.
-
-    Node i points to node j when ``a[i, j]`` is nonzero and i != j. Each
-    component is an ascending index array, and each comes after every
-    component it points to, so a system in ``a`` can be solved component by
-    component in the returned order. A pattern in which node 0 reaches every
-    node and every node reaches node 0 is one component, proved by two
-    breadth-first searches without building a graph; the searches are
-    skipped when some node has no off-diagonal entry in its row or column.
-    """
+def _strong_labels(a):
+    # (n_comp, labels, src, dst): csgraph's strong labels of the off-diagonal
+    # pattern of ``a`` and the labels at the two ends of each edge, or None
+    # when the pattern is one component (see strong_components).
     pattern = np.asarray(a) != 0
     d = pattern.shape[0]
     np.fill_diagonal(pattern, False)  # self-loops join no components
     if d == 1 or (pattern.any(axis=1).all() and pattern.any(axis=0).all()
                   and _reaches_all(pattern) and _reaches_all(pattern.T)):
-        return (np.arange(d),)
+        return None
     rows, cols = np.nonzero(pattern)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
     # A float CSR graph: csgraph would copy any other dtype first.
     graph = sp.csr_matrix((np.ones(rows.size), cols, indptr), shape=(d, d))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     if n_comp == 1:
-        return (np.arange(d),)
-    src, dst = labels[rows], labels[cols]
-    cross = src != dst
+        return None
+    return n_comp, labels, labels[rows], labels[cols]
+
+
+def _level_order(n_comp: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
+    # Labels placed level by level: next come the components whose targets
+    # are all placed, ties by label.
     points = np.zeros((n_comp, n_comp), dtype=bool)
-    points[src[cross], dst[cross]] = True
-    # Place, level by level, the components whose targets are all placed.
+    points[src, dst] = True
+    np.fill_diagonal(points, False)  # edges inside a component
     pending = points.sum(axis=1)
-    placed = np.zeros(n_comp, dtype=bool)
     order: list[int] = []
-    while len(order) < n_comp:
-        ready = np.flatnonzero((pending == 0) & ~placed)
-        placed[ready] = True
+    ready = np.flatnonzero(pending == 0)
+    while ready.size:
+        order += ready.tolist()
+        pending[ready] = -1  # placed: never zero again
         pending -= points[:, ready].sum(axis=1)
-        order.extend(int(c) for c in ready)
-    return tuple(np.flatnonzero(labels == c) for c in order)
+        ready = np.flatnonzero(pending == 0)
+    return order
+
+
+def _split(labels: np.ndarray) -> list[np.ndarray]:
+    # The nodes of each label, ascending, in label order: one stable argsort.
+    perm = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [perm[i:j] for i, j in zip([0] + ends[:-1], ends)]
+
+
+def _components(a) -> tuple[np.ndarray, ...]:
+    # The components of strong_components in csgraph's label order, which
+    # places each after every component it points to. csgraph does not
+    # document that, so one pass over the edges checks it, and the level
+    # order serves when it fails. The eigen path needs no canonical order.
+    cond = _strong_labels(a)
+    if cond is None:
+        return (np.arange(np.shape(a)[0]),)
+    n_comp, labels, src, dst = cond
+    blocks = _split(labels)
+    if not (dst <= src).all():
+        blocks = [blocks[c] for c in _level_order(n_comp, src, dst)]
+    return tuple(blocks)
+
+
+def strong_components(a) -> tuple[np.ndarray, ...]:
+    """Strongly connected components of the off-diagonal pattern of ``a``.
+
+    Node i points to node j when ``a[i, j]`` is nonzero and i != j. Each
+    component is an ascending index array, and each comes after every
+    component it points to, so a system in ``a`` can be solved component by
+    component in the returned order. The order is canonical: level by level,
+    the components whose targets are all placed come next, ties by the
+    component's csgraph label. A pattern in which node 0 reaches every node
+    and every node reaches node 0 is one component, proved by two
+    breadth-first searches without building a graph; the searches are
+    skipped when some node has no off-diagonal entry in its row or column.
+    """
+    cond = _strong_labels(a)
+    if cond is None:
+        return (np.arange(np.shape(a)[0]),)
+    n_comp, labels, src, dst = cond
+    blocks = _split(labels)
+    return tuple(blocks[c] for c in _level_order(n_comp, src, dst))
 
 
 def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
@@ -474,8 +514,8 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     power method on A + (h + 0.1m)I, with h the shift that makes A
     nonnegative and m the largest entry of A + hI, so the shift scales with
     A and the convergence ratio does not depend on its units. A reducible
-    one is split by
-    :func:`strong_components`: lam is the largest block value (a single
+    one is split into its strongly connected components, each placed after
+    every component it points to: lam is the largest block value (a single
     node's diagonal entry, or an irreducible block's power-method value),
     and the vector follows exactly by back-substitution over the blocks of
     the pole order and leading coefficient of (tI - A)^{-1} 1 at lam. A block
@@ -515,7 +555,7 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     measured against A.
     """
     arr = validate_metzler(a)
-    blocks = strong_components(arr)
+    blocks = _components(arr)
     if len(blocks) == 1 and arr.shape[0] > 1:
         return _perron_pair(arr, tol, max_iter, dense_dim)
     return _reducible_pair(arr, blocks, tol, max_iter, dense_dim)

@@ -9,7 +9,11 @@ certificate of stability that the closed form requires.
 Stabilization minimizes the abscissa (or radius) over the row-wise l1 ball
 B_tau(A) by a selective greedy sweep whose row minimizers have a closed form:
 sort the support of the leading eigenvector by weight, zero entries in that
-order until the budget runs out. Each sweep yields a decomposition
+order until the budget runs out. Each swept iterate gets one eigen call at
+the caller's tolerance, whose value decides whether the ball minimum is
+stable, on the boundary or infeasible and whose vector drives the next
+sweep; the input's own pair, computed once for the precondition, starts
+every ball. Each sweep yields a decomposition
 X = C - tau*R (R marks the pivot column per row), and when the ball minimum
 goes strictly stable the exact boundary budget along the frozen (C, R) pair
 follows from one Perron computation, which gives the outer loop its
@@ -26,7 +30,6 @@ from . import core
 from .errors import IterationLimitError, PreconditionError
 
 ZERO_TOL = 1e-8
-_SWEEP_TOL = 1e-10
 _FP_RTOL = 1e-12
 _NEG_GUARD = 1e-7
 
@@ -183,38 +186,34 @@ def _threshold(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ball_minimum(base: np.ndarray, tau: float, schur: bool, level: float, *,
-                  tol: float, zero_tol: float, max_sweeps: int,
-                  eig_max_iter: int) -> _BallMinimum:
+def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
+                  schur: bool, level: float, *, tol: float, zero_tol: float,
+                  max_sweeps: int, eig_max_iter: int) -> _BallMinimum:
     """Greedy minimization of the leading eigenvalue over the ball B_tau(base).
 
-    Returns as soon as an iterate goes strictly below ``level`` (confirmed at
-    full tolerance), or when the sweep reaches a fixed point, which is the
-    certified ball minimum.
+    ``base_pair`` is the leading pair of ``base``, where every ball starts.
+    Each later iterate gets one eigen call at ``tol``, whose value decides
+    the status and whose vector drives the next sweep. Returns as soon as a
+    swept iterate goes strictly below ``level``, or when the sweep reaches a
+    fixed point, which is the certified ball minimum.
     """
-    x = base.copy()
+    x, pair = base.copy(), base_pair
     cr_last = None
     scale = max(1.0, float(np.abs(base).max()) + tau)
     for sweep in range(1, max_sweeps + 1):
-        pair = core.leading_eigenpair_with_fallback(x, tol=_SWEEP_TOL, max_iter=eig_max_iter)
-        obj = pair.value
-        if cr_last is not None and obj < level - zero_tol:
-            tight = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
-            if tight.value < level - zero_tol:
-                return _BallMinimum("stable", x, tight.value, cr_last, sweep)
-            obj, pair = tight.value, tight
+        if cr_last is not None and pair.value < level - zero_tol:
+            return _BallMinimum("stable", x, pair.value, cr_last, sweep)
         x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
         if float(np.abs(x_next - x).max()) <= _FP_RTOL * scale:
-            tight = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
-            if abs(tight.value - level) <= zero_tol:
+            if abs(pair.value - level) <= zero_tol:
                 status = "boundary"
-            elif tight.value > level:
+            elif pair.value > level:
                 status = "infeasible"
             else:
                 status = "stable"
-            return _BallMinimum(status, x, tight.value, cr_last, sweep)
-        x = x_next
-        cr_last = cr
+            return _BallMinimum(status, x, pair.value, cr_last, sweep)
+        x, cr_last = x_next, cr
+        pair = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
     raise IterationLimitError(
         f"ball greedy did not settle in {max_sweeps} sweeps at tau={tau}",
         best=x)
@@ -249,9 +248,10 @@ def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | N
     return cr.tau - 1.0 / lam
 
 
-def _closest_stable_ball(base: np.ndarray, schur: bool, level: float, *,
-                         tol: float, zero_tol: float, max_outer: int,
-                         max_sweeps: int, eig_max_iter: int) -> core.StabilizationResult:
+def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
+                         schur: bool, level: float, *, tol: float,
+                         zero_tol: float, max_outer: int, max_sweeps: int,
+                         eig_max_iter: int) -> core.StabilizationResult:
     norm0 = core.matrix_norm(base, core.NormKind.INF)
     tau_lo = 0.0
     tau_hi = None
@@ -259,8 +259,9 @@ def _closest_stable_ball(base: np.ndarray, schur: bool, level: float, *,
     trace: list[tuple[float, float]] = []
     best: tuple[float, _BallMinimum] | None = None
     for outer in range(1, max_outer + 1):
-        bm = _ball_minimum(base, tau, schur, level, tol=tol, zero_tol=zero_tol,
-                           max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)
+        bm = _ball_minimum(base, base_pair, tau, schur, level, tol=tol,
+                           zero_tol=zero_tol, max_sweeps=max_sweeps,
+                           eig_max_iter=eig_max_iter)
         trace.append((tau, bm.objective))
         if bm.status == "boundary":
             return core.StabilizationResult(
@@ -309,10 +310,11 @@ def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
     Completion is accepted when the ball minimum satisfies |eta| <= zero_tol.
     """
     arr = core.validate_metzler(a)
-    eta0 = core.spectral_abscissa(arr, tol=tol, max_iter=eig_max_iter)
-    if eta0 <= zero_tol:
-        raise PreconditionError(f"matrix is already stable or on the boundary (eta={eta0:.3e})")
-    return _closest_stable_ball(arr, schur=False, level=0.0, tol=tol,
+    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol, max_iter=eig_max_iter)
+    if base_pair.value <= zero_tol:
+        raise PreconditionError(
+            f"matrix is already stable or on the boundary (eta={base_pair.value:.3e})")
+    return _closest_stable_ball(arr, base_pair, schur=False, level=0.0, tol=tol,
                                 zero_tol=zero_tol, max_outer=max_outer,
                                 max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)
 
@@ -331,9 +333,10 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
     stabilization of A - I (the result's leading eigenvalue is then 1).
     """
     arr = core.validate_nonnegative(a)
-    rho0 = core.spectral_radius(arr, tol=tol, max_iter=eig_max_iter)
-    if rho0 <= 1.0 + zero_tol:
-        raise PreconditionError(f"matrix is already Schur stable or on the boundary (rho={rho0:.6g})")
+    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol, max_iter=eig_max_iter)
+    if base_pair.value <= 1.0 + zero_tol:
+        raise PreconditionError(
+            f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
     if allow_metzler:
         d = arr.shape[0]
         inner = closest_stable_inf_hurwitz(
@@ -343,6 +346,6 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
             tau_star=inner.tau_star, matrix=inner.matrix + np.eye(d),
             iterations=inner.iterations, abscissa=inner.abscissa + 1.0,
             trace=tuple((t, e + 1.0) for t, e in inner.trace))
-    return _closest_stable_ball(arr, schur=True, level=1.0, tol=tol,
+    return _closest_stable_ball(arr, base_pair, schur=True, level=1.0, tol=tol,
                                 zero_tol=zero_tol, max_outer=max_outer,
                                 max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)

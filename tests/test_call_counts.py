@@ -2,12 +2,15 @@
 a call makes. Counts repeat exactly, so they hold on any machine."""
 
 import collections
+import functools
 
 import numpy as np
 import pytest
 
 from metzstab import core
-from metzstab.infnorm import closest_unstable_inf_hurwitz, closest_unstable_inf_schur
+from metzstab.infnorm import (
+    closest_stable_inf_hurwitz, closest_stable_inf_schur,
+    closest_unstable_inf_hurwitz, closest_unstable_inf_schur)
 from metzstab.maxnorm import closest_unstable_max
 
 import helpers
@@ -67,3 +70,29 @@ def test_a_stalled_small_block_makes_one_eigvals_and_two_solves(linalg_calls):
     assert pair.iterations <= 30
     lo, hi = pair.bracket
     assert lo < pair.value < hi
+
+
+@pytest.mark.parametrize("stabilize,make", [
+    (closest_stable_inf_hurwitz, helpers.random_unstable_metzler),
+    (closest_stable_inf_schur, helpers.random_unstable_nonneg),
+    (functools.partial(closest_stable_inf_schur, allow_metzler=True),
+     helpers.random_unstable_nonneg),
+], ids=["hurwitz", "schur", "schur-metzler"])
+def test_the_linf_stabilizers_never_repeat_an_eigen_call(stabilize, make, monkeypatch):
+    # One eigen call per ball-greedy sweep, and the input's pair serves the
+    # precondition and the first sweep of every ball: no two consecutive
+    # calls see the same matrix.
+    seen = []
+
+    def recorded(a, **kwargs):
+        seen.append(np.array(a, dtype=float))
+        return original(a, **kwargs)
+
+    original = core.selected_leading_eigenpair
+    monkeypatch.setattr(core, "selected_leading_eigenpair", recorded)
+    for seed in range(3):
+        seen.clear()
+        result = stabilize(make(np.random.default_rng(seed), 25))
+        assert result.iterations > 1
+        assert len(seen) > result.iterations
+        assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))

@@ -332,6 +332,36 @@ def test_strong_components_pinned_patterns(a, count):
     assert len(_assert_same_components(a)) == count
 
 
+def _assert_placed_after_targets(a, comps):
+    position = np.full(len(a), -1)
+    for k, c in enumerate(comps):
+        position[c] = k
+    assert (position >= 0).all()
+    rows, cols = np.nonzero(a)
+    assert (position[cols] <= position[rows]).all()
+
+
+def _seeded_patterns(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, 61))
+        yield rng.random((d, d)) * (rng.random((d, d)) < float(rng.uniform(0.02, 0.9)))
+
+
+def test_eigen_path_components_match_strong_components():
+    # The eigen path takes csgraph's label order: the same components as
+    # strong_components, each still after every component it points to.
+    split = 0
+    for a in _seeded_patterns(600, 606):
+        comps = core._components(a)
+        want = core.strong_components(a)
+        assert {tuple(c) for c in comps} == {tuple(c) for c in want}
+        assert len(comps) == len(want)
+        _assert_placed_after_targets(a, comps)
+        split += len(comps) > 1
+    assert min(split, 600 - split) >= 50
+
+
 # Two Jordan chains of length 2 on the eigenvalue 1 (defective).
 EQUAL_DIAGONAL_CHAIN = np.array([
     [1.0, 1.0, 0.0, 0.0],
@@ -482,3 +512,32 @@ def test_bracket_holds_the_exact_value_on_random_irreducible_blocks():
             np.testing.assert_allclose(pair.vector, vector, rtol=0.0, atol=1e-9,
                                        err_msg=f"{pair.method}\n{a}")
     assert min(methods[m] for m in ("power", "certified", "bisect")) >= 5
+
+
+def test_eigen_path_components_fall_back_to_the_level_order(monkeypatch):
+    # Labels that break the order csgraph gives (reversed: targets after
+    # their sources) send _components to the level order.
+    cases = (EQUAL_DIAGONAL_CHAIN, TWO_CRITICAL_BLOCKS, CRITICAL_FEEDS_NONCRITICAL)
+    wants = [core.selected_leading_eigenpair(a) for a in cases]
+    fallbacks = collections.Counter()
+
+    def reversed_labels(*args, **kwargs):
+        n, labels = original(*args, **kwargs)
+        return n, n - 1 - labels
+
+    def counted(*args):
+        fallbacks["level"] += 1
+        return level_order(*args)
+
+    original, level_order = core.connected_components, core._level_order
+    monkeypatch.setattr(core, "connected_components", reversed_labels)
+    monkeypatch.setattr(core, "_level_order", counted)
+    for a in _seeded_patterns(200, 707):
+        _assert_placed_after_targets(a, core._components(a))
+    assert fallbacks["level"] >= 30
+    for a, want in zip(cases, wants):
+        before = fallbacks["level"]
+        pair = core.selected_leading_eigenpair(a)
+        assert fallbacks["level"] == before + 1
+        assert pair.value == pytest.approx(want.value, abs=1e-15)
+        np.testing.assert_allclose(pair.vector, want.vector, rtol=0.0, atol=1e-15)
