@@ -25,7 +25,8 @@ DEFAULT_MAX_ITER = 20_000
 STABILITY_TOL = 1e-9
 SUPPORT_RTOL = 1e-9
 
-# Above this dimension, low-density iterates go through scipy CSR matvecs.
+# A block of at least this dimension that is still iterating after
+# _POWER_BUDGET dense matvecs, and is of low density, switches to scipy CSR.
 _SPARSE_DIM = 128
 _SPARSE_DENSITY = 0.25
 
@@ -37,7 +38,13 @@ class NormKind(str, Enum):
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.array(a, dtype=float)
+    """``a`` as a validated square float array: nonempty, finite entries.
+
+    A float64 ndarray comes back as itself, not a copy, so callers treat the
+    result as read-only and copy before writing; a type that stores the
+    array keeps its own copy.
+    """
+    arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -319,8 +326,6 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     shifted = block.copy()
     shifted.flat[:: d + 1] += shift
     op = shifted
-    if d >= _SPARSE_DIM and np.count_nonzero(shifted) < _SPARSE_DENSITY * d * d:
-        op = sp.csr_matrix(shifted)
 
     x = np.full(d, 1.0 / d)
     lam = 0.0
@@ -339,6 +344,11 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
                              _collatz_wielandt(x, y, shift))
         lam_prev = lam
         x = y / lam
+        # A CSR copy costs some 45 dense matvecs at d=500, more than most
+        # blocks need: only a slow, sparse block is worth converting.
+        if (it == _POWER_BUDGET < budget and d >= _SPARSE_DIM
+                and np.count_nonzero(shifted) < _SPARSE_DENSITY * d * d):
+            op = sp.csr_matrix(shifted)
     if certify:
         return _certified_pair(block, tol, budget)
     best = EigenPair(lam - shift, x, max_iter, resid)

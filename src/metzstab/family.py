@@ -119,6 +119,21 @@ def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
     return best
 
 
+def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices: np.ndarray,
+                 direction: str, tol: float) -> np.ndarray:
+    # row_optimize for every menu at once: menu i holds scores[offsets[i]:
+    # offsets[i + 1]] and its incumbent is choices[i].
+    if direction == "max":
+        best = np.maximum.reduceat(scores, offsets)
+    else:
+        best = np.minimum.reduceat(scores, offsets)
+    # The first row reaching its menu's optimum, as argmax / argmin pick it.
+    hits = np.flatnonzero(scores == np.repeat(best, np.diff(offsets, append=scores.size)))
+    first = hits[np.searchsorted(hits, offsets)] - offsets
+    gap = np.abs(scores[offsets + choices] - best)
+    return np.where(gap <= tol * np.maximum(1.0, np.abs(best)), choices, first)
+
+
 def selective_greedy(family: ProductFamily, direction: str = "max", *,
                      start_choices=None, tol: float = TIE_TOL,
                      max_iter: int = 200, eig_tol: float = core.DEFAULT_TOL,
@@ -151,33 +166,33 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
         if not 0 <= c < s.size:
             raise ValueError(f"start choice {c} out of range for row set {pos}")
 
-    x = family.matrix(choices)
+    # Every menu's rows in one array, menu i starting at offsets[i]: one
+    # product scores all rows of a sweep.
+    allrows = np.concatenate([s.rows for s in family.sets])
+    offsets = np.cumsum([0, *family.sizes[:-1]])
+    choices = np.array(choices)
+    x = allrows[offsets + choices]
     abscissa_trace: list[float] = []
-    choice_trace: list[tuple[int, ...]] = [tuple(choices)]
+    choice_trace: list[tuple[int, ...]] = [tuple(choices.tolist())]
     pair = None
     for it in range(1, max_iter + 1):
         pair = core.leading_eigenpair_with_fallback(x, tol=eig_tol, max_iter=eig_max_iter)
         abscissa_trace.append(pair.value)
-        changed = False
-        for i in range(d):
-            j = row_optimize(family.sets[i].rows, pair.vector, direction,
-                             incumbent=choices[i], tol=tol)
-            if j != choices[i]:
-                choices[i] = j
-                changed = True
-        if not changed:
+        new = _choose_rows(allrows @ pair.vector, offsets, choices, direction, tol)
+        if np.array_equal(new, choices):
             flag = direction == "max" and bool(
                 core.support(pair.vector).size < d)
             return GreedyOutcome(
-                matrix=x, abscissa=pair.value, row_choices=tuple(choices),
+                matrix=x, abscissa=pair.value, row_choices=tuple(choices.tolist()),
                 iterations=it, eigenvector=pair.vector, reducibility_flag=flag,
                 abscissa_trace=tuple(abscissa_trace),
                 choice_trace=tuple(choice_trace))
-        choice_trace.append(tuple(choices))
-        x = family.matrix(choices)
+        choices = new
+        choice_trace.append(tuple(choices.tolist()))
+        x = allrows[offsets + choices]
 
     best = GreedyOutcome(
-        matrix=x, abscissa=abscissa_trace[-1], row_choices=tuple(choices),
+        matrix=x, abscissa=abscissa_trace[-1], row_choices=tuple(choices.tolist()),
         iterations=max_iter, eigenvector=pair.vector, reducibility_flag=True,
         abscissa_trace=tuple(abscissa_trace), choice_trace=tuple(choice_trace))
     raise CycleSuspicionError(

@@ -22,7 +22,7 @@ superlinear jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -338,10 +338,15 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
     if allow_metzler:
+        # The pair of A - I is the input's pair shifted by -1.
         d = arr.shape[0]
-        inner = closest_stable_inf_hurwitz(
-            arr - np.eye(d), tol=tol, zero_tol=zero_tol, max_outer=max_outer,
-            max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)
+        lo, hi = base_pair.bracket
+        shifted = replace(base_pair, value=base_pair.value - 1.0,
+                          bracket=(lo - 1.0, hi - 1.0))
+        inner = _closest_stable_ball(
+            arr - np.eye(d), shifted, schur=False, level=0.0, tol=tol,
+            zero_tol=zero_tol, max_outer=max_outer, max_sweeps=max_sweeps,
+            eig_max_iter=eig_max_iter)
         return core.StabilizationResult(
             tau_star=inner.tau_star, matrix=inner.matrix + np.eye(d),
             iterations=inner.iterations, abscissa=inner.abscissa + 1.0,

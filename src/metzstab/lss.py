@@ -34,7 +34,8 @@ class SwitchingSystem:
     modes: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        modes = tuple(core.validate_metzler(m, f"mode {k}")
+        # Its own copies: validation hands float arrays back uncopied.
+        modes = tuple(core.validate_metzler(m, f"mode {k}").copy()
                       for k, m in enumerate(self.modes))
         if not modes:
             raise ValueError("system needs at least one mode")

@@ -66,20 +66,17 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     entry_max = float(arr.max())
     if diag_max >= entry_max:
         # All off-diagonal mass clamps away by tau = diag_max, where A(tau)
-        # is diagonal with largest entry 0; below it eta >= diag_max - tau > 0.
+        # is diagonal with largest entry exactly 0, its abscissa; below it
+        # eta >= diag_max - tau > 0.
         tau = diag_max
         x = clamp_shift(arr, tau)
-        eta = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
-        trace.append((tau, eta))
+        trace.append((tau, 0.0))
         return core.StabilizationResult(tau_star=tau, matrix=x, iterations=1,
-                                        abscissa=eta, trace=tuple(trace))
+                                        abscissa=0.0, trace=tuple(trace))
 
     grid = np.unique(arr[arr > 0.0])
     grid = np.concatenate(([0.0], grid))
-    # eta at the top breakpoint is -max positive entry < 0 (all off-diagonal
-    # mass is clamped away there), so a sign change exists on the grid.
     lo, hi = 0, len(grid) - 1
-    eval_count = 0
 
     def eta_at(tau: float) -> float:
         nonlocal eval_count
@@ -89,7 +86,14 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         trace.append((tau, value))
         return value
 
-    eta_hi = eta_at(float(grid[hi]))
+    # All off-diagonal mass is clamped away at the top breakpoint, the
+    # largest entry, so A(tau) there is diagonal and its abscissa is
+    # diag_max - tau < 0: a sign change exists on the grid. Subtracting tau
+    # keeps the order of the diagonal entries, so this is bitwise the value
+    # an eigen call on A(tau) returns; it counts as an evaluation.
+    eval_count = 1
+    eta_hi = diag_max - float(grid[hi])
+    trace.append((float(grid[hi]), eta_hi))
     if abs(eta_hi) <= zero_tol:
         x = clamp_shift(arr, float(grid[hi]))
         return core.StabilizationResult(tau_star=float(grid[hi]), matrix=x,

@@ -6,12 +6,14 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from metzstab import core
+from metzstab import core, gen
+from metzstab.errors import IterationLimitError
 from metzstab.infnorm import (
     closest_stable_inf_hurwitz, closest_stable_inf_schur,
     closest_unstable_inf_hurwitz, closest_unstable_inf_schur)
-from metzstab.maxnorm import closest_unstable_max
+from metzstab.maxnorm import clamp_shift, closest_stable_max, closest_unstable_max
 
 import helpers
 
@@ -25,6 +27,20 @@ def linalg_calls(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigen_inputs(monkeypatch):
+    # Every matrix handed to the eigen entry point, in call order.
+    seen = []
+
+    def recorded(a, **kwargs):
+        seen.append(np.array(a, dtype=float))
+        return original(a, **kwargs)
+
+    original = core.selected_leading_eigenpair
+    monkeypatch.setattr(core, "selected_leading_eigenpair", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("destabilize,a", [
@@ -96,3 +112,62 @@ def test_the_linf_stabilizers_never_repeat_an_eigen_call(stabilize, make, monkey
         assert result.iterations > 1
         assert len(seen) > result.iterations
         assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
+
+
+def test_a_sparse_block_goes_to_csr_only_past_the_power_budget(monkeypatch):
+    conversions = []
+
+    def counted(*args, **kwargs):
+        conversions.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    original = sp.csr_matrix
+    monkeypatch.setattr(sp, "csr_matrix", counted)
+    # Density 0.1 with a cycle through every node: irreducible and sparse,
+    # and it converges within the budget on dense matvecs.
+    d = 200
+    rng = np.random.default_rng(3)
+    fast = rng.random((d, d)) * (rng.random((d, d)) < 0.1)
+    fast[np.arange(d), np.roll(np.arange(d), -1)] = 1.0
+    pair = core.selected_leading_eigenpair(fast)
+    assert pair.method == "power" and pair.iterations <= core._POWER_BUDGET
+    assert conversions == []
+    # A 200-cycle with unequal weights converges at a ratio near 1.
+    slow = np.diag(1.0 + np.arange(d - 1) / d, 1)
+    slow[-1, 0] = 1.0
+    with pytest.raises(IterationLimitError):
+        core.selected_leading_eigenpair(slow, max_iter=100)
+    assert conversions == [(d, d)]
+
+
+def _is_diagonal(m):
+    return np.count_nonzero(m - np.diag(np.diag(m))) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen.generate_metzler(300, unstable=True, seed=300_001),
+    lambda: np.array([[2.0, 1.0, 0.5], [1.5, -1.0, 0.0], [0.0, 1.0, 0.5]]),
+], ids=["grid-d300", "diagonal-largest"])
+def test_closest_stable_max_makes_no_eigen_call_on_a_diagonal_clamp(make, eigen_inputs):
+    # Where A(tau) is diagonal, at the top breakpoint or at diag_max when
+    # that is the largest entry, its abscissa is its largest entry: the
+    # trace holds what the eigen call gives there, and no call is made.
+    a = make()
+    out = closest_stable_max(a)
+    assert eigen_inputs and not any(_is_diagonal(m) for m in eigen_inputs)
+    tau = float(a.max())
+    assert out.trace[1] == (tau, core.spectral_abscissa(clamp_shift(a, tau)))
+
+
+def test_the_metzler_schur_stabilizer_does_not_solve_the_input_shifted(eigen_inputs):
+    # allow_metzler stabilizes A - I, whose pair is the input's pair shifted
+    # by -1: no call sees a matrix equal to an earlier one minus I.
+    for seed in range(3):
+        eigen_inputs.clear()
+        a = helpers.random_unstable_nonneg(np.random.default_rng(seed), 25)
+        closest_stable_inf_schur(a, allow_metzler=True)
+        eye = np.eye(25)
+        shifted = set()
+        for m in eigen_inputs:
+            assert m.tobytes() not in shifted
+            shifted.add((m - eye).tobytes())

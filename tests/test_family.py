@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core, gen
+from metzstab import core, family, gen
 from metzstab.errors import PreconditionError
 from metzstab.family import (
     FrobeniusSplit,
@@ -165,3 +165,73 @@ def test_patch_leaves_irreducible_outcome_alone():
     patched = optimize_with_irreducibility_patch(fam, "max")
     assert not plain.reducibility_flag
     assert patched.row_choices == plain.row_choices
+
+
+def _random_menus(rng, d):
+    # Menus of unequal sizes with exact duplicate rows and entries on a
+    # coarse grid, so scores tie exactly as well as within the tie band.
+    sizes = rng.integers(1, 6, size=d)
+    menus = []
+    for i, m in enumerate(sizes):
+        rows = rng.integers(0, 5, size=(m, d)) / 4.0
+        rows[:, i] -= rng.integers(0, 9, size=m) / 4.0
+        if m > 1 and rng.random() < 0.5:
+            rows[rng.integers(1, m)] = rows[0]
+        menus.append(rows)
+    return menus
+
+
+def _row_optimize_on(scores, offsets, sizes, choices, direction, tol):
+    # row_optimize menu by menu on scores computed once: a one-column row
+    # times 1.0 gives the score back exactly.
+    return [row_optimize(scores[o:o + m, None], np.ones(1), direction,
+                         incumbent=c, tol=tol)
+            for o, m, c in zip(offsets, sizes, choices)]
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_one_product_choice_is_row_optimize_menu_by_menu(direction):
+    # A sweep scores all rows with one product and chooses every menu's row
+    # at once: the first optimal row, or the incumbent when it ties within
+    # tol. On the same scores that is row_optimize, menu by menu.
+    rng = np.random.default_rng(81)
+    for _ in range(400):
+        d = int(rng.integers(1, 10))
+        menus = _random_menus(rng, d)
+        sizes = [len(m) for m in menus]
+        offsets = np.cumsum([0, *sizes[:-1]])
+        scores = np.concatenate(menus) @ (rng.integers(0, 5, size=d) / 4.0)
+        choices = rng.integers(0, sizes)
+        tol = float(rng.choice([0.0, 1e-12, 0.3]))
+        got = family._choose_rows(scores, offsets, choices, direction, tol)
+        assert got.tolist() == _row_optimize_on(scores, offsets, sizes, choices,
+                                                direction, tol)
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_greedy_equals_a_row_by_row_reference(direction):
+    # The whole greedy against a loop that calls row_optimize per menu on
+    # the same score vector, from random incumbents.
+    rng = np.random.default_rng(82)
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        fam = ProductFamily(tuple(UncertaintySet(i, rows) for i, rows
+                                  in enumerate(_random_menus(rng, d))))
+        allrows = np.concatenate([s.rows for s in fam.sets])
+        offsets = np.cumsum([0, *fam.sizes[:-1]])
+        choices = rng.integers(0, fam.sizes).tolist()
+        out = selective_greedy(fam, direction, start_choices=choices)
+        trace = [tuple(choices)]
+        for it in range(1, 201):
+            pair = core.leading_eigenpair_with_fallback(fam.matrix(choices))
+            new = _row_optimize_on(allrows @ pair.vector, offsets, fam.sizes,
+                                   choices, direction, family.TIE_TOL)
+            if new == choices:
+                break
+            choices = new
+            trace.append(tuple(choices))
+        assert out.row_choices == tuple(choices)
+        assert out.choice_trace == tuple(trace)
+        assert out.iterations == it
+        assert out.abscissa == pair.value
+        assert np.array_equal(out.matrix, fam.matrix(choices))
