@@ -25,11 +25,6 @@ DEFAULT_MAX_ITER = 20_000
 STABILITY_TOL = 1e-9
 SUPPORT_RTOL = 1e-9
 
-# A block of at least this dimension that is still iterating after
-# _POWER_BUDGET dense matvecs, and is of low density, switches to scipy CSR.
-_SPARSE_DIM = 128
-_SPARSE_DENSITY = 0.25
-
 
 class NormKind(str, Enum):
     MAX = "max"
@@ -325,7 +320,6 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     shift = h + 0.1 * max(float(block.max()), float(diag.max()) + h)
     shifted = block.copy()
     shifted.flat[:: d + 1] += shift
-    op = shifted
 
     x = np.full(d, 1.0 / d)
     lam = 0.0
@@ -333,7 +327,7 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     resid = np.inf
     floor = _RESIDUAL_FLOOR_ULPS * _EPS
     for it in range(1, budget + 1):
-        y = op @ x
+        y = shifted @ x
         lam = float(y.sum())  # x sums to one, so this is the Rayleigh value
         resid = float(np.abs(y - lam * x).max())
         # Rounding keeps the residual near eps * lam, which exceeds tol once
@@ -344,11 +338,6 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
                              _collatz_wielandt(x, y, shift))
         lam_prev = lam
         x = y / lam
-        # A CSR copy costs some 45 dense matvecs at d=500, more than most
-        # blocks need: only a slow, sparse block is worth converting.
-        if (it == _POWER_BUDGET < budget and d >= _SPARSE_DIM
-                and np.count_nonzero(shifted) < _SPARSE_DENSITY * d * d):
-            op = sp.csr_matrix(shifted)
     if certify:
         return _certified_pair(block, tol, budget)
     best = EigenPair(lam - shift, x, max_iter, resid)

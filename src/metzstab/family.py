@@ -105,24 +105,16 @@ def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
     Without an incumbent, ties resolve to the lowest index (numpy argmax /
     argmin first-occurrence behaviour).
     """
-    scores = rows @ v
-    if direction == "max":
-        best = int(np.argmax(scores))
-    elif direction == "min":
-        best = int(np.argmin(scores))
-    else:
+    if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    if incumbent is not None:
-        gap = abs(float(scores[incumbent]) - float(scores[best]))
-        if gap <= tol * max(1.0, abs(float(scores[best]))):
-            return incumbent
-    return best
+    keep = None if incumbent is None else np.array([incumbent])
+    return int(_choose_rows(rows @ v, np.array([0]), keep, direction, tol)[0])
 
 
-def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices: np.ndarray,
-                 direction: str, tol: float) -> np.ndarray:
+def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices, direction: str,
+                 tol: float) -> np.ndarray:
     # row_optimize for every menu at once: menu i holds scores[offsets[i]:
-    # offsets[i + 1]] and its incumbent is choices[i].
+    # offsets[i + 1]] and its incumbent is choices[i] (None: no incumbents).
     if direction == "max":
         best = np.maximum.reduceat(scores, offsets)
     else:
@@ -130,6 +122,8 @@ def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices: np.ndarray,
     # The first row reaching its menu's optimum, as argmax / argmin pick it.
     hits = np.flatnonzero(scores == np.repeat(best, np.diff(offsets, append=scores.size)))
     first = hits[np.searchsorted(hits, offsets)] - offsets
+    if choices is None:
+        return first
     gap = np.abs(scores[offsets + choices] - best)
     return np.where(gap <= tol * np.maximum(1.0, np.abs(best)), choices, first)
 
@@ -162,6 +156,8 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     d = family.dim
     choices = list(start_choices) if start_choices is not None else [0] * d
+    if len(choices) != d:
+        raise ValueError(f"need {d} choices, got {len(choices)}")
     for pos, (c, s) in enumerate(zip(choices, family.sets)):
         if not 0 <= c < s.size:
             raise ValueError(f"start choice {c} out of range for row set {pos}")

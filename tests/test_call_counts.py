@@ -6,10 +6,8 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from metzstab import core, gen
-from metzstab.errors import IterationLimitError
 from metzstab.infnorm import (
     closest_stable_inf_hurwitz, closest_stable_inf_schur,
     closest_unstable_inf_hurwitz, closest_unstable_inf_schur)
@@ -112,32 +110,6 @@ def test_the_linf_stabilizers_never_repeat_an_eigen_call(stabilize, make, monkey
         assert result.iterations > 1
         assert len(seen) > result.iterations
         assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
-
-
-def test_a_sparse_block_goes_to_csr_only_past_the_power_budget(monkeypatch):
-    conversions = []
-
-    def counted(*args, **kwargs):
-        conversions.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    original = sp.csr_matrix
-    monkeypatch.setattr(sp, "csr_matrix", counted)
-    # Density 0.1 with a cycle through every node: irreducible and sparse,
-    # and it converges within the budget on dense matvecs.
-    d = 200
-    rng = np.random.default_rng(3)
-    fast = rng.random((d, d)) * (rng.random((d, d)) < 0.1)
-    fast[np.arange(d), np.roll(np.arange(d), -1)] = 1.0
-    pair = core.selected_leading_eigenpair(fast)
-    assert pair.method == "power" and pair.iterations <= core._POWER_BUDGET
-    assert conversions == []
-    # A 200-cycle with unequal weights converges at a ratio near 1.
-    slow = np.diag(1.0 + np.arange(d - 1) / d, 1)
-    slow[-1, 0] = 1.0
-    with pytest.raises(IterationLimitError):
-        core.selected_leading_eigenpair(slow, max_iter=100)
-    assert conversions == [(d, d)]
 
 
 def _is_diagonal(m):

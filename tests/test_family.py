@@ -190,25 +190,6 @@ def _row_optimize_on(scores, offsets, sizes, choices, direction, tol):
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
-def test_one_product_choice_is_row_optimize_menu_by_menu(direction):
-    # A sweep scores all rows with one product and chooses every menu's row
-    # at once: the first optimal row, or the incumbent when it ties within
-    # tol. On the same scores that is row_optimize, menu by menu.
-    rng = np.random.default_rng(81)
-    for _ in range(400):
-        d = int(rng.integers(1, 10))
-        menus = _random_menus(rng, d)
-        sizes = [len(m) for m in menus]
-        offsets = np.cumsum([0, *sizes[:-1]])
-        scores = np.concatenate(menus) @ (rng.integers(0, 5, size=d) / 4.0)
-        choices = rng.integers(0, sizes)
-        tol = float(rng.choice([0.0, 1e-12, 0.3]))
-        got = family._choose_rows(scores, offsets, choices, direction, tol)
-        assert got.tolist() == _row_optimize_on(scores, offsets, sizes, choices,
-                                                direction, tol)
-
-
-@pytest.mark.parametrize("direction", ["max", "min"])
 def test_greedy_equals_a_row_by_row_reference(direction):
     # The whole greedy against a loop that calls row_optimize per menu on
     # the same score vector, from random incumbents.
@@ -235,3 +216,11 @@ def test_greedy_equals_a_row_by_row_reference(direction):
         assert out.iterations == it
         assert out.abscissa == pair.value
         assert np.array_equal(out.matrix, fam.matrix(choices))
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_greedy_rejects_start_choices_of_the_wrong_length(count):
+    fam = ProductFamily(tuple(UncertaintySet(i, np.eye(3)[[i, i]])
+                              for i in range(3)))
+    with pytest.raises(ValueError, match=f"need 3 choices, got {count}"):
+        selective_greedy(fam, start_choices=[0] * count)
