@@ -151,24 +151,20 @@ class StabilizationResult:
     trace: tuple = ()
 
 
-def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
-                    max_iter: int = 100) -> PowerIterationResult:
+def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     """Plain (unshifted) power method with a Rayleigh-quotient estimate.
 
-    Works on arbitrary square matrices and never raises on stagnation: the
-    result carries ``converged`` plus the number of sign-pattern changes
-    observed along the iterates. Convergence means the vector sequence
-    settles; a dominant negative eigenvalue makes the Rayleigh value settle
-    while the normalized iterate keeps flipping sign, and that counts as
-    non-convergence here (it is the failure mode the translation removes).
+    Starts from the uniform vector and works on arbitrary square matrices.
+    It never raises on stagnation: the result carries ``converged`` (to
+    ``DEFAULT_TOL``) plus the number of sign-pattern changes observed along
+    the iterates. Convergence means the vector sequence settles; a dominant
+    negative eigenvalue makes the Rayleigh value settle while the normalized
+    iterate keeps flipping sign, and that counts as non-convergence here (it
+    is the failure mode the translation removes).
     """
     arr = as_square_matrix(a)
-    d = arr.shape[0]
-    x = np.ones(d) if start is None else np.array(start, dtype=float)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ValueError("start vector must be nonzero")
-    x = x / nx
+    x = np.ones(arr.shape[0])
+    x = x / np.linalg.norm(x)
 
     lam = 0.0
     lam_prev = np.inf
@@ -186,7 +182,8 @@ def power_iteration(a, *, start=None, tol: float = DEFAULT_TOL,
         if not settled and pattern_prev is not None:
             sign_changes += 1
         pattern_prev = pattern
-        if settled and resid <= tol * scale and abs(lam - lam_prev) <= tol * scale:
+        if (settled and resid <= DEFAULT_TOL * scale
+                and abs(lam - lam_prev) <= DEFAULT_TOL * scale):
             return PowerIterationResult(lam, x, it, resid, True, sign_changes)
         lam_prev = lam
         ny = float(np.linalg.norm(y))
@@ -612,23 +609,14 @@ def spectral_radius(a, *, tol: float = DEFAULT_TOL,
     return selected_leading_eigenpair(arr, tol=tol, max_iter=max_iter).value
 
 
-def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(inv).all():
-        return None
-    return inv
-
-
 def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Solution y of m y = b when it is finite and entrywise positive, else None.
 
     A positive y with A y = -1 certifies that a Metzler A is Hurwitz, and a
     positive y with (hI - A) y = 1 certifies rho(A) < h for a nonnegative A,
     so one LU factorization gives the closed-form destabilizers both their
-    precondition and their answer. A singular m gives None.
+    precondition and their answer, and the strict stability tests their
+    verdict. A singular m gives None.
     """
     try:
         y = np.linalg.solve(m, b)
@@ -639,44 +627,39 @@ def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def is_hurwitz_stable(a, *, strict: bool = True, tol: float = STABILITY_TOL) -> bool:
+def is_hurwitz_stable(a, *, strict: bool = True) -> bool:
     """Hurwitz stability test for Metzler matrices.
 
-    Strict mode uses the inverse-positivity certificate: A is Hurwitz iff it
-    is invertible with -A^{-1} entrywise nonnegative. Weak mode checks
-    eta(A) <= tol instead.
+    Strict mode uses the positive-solution certificate: a Metzler A is
+    Hurwitz iff A y = -1 has an entrywise positive solution y (then
+    -A^{-1} is nonnegative and y is its row sums). Weak mode checks
+    eta(A) <= STABILITY_TOL instead.
     """
     arr = validate_metzler(a)
     if not strict:
-        return spectral_abscissa(arr) <= tol
-    inv = _inverse_or_none(arr)
-    if inv is None:
-        return False
-    check = -inv
-    return float(check.min()) >= -tol * max(1.0, float(np.abs(check).max()))
+        return spectral_abscissa(arr) <= STABILITY_TOL
+    return positive_solution(arr, -np.ones(arr.shape[0])) is not None
 
 
-def is_schur_stable(a, *, strict: bool = True, tol: float = STABILITY_TOL,
-                    level: float = 1.0) -> bool:
+def is_schur_stable(a, *, strict: bool = True, level: float = 1.0) -> bool:
     """Schur stability test for nonnegative matrices: rho(A) < level.
 
-    Strict mode checks that level*I - A is invertible with nonnegative
-    inverse; weak mode checks rho(A) <= level + tol.
+    Strict mode checks that (level*I - A) y = 1 has an entrywise positive
+    solution y, which holds iff level*I - A has a nonnegative inverse; weak
+    mode checks rho(A) <= level + STABILITY_TOL.
     """
     arr = validate_nonnegative(a)
     if level <= 0.0:
         raise PreconditionError("level must be positive")
+    d = arr.shape[0]
     if not strict:
-        return spectral_radius(arr) <= level + tol
-    inv = _inverse_or_none(level * np.eye(arr.shape[0]) - arr)
-    if inv is None:
-        return False
-    return float(inv.min()) >= -tol * max(1.0, float(np.abs(inv).max()))
+        return spectral_radius(arr) <= level + STABILITY_TOL
+    return positive_solution(level * np.eye(d) - arr, np.ones(d)) is not None
 
 
-def support(v: np.ndarray, *, rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Indices where the nonnegative vector v is meaningfully positive."""
+def support(v: np.ndarray) -> np.ndarray:
+    """Indices where the nonnegative vector v exceeds SUPPORT_RTOL * max(v)."""
     vmax = float(v.max(initial=0.0))
     if vmax <= 0.0:
         return np.empty(0, dtype=int)
-    return np.flatnonzero(v > rtol * vmax)
+    return np.flatnonzero(v > SUPPORT_RTOL * vmax)

@@ -18,6 +18,10 @@ from . import core
 from .errors import CycleSuspicionError, PreconditionError
 
 TIE_TOL = 1e-12
+# The irreducibility patch appends the rows of w*P (P the cyclic
+# permutation): up to _PATCH_RETRIES tries, w halved after each.
+_PATCH_WEIGHT = 1.0
+_PATCH_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,15 @@ def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices, direction: st
 
 
 def selective_greedy(family: ProductFamily, direction: str = "max", *,
-                     start_choices=None, tol: float = TIE_TOL,
-                     max_iter: int = 200, eig_tol: float = core.DEFAULT_TOL,
-                     eig_max_iter: int = core.DEFAULT_MAX_ITER) -> GreedyOutcome:
+                     start_choices=None, max_iter: int = 200,
+                     eig_tol: float = core.DEFAULT_TOL) -> GreedyOutcome:
     """Selective greedy optimization of the spectral abscissa over a family.
 
     Each iteration computes the selected leading eigenpair of the current
     member, then re-optimizes every row against the eigenvector; rows only
-    change on strict improvement, so a full sweep without changes is a fixed
-    point and the loop stops. The final iteration (the no-change sweep) is
-    included in ``iterations``.
+    change on strict improvement (beyond ``TIE_TOL``), so a full sweep
+    without changes is a fixed point and the loop stops. The final iteration
+    (the no-change sweep) is included in ``iterations``.
 
     For ``direction="max"`` the outcome's ``reducibility_flag`` is set when
     the final eigenvector has (numerically) zero components, in which case
@@ -172,9 +175,10 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     choice_trace: list[tuple[int, ...]] = [tuple(choices.tolist())]
     pair = None
     for it in range(1, max_iter + 1):
-        pair = core.leading_eigenpair_with_fallback(x, tol=eig_tol, max_iter=eig_max_iter)
+        pair = core.leading_eigenpair_with_fallback(x, tol=eig_tol)
         abscissa_trace.append(pair.value)
-        new = _choose_rows(allrows @ pair.vector, offsets, choices, direction, tol)
+        new = _choose_rows(allrows @ pair.vector, offsets, choices, direction,
+                           TIE_TOL)
         if np.array_equal(new, choices):
             flag = direction == "max" and bool(
                 core.support(pair.vector).size < d)
@@ -231,32 +235,29 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     return FrobeniusSplit(tuple(blocks), tuple(subfamilies))
 
 
-def _augmented(family: ProductFamily, alpha: float, beta: float) -> ProductFamily:
-    # Append the rows of H = alpha*P - beta*I (P the cyclic permutation), whose
-    # directed cycle makes the union graph irreducible.
+def _augmented(family: ProductFamily, weight: float) -> ProductFamily:
+    # Append the rows of weight*P (P the cyclic permutation), whose directed
+    # cycle makes the union graph irreducible.
     d = family.dim
     sets = []
     for i, s in enumerate(family.sets):
         h = np.zeros(d)
-        h[(i + 1) % d] += alpha
-        h[i] -= beta
+        h[(i + 1) % d] = weight
         sets.append(UncertaintySet(i, np.vstack([s.rows, h])))
     return ProductFamily(tuple(sets))
 
 
-def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max", *,
-                                       alpha: float = 1.0, beta: float = 0.0,
-                                       retries: int = 3,
+def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max",
                                        **greedy_kwargs) -> GreedyOutcome:
     """Maximize the abscissa with a certificate even on reducible families.
 
-    Runs the greedy on the family augmented with the rows of H = alpha*P -
-    beta*I. If the optimum uses no augmented row and its eigenvector is
+    Runs the greedy on the family augmented with the rows of P, the cyclic
+    permutation. If the optimum uses no augmented row and its eigenvector is
     strictly positive, it is a certified maximum of the original family.
-    Otherwise the patch is retried with halved weights, and finally the
-    family is split into its Frobenius blocks and optimized blockwise (the
-    block assembly is exact: the assembled member is block-triangular, so
-    its abscissa is the maximum of the block optima).
+    Otherwise the patch is retried with halved weights (1, 1/2, 1/4), and
+    finally the family is split into its Frobenius blocks and optimized
+    blockwise (the block assembly is exact: the assembled member is
+    block-triangular, so its abscissa is the maximum of the block optima).
     """
     if direction != "max":
         raise PreconditionError(
@@ -267,13 +268,13 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
         return plain
 
     sizes = family.sizes
-    a, b = float(alpha), float(beta)
-    for _ in range(max(0, retries)):
-        out = selective_greedy(_augmented(family, a, b), "max", **greedy_kwargs)
+    weight = _PATCH_WEIGHT
+    for _ in range(_PATCH_RETRIES):
+        out = selective_greedy(_augmented(family, weight), "max", **greedy_kwargs)
         used_patch = any(c >= m for c, m in zip(out.row_choices, sizes))
         if not used_patch and not out.reducibility_flag:
             return out
-        a, b = a / 2.0, b / 2.0
+        weight /= 2.0
 
     split = frobenius_blocks(family)
     if len(split.blocks) == 1:
@@ -285,8 +286,7 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     iterations = 0
     block_abscissas = []
     for nodes, sub in zip(split.blocks, split.subfamilies):
-        out = optimize_with_irreducibility_patch(
-            sub, "max", alpha=alpha, beta=beta, retries=retries, **greedy_kwargs)
+        out = optimize_with_irreducibility_patch(sub, "max", **greedy_kwargs)
         iterations += out.iterations
         block_abscissas.append(out.abscissa)
         for local, node in enumerate(nodes):

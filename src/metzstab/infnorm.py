@@ -32,6 +32,8 @@ from .errors import IterationLimitError, PreconditionError
 ZERO_TOL = 1e-8
 _FP_RTOL = 1e-12
 _NEG_GUARD = 1e-7
+# Sweep budget of one ball minimization.
+_MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -187,25 +189,25 @@ def _threshold(v: np.ndarray) -> np.ndarray:
 
 
 def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
-                  schur: bool, level: float, *, tol: float, zero_tol: float,
-                  max_sweeps: int, eig_max_iter: int) -> _BallMinimum:
+                  schur: bool, level: float, tol: float) -> _BallMinimum:
     """Greedy minimization of the leading eigenvalue over the ball B_tau(base).
 
     ``base_pair`` is the leading pair of ``base``, where every ball starts.
     Each later iterate gets one eigen call at ``tol``, whose value decides
     the status and whose vector drives the next sweep. Returns as soon as a
     swept iterate goes strictly below ``level``, or when the sweep reaches a
-    fixed point, which is the certified ball minimum.
+    fixed point, which is the certified ball minimum. Raises
+    IterationLimitError after ``_MAX_SWEEPS`` sweeps.
     """
     x, pair = base.copy(), base_pair
     cr_last = None
     scale = max(1.0, float(np.abs(base).max()) + tau)
-    for sweep in range(1, max_sweeps + 1):
-        if cr_last is not None and pair.value < level - zero_tol:
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        if cr_last is not None and pair.value < level - ZERO_TOL:
             return _BallMinimum("stable", x, pair.value, cr_last, sweep)
         x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
         if float(np.abs(x_next - x).max()) <= _FP_RTOL * scale:
-            if abs(pair.value - level) <= zero_tol:
+            if abs(pair.value - level) <= ZERO_TOL:
                 status = "boundary"
             elif pair.value > level:
                 status = "infeasible"
@@ -213,9 +215,9 @@ def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
                 status = "stable"
             return _BallMinimum(status, x, pair.value, cr_last, sweep)
         x, cr_last = x_next, cr
-        pair = core.leading_eigenpair_with_fallback(x, tol=tol, max_iter=eig_max_iter)
+        pair = core.leading_eigenpair_with_fallback(x, tol=tol)
     raise IterationLimitError(
-        f"ball greedy did not settle in {max_sweeps} sweeps at tau={tau}",
+        f"ball greedy did not settle in {_MAX_SWEEPS} sweeps at tau={tau}",
         best=x)
 
 
@@ -249,9 +251,8 @@ def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | N
 
 
 def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
-                         schur: bool, level: float, *, tol: float,
-                         zero_tol: float, max_outer: int, max_sweeps: int,
-                         eig_max_iter: int) -> core.StabilizationResult:
+                         schur: bool, level: float, tol: float,
+                         max_outer: int) -> core.StabilizationResult:
     norm0 = core.matrix_norm(base, core.NormKind.INF)
     tau_lo = 0.0
     tau_hi = None
@@ -259,9 +260,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
     trace: list[tuple[float, float]] = []
     best: tuple[float, _BallMinimum] | None = None
     for outer in range(1, max_outer + 1):
-        bm = _ball_minimum(base, base_pair, tau, schur, level, tol=tol,
-                           zero_tol=zero_tol, max_sweeps=max_sweeps,
-                           eig_max_iter=eig_max_iter)
+        bm = _ball_minimum(base, base_pair, tau, schur, level, tol)
         trace.append((tau, bm.objective))
         if bm.status == "boundary":
             return core.StabilizationResult(
@@ -299,32 +298,26 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
 
 
 def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
-                               zero_tol: float = ZERO_TOL, max_outer: int = 200,
-                               max_sweeps: int = 500,
-                               eig_max_iter: int = core.DEFAULT_MAX_ITER
-                               ) -> core.StabilizationResult:
+                               max_outer: int = 200) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the l-inf norm, for eta(A) > 0.
 
     Alternates ball-greedy minimization with exact boundary jumps on the
     frozen (C, R) structure, maintaining an (infeasible, feasible) bracket.
-    Completion is accepted when the ball minimum satisfies |eta| <= zero_tol.
+    Completion is accepted when the ball minimum satisfies |eta| <= ZERO_TOL.
+    ``max_outer`` bounds the outer steps, each one ball minimization.
     """
     arr = core.validate_metzler(a)
-    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol, max_iter=eig_max_iter)
-    if base_pair.value <= zero_tol:
+    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol)
+    if base_pair.value <= ZERO_TOL:
         raise PreconditionError(
             f"matrix is already stable or on the boundary (eta={base_pair.value:.3e})")
     return _closest_stable_ball(arr, base_pair, schur=False, level=0.0, tol=tol,
-                                zero_tol=zero_tol, max_outer=max_outer,
-                                max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)
+                                max_outer=max_outer)
 
 
 def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
                              tol: float = core.DEFAULT_TOL,
-                             zero_tol: float = ZERO_TOL, max_outer: int = 200,
-                             max_sweeps: int = 500,
-                             eig_max_iter: int = core.DEFAULT_MAX_ITER
-                             ) -> core.StabilizationResult:
+                             max_outer: int = 200) -> core.StabilizationResult:
     """Closest matrix with rho <= 1 in the l-inf norm, for nonnegative A, rho(A) > 1.
 
     With ``allow_metzler=False`` the search stays inside the nonnegative
@@ -333,8 +326,8 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
     stabilization of A - I (the result's leading eigenvalue is then 1).
     """
     arr = core.validate_nonnegative(a)
-    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol, max_iter=eig_max_iter)
-    if base_pair.value <= 1.0 + zero_tol:
+    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol)
+    if base_pair.value <= 1.0 + ZERO_TOL:
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
     if allow_metzler:
@@ -343,14 +336,11 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
         lo, hi = base_pair.bracket
         shifted = replace(base_pair, value=base_pair.value - 1.0,
                           bracket=(lo - 1.0, hi - 1.0))
-        inner = _closest_stable_ball(
-            arr - np.eye(d), shifted, schur=False, level=0.0, tol=tol,
-            zero_tol=zero_tol, max_outer=max_outer, max_sweeps=max_sweeps,
-            eig_max_iter=eig_max_iter)
+        inner = _closest_stable_ball(arr - np.eye(d), shifted, schur=False, level=0.0,
+                                     tol=tol, max_outer=max_outer)
         return core.StabilizationResult(
             tau_star=inner.tau_star, matrix=inner.matrix + np.eye(d),
             iterations=inner.iterations, abscissa=inner.abscissa + 1.0,
             trace=tuple((t, e + 1.0) for t, e in inner.trace))
     return _closest_stable_ball(arr, base_pair, schur=True, level=1.0, tol=tol,
-                                zero_tol=zero_tol, max_outer=max_outer,
-                                max_sweeps=max_sweeps, eig_max_iter=eig_max_iter)
+                                max_outer=max_outer)

@@ -27,6 +27,11 @@ from .sign import SignMatrix, closest_stable_sign, is_sign_stable, sign_pattern
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _ACTIVE_TOL = 1e-12
+# Eigen tolerance of the hull scan and its refinement; the worst point found
+# is evaluated again at the default tolerance.
+_SCAN_TOL = 1e-10
+# Rounds of pairwise golden-section refinement after the grid scan.
+_REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,8 @@ def _default_resolution(n: int) -> int:
     return {1: 1, 2: 64, 3: 36, 4: 16, 5: 10}.get(n, 6)
 
 
-def hull_max_abscissa(system: SwitchingSystem, *, resolution: int | None = None,
-                      refine_rounds: int = 2,
-                      eig_tol: float = 1e-10,
-                      eig_max_iter: int = core.DEFAULT_MAX_ITER) -> HullPoint:
+def hull_max_abscissa(system: SwitchingSystem, *,
+                      resolution: int | None = None) -> HullPoint:
     """Maximize the spectral abscissa over the convex hull of the modes.
 
     Scans a simplex grid of the given resolution, then refines the best
@@ -111,14 +114,12 @@ def hull_max_abscissa(system: SwitchingSystem, *, resolution: int | None = None,
         return np.tensordot(weights, stack, axes=1)
 
     def eta(weights: np.ndarray) -> float:
-        return core.leading_eigenpair_with_fallback(
-            combine(weights), tol=eig_tol, max_iter=eig_max_iter).value
+        return core.leading_eigenpair_with_fallback(combine(weights), tol=_SCAN_TOL).value
 
     if n == 1:
         w = np.ones(1)
         m = system.modes[0]
-        return HullPoint(w, m, core.leading_eigenpair_with_fallback(
-            m, max_iter=eig_max_iter).value)
+        return HullPoint(w, m, core.leading_eigenpair_with_fallback(m).value)
 
     r = resolution if resolution is not None else _default_resolution(n)
     if r < 1:
@@ -132,7 +133,7 @@ def hull_max_abscissa(system: SwitchingSystem, *, resolution: int | None = None,
             best_eta, best_w = value, w
 
     w = best_w.copy()
-    for _ in range(max(0, refine_rounds)):
+    for _ in range(_REFINE_ROUNDS):
         for p in range(n):
             for q in range(p + 1, n):
                 lo, hi = -w[p], w[q]
@@ -165,13 +166,12 @@ def hull_max_abscissa(system: SwitchingSystem, *, resolution: int | None = None,
                     w = w / w.sum()
 
     matrix = combine(w)
-    value = core.leading_eigenpair_with_fallback(matrix, max_iter=eig_max_iter).value
+    value = core.leading_eigenpair_with_fallback(matrix).value
     return HullPoint(weights=w, matrix=matrix, abscissa=value)
 
 
 def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
-                     budget: int = 20, resolution: int | None = None,
-                     stability_tol: float = core.STABILITY_TOL) -> LSS2DResult:
+                     budget: int = 20, resolution: int | None = None) -> LSS2DResult:
     """Stabilize a planar switching system under arbitrary switching.
 
     First replaces each unstable mode by its l-inf closest stable matrix
@@ -204,7 +204,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
         eta = core.leading_eigenpair_with_fallback(mode).value
         if eta > infnorm.ZERO_TOL:
             modes[idx] = strictify(infnorm.closest_stable_inf_hurwitz(mode).matrix)
-        elif eta > -stability_tol:
+        elif eta > -core.STABILITY_TOL:
             modes[idx] = strictify(mode)
 
     hp = None
@@ -242,9 +242,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
                          mode_taus=taus, iterations=budget, hull=hp))
 
 
-def stabilize_lss_by_signs(system: SwitchingSystem, *,
-                           tol: float = core.STABILITY_TOL,
-                           **sign_kwargs) -> LSSSignResult:
+def stabilize_lss_by_signs(system: SwitchingSystem) -> LSSSignResult:
     """Stabilize a switching system structurally, by sign-pattern cuts.
 
     Overlays the modes' sign patterns, finds the closest weakly stable sign
@@ -264,7 +262,7 @@ def stabilize_lss_by_signs(system: SwitchingSystem, *,
 
     patterns = [sign_pattern(m) for m in system.modes]
     overlay = SignMatrix(np.sign(sum(p.realize() for p in patterns)).astype(np.int8))
-    out = closest_stable_sign(overlay, tol=tol, **sign_kwargs)
+    out = closest_stable_sign(overlay)
 
     removed = (overlay.entries == 1) & (out.sign_matrix.entries == 0)
     new_modes = []

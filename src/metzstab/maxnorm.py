@@ -21,12 +21,16 @@ from .errors import PreconditionError
 ZERO_TOL = 1e-12
 
 
-def clamp_shift(a, tau: float) -> np.ndarray:
-    """Subtract tau from every entry, clamping off-diagonal entries at zero."""
-    arr = core.validate_metzler(a)
+def _clamp(arr: np.ndarray, tau: float) -> np.ndarray:
+    # clamp_shift of an already validated Metzler array.
     out = np.maximum(arr - tau, 0.0)
     np.fill_diagonal(out, np.diag(arr) - tau)
     return out
+
+
+def clamp_shift(a, tau: float) -> np.ndarray:
+    """Subtract tau from every entry, clamping off-diagonal entries at zero."""
+    return _clamp(core.validate_metzler(a), tau)
 
 
 def closest_unstable_max(a) -> core.DestabilizationResult:
@@ -45,7 +49,6 @@ def closest_unstable_max(a) -> core.DestabilizationResult:
 
 
 def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
-                       zero_tol: float = ZERO_TOL,
                        eig_max_iter: int = core.DEFAULT_MAX_ITER) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the max norm, for eta(A) > 0.
 
@@ -57,7 +60,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     """
     arr = core.validate_metzler(a)
     eta0 = core.spectral_abscissa(arr, tol=tol, max_iter=eig_max_iter)
-    if eta0 <= zero_tol:
+    if eta0 <= ZERO_TOL:
         raise PreconditionError(f"matrix is already stable or on the boundary (eta={eta0:.3e})")
 
     trace: list[tuple[float, float]] = [(0.0, eta0)]
@@ -69,7 +72,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         # is diagonal with largest entry exactly 0, its abscissa; below it
         # eta >= diag_max - tau > 0.
         tau = diag_max
-        x = clamp_shift(arr, tau)
+        x = _clamp(arr, tau)
         trace.append((tau, 0.0))
         return core.StabilizationResult(tau_star=tau, matrix=x, iterations=1,
                                         abscissa=0.0, trace=tuple(trace))
@@ -81,7 +84,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     def eta_at(tau: float) -> float:
         nonlocal eval_count
         eval_count += 1
-        value = core.spectral_abscissa(clamp_shift(arr, tau), tol=tol,
+        value = core.spectral_abscissa(_clamp(arr, tau), tol=tol,
                                        max_iter=eig_max_iter)
         trace.append((tau, value))
         return value
@@ -94,16 +97,16 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     eval_count = 1
     eta_hi = diag_max - float(grid[hi])
     trace.append((float(grid[hi]), eta_hi))
-    if abs(eta_hi) <= zero_tol:
-        x = clamp_shift(arr, float(grid[hi]))
+    if abs(eta_hi) <= ZERO_TOL:
+        x = _clamp(arr, float(grid[hi]))
         return core.StabilizationResult(tau_star=float(grid[hi]), matrix=x,
                                         iterations=eval_count, abscissa=eta_hi,
                                         trace=tuple(trace))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         value = eta_at(float(grid[mid]))
-        if abs(value) <= zero_tol:
-            x = clamp_shift(arr, float(grid[mid]))
+        if abs(value) <= ZERO_TOL:
+            x = _clamp(arr, float(grid[mid]))
             return core.StabilizationResult(tau_star=float(grid[mid]), matrix=x,
                                             iterations=eval_count, abscissa=value,
                                             trace=tuple(trace))
@@ -113,8 +116,8 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
             hi = mid
 
     tau1, tau2 = float(grid[lo]), float(grid[hi])
-    a2 = clamp_shift(arr, tau2)
-    h = (clamp_shift(arr, tau1) - a2) / (tau2 - tau1)
+    a2 = _clamp(arr, tau2)
+    h = (_clamp(arr, tau1) - a2) / (tau2 - tau1)
     try:
         m = -np.linalg.solve(a2, h)
     except np.linalg.LinAlgError:
@@ -130,7 +133,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     if rho <= 0.0:
         raise PreconditionError("degenerate bracket: rho(-A(tau2)^{-1} H) = 0")
     tau = tau2 - 1.0 / rho
-    x = clamp_shift(arr, tau)
+    x = _clamp(arr, tau)
     eta = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
     trace.append((tau, eta))
     return core.StabilizationResult(tau_star=tau, matrix=x, iterations=eval_count + 1,

@@ -25,6 +25,10 @@ from .errors import CycleSuspicionError, PreconditionError
 _GAIN_TOL = 1e-15
 # Relative width, in units of max(v), within which two gains count as tied.
 _TIE_RTOL = 1e-12
+# A ball sweep changes a row only when its score drops by more than this.
+_IMPROVE_TOL = 1e-12
+# Sweep budget of one ball minimization.
+_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -84,26 +88,27 @@ def _require_metzler_pattern(m: SignMatrix) -> SignMatrix:
 
 
 def is_sign_stable(m: SignMatrix, *, strict: bool = True,
-                   tol: float = core.STABILITY_TOL,
                    cross_check: bool = False) -> bool:
     """Sign-stability test for a Metzler sign pattern.
 
     Strict mode decides strong sign-stability combinatorially: all diagonal
     entries - and the + off-diagonal graph acyclic. Weak mode checks
-    eta(sgn(M)) <= tol. ``cross_check=True`` additionally verifies the
-    combinatorial answer against the spectral one (eta < 0) and raises on
-    disagreement; useful in tests, off by default.
+    eta(sgn(M)) <= STABILITY_TOL. ``cross_check=True`` additionally verifies
+    the combinatorial answer against the spectral one (eta < -STABILITY_TOL)
+    and raises on disagreement; useful in tests, off by default.
     """
     _require_metzler_pattern(m)
     e = m.entries
     if not strict:
-        return core.leading_eigenpair_with_fallback(m.realize()).value <= tol
+        eta = core.leading_eigenpair_with_fallback(m.realize()).value
+        return eta <= core.STABILITY_TOL
 
     # The + graph is acyclic exactly when every strong component is one node.
     combinatorial = (int(np.diag(e).max()) < 0
                      and len(core.strong_components(e > 0)) == m.dim)
     if cross_check:
-        spectral = core.leading_eigenpair_with_fallback(m.realize()).value < -tol
+        eta = core.leading_eigenpair_with_fallback(m.realize()).value
+        spectral = eta < -core.STABILITY_TOL
         if combinatorial != spectral:
             raise AssertionError(
                 f"sign-stability routes disagree: graph={combinatorial} spectral={spectral}")
@@ -141,10 +146,7 @@ def _best_row(orig_row: np.ndarray, i: int, k: int, v: np.ndarray) -> np.ndarray
     return row
 
 
-def sign_ball_minimize(m: SignMatrix, k: int, *, tol: float = 1e-12,
-                       max_iter: int = 100,
-                       eig_tol: float = core.DEFAULT_TOL,
-                       eig_max_iter: int = core.DEFAULT_MAX_ITER) -> SignBallOutcome:
+def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     """Minimize eta(sgn(X)) over sign matrices within l-inf distance k of M.
 
     Greedy sweeps guided by the selected leading eigenvector of the current
@@ -163,9 +165,8 @@ def sign_ball_minimize(m: SignMatrix, k: int, *, tol: float = 1e-12,
     trace: list[float] = []
     seen: set[bytes] = set()
     best = None
-    for it in range(1, max_iter + 1):
-        pair = core.leading_eigenpair_with_fallback(x.astype(float), tol=eig_tol,
-                                                    max_iter=eig_max_iter)
+    for it in range(1, _MAX_SWEEPS + 1):
+        pair = core.leading_eigenpair_with_fallback(x.astype(float))
         trace.append(pair.value)
         if best is None or pair.value < best[1].value:
             best = (x.copy(), pair)
@@ -182,7 +183,7 @@ def sign_ball_minimize(m: SignMatrix, k: int, *, tol: float = 1e-12,
             for i in range(d):
                 cand = _best_row(orig[i], i, k, v)
                 gap = float((x[i] - cand).astype(float) @ v)
-                if gap > tol:
+                if gap > _IMPROVE_TOL:
                     x[i] = cand
                     changed = True
         if not changed:
@@ -190,21 +191,20 @@ def sign_ball_minimize(m: SignMatrix, k: int, *, tol: float = 1e-12,
                 sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=it,
                 eigenvector=pair.vector, abscissa_trace=tuple(trace))
     raise CycleSuspicionError(
-        f"sign ball greedy did not settle in {max_iter} sweeps", trace=trace)
+        f"sign ball greedy did not settle in {_MAX_SWEEPS} sweeps", trace=trace)
 
 
-def closest_stable_sign(m: SignMatrix, *, tol: float = core.STABILITY_TOL,
-                        **ball_kwargs) -> ClosestSignOutcome:
+def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     """Smallest k whose radius-k sign ball around M contains a weakly stable pattern.
 
-    Integer bisection on k in [0, ||sgn(M)||_inf], seeded at the midpoint;
-    the minimized eta is nonincreasing in k, which is asserted on the
-    memoized evaluations with a linear upward scan as the fallback if
-    numerics ever disagree.
+    Weakly stable means eta <= STABILITY_TOL. Integer bisection on k in
+    [0, ||sgn(M)||_inf], seeded at the midpoint; the minimized eta is
+    nonincreasing in k, which is asserted on the memoized evaluations with a
+    linear upward scan as the fallback if numerics ever disagree.
     """
     _require_metzler_pattern(m)
     eta0 = core.leading_eigenpair_with_fallback(m.realize()).value
-    if eta0 <= tol:
+    if eta0 <= core.STABILITY_TOL:
         return ClosestSignOutcome(sign_matrix=m, k_star=0, abscissa=eta0,
                                   evaluated=((0, eta0),))
 
@@ -213,7 +213,7 @@ def closest_stable_sign(m: SignMatrix, *, tol: float = core.STABILITY_TOL,
 
     def at(k: int) -> SignBallOutcome:
         if k not in memo:
-            memo[k] = sign_ball_minimize(m, k, **ball_kwargs)
+            memo[k] = sign_ball_minimize(m, k)
         return memo[k]
 
     k_lo, k_hi = 0, norm
@@ -221,7 +221,7 @@ def closest_stable_sign(m: SignMatrix, *, tol: float = core.STABILITY_TOL,
     while k_hi - k_lo > 1:
         k = max(k_lo + 1, min(norm // 2, k_hi - 1)) if first else (k_lo + k_hi) // 2
         first = False
-        if at(k).abscissa <= tol:
+        if at(k).abscissa <= core.STABILITY_TOL:
             k_hi = k
         else:
             k_lo = k
@@ -230,12 +230,12 @@ def closest_stable_sign(m: SignMatrix, *, tol: float = core.STABILITY_TOL,
     ks = sorted(memo)
     etas = [memo[k].abscissa for k in ks]
     monotone = all(e2 <= e1 + 1e-9 for e1, e2 in zip(etas, etas[1:]))
-    if not monotone or at(k_hi).abscissa > tol:
+    if not monotone or at(k_hi).abscissa > core.STABILITY_TOL:
         # Numerics disagree with the theory; rescan from below.
         fallback = True
         k_hi = norm
         for k in range(1, norm + 1):
-            if at(k).abscissa <= tol:
+            if at(k).abscissa <= core.STABILITY_TOL:
                 k_hi = k
                 break
 

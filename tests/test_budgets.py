@@ -1,0 +1,89 @@
+"""The iteration budgets the CLI exposes through --max-iter.
+
+``stab-inf`` and ``stab-schur`` pass it as the outer step budget
+(``max_outer``), ``stab-max`` as the power budget of every eigen call
+(``eig_max_iter``) and ``opt-family`` as the greedy sweep budget
+(``max_iter``). Every input here needs more than one step of its budget,
+so a budget of one runs out: the library raises with the best iterate it
+holds, and the CLI exits 3 with the message on stderr.
+"""
+
+import numpy as np
+import pytest
+
+from metzstab import cli, core, formats, gen
+from metzstab.errors import CycleSuspicionError, IterationLimitError
+from metzstab.family import optimize_with_irreducibility_patch, selective_greedy
+from metzstab.infnorm import closest_stable_inf_hurwitz, closest_stable_inf_schur
+from metzstab.maxnorm import closest_stable_max
+
+import goldens
+
+# rho = 15.9 > 1; the first ball (tau = ||A||_inf / 2) is already stable.
+SCHUR_INPUT = np.abs(goldens.UNSTABLE_5)
+FAMILY = gen.generate_family(5, 4, seed=11)
+
+
+def _schur_metzler(a, **kwargs):
+    return closest_stable_inf_schur(a, allow_metzler=True, **kwargs)
+
+
+@pytest.mark.parametrize("solve,a,level", [
+    (closest_stable_inf_hurwitz, goldens.UNSTABLE_5, 0.0),
+    (closest_stable_inf_schur, SCHUR_INPUT, 1.0),
+    (_schur_metzler, SCHUR_INPUT, 1.0),
+], ids=["hurwitz", "schur", "schur-metzler"])
+def test_outer_budget_raises_with_the_best_stable_iterate(solve, a, level):
+    assert solve(a).iterations > 1
+    with pytest.raises(IterationLimitError) as err:
+        solve(a, max_outer=1)
+    best = err.value.best
+    assert isinstance(best, core.StabilizationResult)
+    assert best.iterations == 1
+    assert best.abscissa <= level
+
+
+def test_max_norm_power_budget_raises_with_the_best_pair():
+    assert core.selected_leading_eigenpair(goldens.UNSTABLE_5).iterations > 1
+    with pytest.raises(IterationLimitError) as err:
+        closest_stable_max(goldens.UNSTABLE_5, eig_max_iter=1)
+    best = err.value.best
+    assert isinstance(best, core.EigenPair)
+    assert best.iterations == 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda **kw: selective_greedy(FAMILY, "max", **kw),
+    lambda **kw: selective_greedy(FAMILY, "min", **kw),
+    lambda **kw: optimize_with_irreducibility_patch(FAMILY, "max", **kw),
+], ids=["max", "min", "patch"])
+def test_sweep_budget_raises_with_the_last_member(solve):
+    assert solve().iterations > 1
+    with pytest.raises(CycleSuspicionError) as err:
+        solve(max_iter=1)
+    best = err.value.best
+    assert best.iterations == 1
+    assert len(err.value.trace) == 2  # the start and the one change
+    assert best.row_choices == err.value.trace[-1]
+
+
+@pytest.mark.parametrize("command,text,extra", [
+    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5), ()),
+    ("stab-schur", formats.write_matrix(SCHUR_INPUT), ()),
+    ("stab-schur", formats.write_matrix(SCHUR_INPUT), ("--allow-metzler",)),
+    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ()),
+    ("opt-family", formats.write_family(FAMILY), ()),
+    ("opt-family", formats.write_family(FAMILY), ("--direction", "min")),
+], ids=["stab-inf", "stab-schur", "stab-schur-metzler", "stab-max",
+        "opt-family-max", "opt-family-min"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_cli_budget_of_one_exits_3(tmp_path, capsys, command, text, extra, json_flag):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [command, str(path), *extra, *json_flag]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--max-iter", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
