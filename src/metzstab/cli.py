@@ -141,7 +141,7 @@ def _cmd_sign_stab(args):
 
 def _cmd_lss_check(args):
     system = _read(formats.read_switching_system, args.system)
-    per_mode = [core.leading_eigenpair_with_fallback(m).value for m in system.modes]
+    per_mode = [core.selected_leading_eigenpair(m).value for m in system.modes]
     hull = lss.hull_max_abscissa(system, resolution=args.resolution)
     verdict = bool(hull.abscissa < 0.0) if system.dim == 2 else None
     payload = {"mode_abscissas": [float(x) for x in per_mode],

@@ -198,8 +198,8 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
 # the certified step; larger ones keep the full budget and raise when it runs
 # out.
 DENSE_FALLBACK_DIM = 64
-# Power iterations a block of at most ``dense_dim`` nodes gets before the
-# certified step takes over.
+# Power iterations a block of at most DENSE_FALLBACK_DIM nodes gets before
+# the certified step takes over.
 _POWER_BUDGET = 30
 # Rounding floor of the power method's residual, in units of eps times the
 # shifted value: below it the residual of a converged iterate is noise.
@@ -301,8 +301,7 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
     return tuple(blocks[c] for c in _level_order(n_comp, src, dst))
 
 
-def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
-                 dense_dim: int) -> EigenPair:
+def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     # Translative power method on an irreducible Metzler block: iterate
     # A + (h + 0.1m)I from the uniform vector, h making the block nonnegative
     # and m the largest entry of A + hI. The positive diagonal rules out
@@ -310,7 +309,7 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int,
     # ratio independent of its scale (an absolute +1 gives about 0.99 on
     # entries near 1e-3).
     d = block.shape[0]
-    certify = d <= dense_dim
+    certify = d <= DENSE_FALLBACK_DIM
     budget = min(max_iter, _POWER_BUDGET) if certify else max_iter
     diag = block.diagonal()
     h = max(0.0, -float(diag.min()))
@@ -417,8 +416,7 @@ def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
     return w / (w @ u)
 
 
-def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
-                    dense_dim: int) -> EigenPair:
+def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int) -> EigenPair:
     # Solve (tI - A) x(t) = 1 block by block, in the order of ``blocks``,
     # keeping for every node the pole order p and leading coefficient c of
     # x_i(t) ~ c (t - lam)^-p as t falls to lam. The nodes of highest order
@@ -433,7 +431,7 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
         if nodes.size == 1:
             values[k] = arr[nodes[0], nodes[0]]
             continue
-        pair = _perron_pair(arr[np.ix_(nodes, nodes)], tol, max_iter, dense_dim)
+        pair = _perron_pair(arr[np.ix_(nodes, nodes)], tol, max_iter)
         iterations += pair.iterations
         method = max(method, pair.method, key=METHODS.index)
         values[k], right[k], brackets[k] = pair.value, pair.vector, pair.bracket
@@ -450,7 +448,7 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
             block = arr[np.ix_(blocks[k], blocks[k])]
             left[k] = _left_perron(block, values[k], u)
             # Two-sided Rayleigh quotient: its error is the product of the
-            # errors of u and w, well below that of the power estimate. It
+            # errors of u and w, well below that of the block value. It
             # stays inside the block's bracket, which is proved.
             values[k] = min(max(left[k] @ block @ u, lows[k]), highs[k])
     lam = float(values[critical].max())
@@ -500,46 +498,49 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int,
 
 
 def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER,
-                               dense_dim: int = 0) -> EigenPair:
+                               max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
     """Leading eigenvalue of a Metzler matrix with its selected eigenvector.
 
-    The selected vector is the limit of the normalized (tI - A)^{-1} 1 as t
-    falls to the leading eigenvalue lam, which is also where the power method
-    from the uniform vector goes. An irreducible matrix runs the translative
-    power method on A + (h + 0.1m)I, with h the shift that makes A
-    nonnegative and m the largest entry of A + hI, so the shift scales with
-    A and the convergence ratio does not depend on its units. A reducible
-    one is split into its strongly connected components, each placed after
-    every component it points to: lam is the largest block value (a single
-    node's diagonal entry, or an irreducible block's power-method value),
-    and the vector follows exactly by back-substitution over the blocks of
-    the pole order and leading coefficient of (tI - A)^{-1} 1 at lam. A block
-    is *critical* when lam minus its value is at most ``tol * max(1, |lam|)``.
-    A critical block raises the order of its inflow r by one, with
-    coefficient (w.r / w.u) u for its right and left Perron vectors u and w
-    (u = w = 1 for a single node), and its value is refined to w.Bu / w.u; a
-    non-critical block B keeps the order and solves (lam I - B) c = r.
+    This is the package's one eigen entry point: every eigen call of the
+    solvers, the spectral abscissa and radius, and the ``eig`` command come
+    through it. The selected vector is the limit of the normalized
+    (tI - A)^{-1} 1 as t falls to the leading eigenvalue lam, which is also
+    where the power method from the uniform vector goes. An irreducible
+    matrix runs the translative power method on A + (h + 0.1m)I, with h the
+    shift that makes A nonnegative and m the largest entry of A + hI, so the
+    shift scales with A and the convergence ratio does not depend on its
+    units. A reducible one is split into its strongly connected components,
+    each placed after every component it points to: lam is the largest block
+    value (a single node's diagonal entry, or an irreducible block's power
+    or certified value), and the vector follows exactly by back-substitution
+    over the blocks of the pole order and leading coefficient of
+    (tI - A)^{-1} 1 at lam. A block is *critical* when lam minus its value
+    is at most ``tol * max(1, |lam|)``. A critical block raises the order of
+    its inflow r by one, with coefficient (w.r / w.u) u for its right and
+    left Perron vectors u and w (u = w = 1 for a single node), and its value
+    is refined to w.Bu / w.u; a non-critical block B keeps the order and
+    solves (lam I - B) c = r.
 
     ``tol`` is the power method's threshold on the relative change of the
     value and on the residual ||B v - value v||_inf, and the criticality
     threshold; the residual test is floored at 16 eps times the shifted
     value, the rounding level of the product, so a block with a large
-    Perron root stops once it has settled. ``max_iter`` is the power budget
-    of blocks above ``dense_dim`` nodes, which raise IterationLimitError
-    carrying the block's best pair when it runs out.
+    Perron root stops once it has settled. ``max_iter`` caps the power
+    iterations of each irreducible block. A block above
+    ``DENSE_FALLBACK_DIM`` (64) nodes spends all of them and then raises
+    IterationLimitError carrying its best pair.
 
-    An irreducible block of at most ``dense_dim`` nodes gets at most 30
-    power iterations and then the *certified step*: lam is the largest real
-    part from ``eigvals``, proved by two M-matrix solves. For a Metzler B,
-    tI - B has a nonnegative inverse exactly when t exceeds its leading
-    eigenvalue, so a positive solution y of (hi I - B) y = 1 proves
-    lam < hi, and a non-positive or singular one at lo proves lam >= lo,
-    with hi and lo = lam +- ``tol * max(1, |lam|)``. If either test fails,
-    bisection on the same test, from the largest diagonal entry or the
-    largest row sum, narrows the bracket down to rounding. The vector is the
-    normalized y of the last solve at hi: (hi I - B)^{-1} 1, the definition
-    of the selected vector.
+    A block of at most ``DENSE_FALLBACK_DIM`` nodes gets at most
+    ``min(max_iter, 30)`` power iterations and then the *certified step*:
+    lam is the largest real part from ``eigvals``, proved by two M-matrix
+    solves. For a Metzler B, tI - B has a nonnegative inverse exactly when
+    t exceeds its leading eigenvalue, so a positive solution y of
+    (hi I - B) y = 1 proves lam < hi, and a non-positive or singular one at
+    lo proves lam >= lo, with hi and lo = lam +- ``tol * max(1, |lam|)``. If
+    either test fails, bisection on the same test, from the largest diagonal
+    entry or the largest row sum, narrows the bracket down to rounding. The
+    vector is the normalized y of the last solve at hi: (hi I - B)^{-1} 1,
+    the definition of the selected vector.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest
@@ -553,8 +554,8 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     arr = validate_metzler(a)
     blocks = _components(arr)
     if len(blocks) == 1 and arr.shape[0] > 1:
-        return _perron_pair(arr, tol, max_iter, dense_dim)
-    return _reducible_pair(arr, blocks, tol, max_iter, dense_dim)
+        return _perron_pair(arr, tol, max_iter)
+    return _reducible_pair(arr, blocks, tol, max_iter)
 
 
 def dense_leading_eigenpair(a) -> EigenPair:
@@ -578,22 +579,6 @@ def dense_leading_eigenpair(a) -> EigenPair:
     v = np.full(d, 1.0 / d) if s == 0.0 else v / s
     resid = float(np.abs(arr @ v - value * v).max())
     return EigenPair(value, v, 0, resid, "dense")
-
-
-def leading_eigenpair_with_fallback(a, *, tol: float = DEFAULT_TOL,
-                                    max_iter: int = DEFAULT_MAX_ITER,
-                                    dense_dim: int = DENSE_FALLBACK_DIM) -> EigenPair:
-    """selected_leading_eigenpair with the certified step for blocks up to ``dense_dim``.
-
-    Iterates of the greedy stabilizers pass through reducible, often
-    defective matrices; the SCC split solves those exactly. An irreducible
-    block of at most ``dense_dim`` nodes gets 30 power iterations, and if
-    they do not converge its value comes from ``eigvals``, proved to within
-    ``tol * max(1, |lam|)`` by two M-matrix solves or found by bisection on
-    the same test, with the vector from the solve above the value.
-    """
-    return selected_leading_eigenpair(a, tol=tol, max_iter=max_iter,
-                                      dense_dim=dense_dim)
 
 
 def spectral_abscissa(a, *, tol: float = DEFAULT_TOL,

@@ -175,7 +175,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     choice_trace: list[tuple[int, ...]] = [tuple(choices.tolist())]
     pair = None
     for it in range(1, max_iter + 1):
-        pair = core.leading_eigenpair_with_fallback(x, tol=eig_tol)
+        pair = core.selected_leading_eigenpair(x, tol=eig_tol)
         abscissa_trace.append(pair.value)
         new = _choose_rows(allrows @ pair.vector, offsets, choices, direction,
                            TIE_TOL)
@@ -292,7 +292,8 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
         for local, node in enumerate(nodes):
             choices[node] = out.row_choices[local]
     x = family.matrix(choices)
-    pair = core.leading_eigenpair_with_fallback(x)
+    pair = core.selected_leading_eigenpair(
+        x, tol=greedy_kwargs.get("eig_tol", core.DEFAULT_TOL))
     return GreedyOutcome(
         matrix=x, abscissa=max(block_abscissas), row_choices=tuple(choices),
         iterations=iterations, eigenvector=pair.vector, reducibility_flag=True,

@@ -215,7 +215,7 @@ def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
                 status = "stable"
             return _BallMinimum(status, x, pair.value, cr_last, sweep)
         x, cr_last = x_next, cr
-        pair = core.leading_eigenpair_with_fallback(x, tol=tol)
+        pair = core.selected_leading_eigenpair(x, tol=tol)
     raise IterationLimitError(
         f"ball greedy did not settle in {_MAX_SWEEPS} sweeps at tau={tau}",
         best=x)
@@ -307,7 +307,7 @@ def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
     ``max_outer`` bounds the outer steps, each one ball minimization.
     """
     arr = core.validate_metzler(a)
-    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol)
+    base_pair = core.selected_leading_eigenpair(arr, tol=tol)
     if base_pair.value <= ZERO_TOL:
         raise PreconditionError(
             f"matrix is already stable or on the boundary (eta={base_pair.value:.3e})")
@@ -326,7 +326,7 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
     stabilization of A - I (the result's leading eigenvalue is then 1).
     """
     arr = core.validate_nonnegative(a)
-    base_pair = core.leading_eigenpair_with_fallback(arr, tol=tol)
+    base_pair = core.selected_leading_eigenpair(arr, tol=tol)
     if base_pair.value <= 1.0 + ZERO_TOL:
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")

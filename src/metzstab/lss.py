@@ -114,12 +114,12 @@ def hull_max_abscissa(system: SwitchingSystem, *,
         return np.tensordot(weights, stack, axes=1)
 
     def eta(weights: np.ndarray) -> float:
-        return core.leading_eigenpair_with_fallback(combine(weights), tol=_SCAN_TOL).value
+        return core.selected_leading_eigenpair(combine(weights), tol=_SCAN_TOL).value
 
     if n == 1:
         w = np.ones(1)
         m = system.modes[0]
-        return HullPoint(w, m, core.leading_eigenpair_with_fallback(m).value)
+        return HullPoint(w, m, core.selected_leading_eigenpair(m).value)
 
     r = resolution if resolution is not None else _default_resolution(n)
     if r < 1:
@@ -166,7 +166,7 @@ def hull_max_abscissa(system: SwitchingSystem, *,
                     w = w / w.sum()
 
     matrix = combine(w)
-    value = core.leading_eigenpair_with_fallback(matrix).value
+    value = core.selected_leading_eigenpair(matrix).value
     return HullPoint(weights=w, matrix=matrix, abscissa=value)
 
 
@@ -201,7 +201,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
         return a - shift * eye
 
     for idx, mode in enumerate(modes):
-        eta = core.leading_eigenpair_with_fallback(mode).value
+        eta = core.selected_leading_eigenpair(mode).value
         if eta > infnorm.ZERO_TOL:
             modes[idx] = strictify(infnorm.closest_stable_inf_hurwitz(mode).matrix)
         elif eta > -core.STABILITY_TOL:

@@ -122,7 +122,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         m = -np.linalg.solve(a2, h)
     except np.linalg.LinAlgError:
         # A(tau2) stable and singular forces eta(A(tau2)) = 0: the breakpoint
-        # itself is the crossing (the power estimate just missed the exact-hit
+        # itself is the crossing (the eigen value just missed the exact-hit
         # window by rounding).
         eta2 = core.spectral_abscissa(a2, tol=tol, max_iter=eig_max_iter)
         return core.StabilizationResult(tau_star=tau2, matrix=a2,

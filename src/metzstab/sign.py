@@ -100,14 +100,14 @@ def is_sign_stable(m: SignMatrix, *, strict: bool = True,
     _require_metzler_pattern(m)
     e = m.entries
     if not strict:
-        eta = core.leading_eigenpair_with_fallback(m.realize()).value
+        eta = core.selected_leading_eigenpair(m.realize()).value
         return eta <= core.STABILITY_TOL
 
     # The + graph is acyclic exactly when every strong component is one node.
     combinatorial = (int(np.diag(e).max()) < 0
                      and len(core.strong_components(e > 0)) == m.dim)
     if cross_check:
-        eta = core.leading_eigenpair_with_fallback(m.realize()).value
+        eta = core.selected_leading_eigenpair(m.realize()).value
         spectral = eta < -core.STABILITY_TOL
         if combinatorial != spectral:
             raise AssertionError(
@@ -166,7 +166,7 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     seen: set[bytes] = set()
     best = None
     for it in range(1, _MAX_SWEEPS + 1):
-        pair = core.leading_eigenpair_with_fallback(x.astype(float))
+        pair = core.selected_leading_eigenpair(x.astype(float))
         trace.append(pair.value)
         if best is None or pair.value < best[1].value:
             best = (x.copy(), pair)
@@ -203,7 +203,7 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     linear upward scan as the fallback if numerics ever disagree.
     """
     _require_metzler_pattern(m)
-    eta0 = core.leading_eigenpair_with_fallback(m.realize()).value
+    eta0 = core.selected_leading_eigenpair(m.realize()).value
     if eta0 <= core.STABILITY_TOL:
         return ClosestSignOutcome(sign_matrix=m, k_star=0, abscissa=eta0,
                                   evaluated=((0, eta0),))

@@ -6,6 +6,11 @@ from metzstab import gen
 
 import oracles
 
+# One irreducible 70-node block, above core.DENSE_FALLBACK_DIM, so the
+# certified step never serves it: its power loop settles in 12 iterations
+# and raises IterationLimitError under a budget of 3 or less.
+LARGE_BLOCK_70 = gen.generate_metzler(70, unstable=True, seed=1)
+
 
 def random_metzler(rng: np.random.Generator, d: int, *, scale: float = 1.0) -> np.ndarray:
     a = rng.uniform(0.0, scale, size=(d, d))

@@ -18,10 +18,9 @@ OPTIONS = {
     "core.as_square_matrix": ("name",),
     "core.is_hurwitz_stable": ("strict",),
     "core.is_schur_stable": ("strict", "level"),
-    "core.leading_eigenpair_with_fallback": ("tol", "max_iter", "dense_dim"),
     "core.matrix_norm": ("kind",),
     "core.power_iteration": ("max_iter",),
-    "core.selected_leading_eigenpair": ("tol", "max_iter", "dense_dim"),
+    "core.selected_leading_eigenpair": ("tol", "max_iter"),
     "core.spectral_abscissa": ("tol", "max_iter"),
     "core.spectral_radius": ("tol", "max_iter"),
     "core.validate_metzler": ("name",),
@@ -63,4 +62,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 43
+    assert sum(len(options) for options in found.values()) == 39

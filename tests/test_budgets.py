@@ -1,11 +1,14 @@
 """The iteration budgets the CLI exposes through --max-iter.
 
 ``stab-inf`` and ``stab-schur`` pass it as the outer step budget
-(``max_outer``), ``stab-max`` as the power budget of every eigen call
-(``eig_max_iter``) and ``opt-family`` as the greedy sweep budget
-(``max_iter``). Every input here needs more than one step of its budget,
-so a budget of one runs out: the library raises with the best iterate it
-holds, and the CLI exits 3 with the message on stderr.
+(``max_outer``), ``stab-max`` as the power budget of every irreducible block
+of every eigen call (``eig_max_iter``) and ``opt-family`` as the greedy
+sweep budget (``max_iter``). A block of at most ``core.DENSE_FALLBACK_DIM``
+nodes takes the certified step when its power budget runs out, so the
+``stab-max`` input is one 70-node block. Every input here needs more than
+one step of its budget, so a budget of one runs out: the library raises
+with the best iterate it holds, and the CLI exits 3 with the message on
+stderr.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from metzstab.infnorm import closest_stable_inf_hurwitz, closest_stable_inf_schu
 from metzstab.maxnorm import closest_stable_max
 
 import goldens
+from helpers import LARGE_BLOCK_70
 
 # rho = 15.9 > 1; the first ball (tau = ||A||_inf / 2) is already stable.
 SCHUR_INPUT = np.abs(goldens.UNSTABLE_5)
@@ -44,9 +48,9 @@ def test_outer_budget_raises_with_the_best_stable_iterate(solve, a, level):
 
 
 def test_max_norm_power_budget_raises_with_the_best_pair():
-    assert core.selected_leading_eigenpair(goldens.UNSTABLE_5).iterations > 1
+    assert core.selected_leading_eigenpair(LARGE_BLOCK_70).iterations > 1
     with pytest.raises(IterationLimitError) as err:
-        closest_stable_max(goldens.UNSTABLE_5, eig_max_iter=1)
+        closest_stable_max(LARGE_BLOCK_70, eig_max_iter=1)
     best = err.value.best
     assert isinstance(best, core.EigenPair)
     assert best.iterations == 1
@@ -71,7 +75,7 @@ def test_sweep_budget_raises_with_the_last_member(solve):
     ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5), ()),
     ("stab-schur", formats.write_matrix(SCHUR_INPUT), ()),
     ("stab-schur", formats.write_matrix(SCHUR_INPUT), ("--allow-metzler",)),
-    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ()),
+    ("stab-max", formats.write_matrix(LARGE_BLOCK_70), ()),
     ("opt-family", formats.write_family(FAMILY), ()),
     ("opt-family", formats.write_family(FAMILY), ("--direction", "min")),
 ], ids=["stab-inf", "stab-schur", "stab-schur-metzler", "stab-max",

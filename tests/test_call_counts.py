@@ -72,14 +72,21 @@ def test_a_strongly_connected_pattern_needs_no_graph(monkeypatch):
     assert searches["graph"] == 1
 
 
-def test_a_stalled_small_block_makes_one_eigvals_and_two_solves(linalg_calls):
+@pytest.mark.parametrize("value_of", [
+    lambda a: core.selected_leading_eigenpair(a).value,
+    core.spectral_abscissa,
+], ids=["selected_leading_eigenpair", "spectral_abscissa"])
+def test_a_stalled_small_block_makes_one_eigvals_and_two_solves(value_of, linalg_calls):
     # A 20-cycle with unequal weights: the shifted power loop converges at a
     # ratio near 0.998 and exhausts its budget. The dense value is then
-    # proved by two solves, one on each side of it.
+    # proved by two solves, one on each side of it, whichever entry point
+    # asks.
     a = np.diag(1.0 + np.arange(19) / 19, 1)
     a[19, 0] = 1.0
-    pair = core.leading_eigenpair_with_fallback(a)
+    value = value_of(a)
     assert dict(linalg_calls) == {"eigvals": 1, "solve": 2}
+    pair = core.selected_leading_eigenpair(a)
+    assert pair.value == value
     assert pair.method == "certified"
     assert pair.iterations <= 30
     lo, hi = pair.bracket

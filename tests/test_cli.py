@@ -12,6 +12,7 @@ from metzstab.lss import SwitchingSystem
 from metzstab.sign import SignMatrix
 
 import goldens
+from helpers import LARGE_BLOCK_70
 
 
 def run_cli(capsys, *argv):
@@ -58,10 +59,18 @@ def test_eig_rejects_norm_flag(tmp_path, capsys):
 
 
 def test_eig_iteration_budget_exit_code(tmp_path, capsys):
-    path = matrix_file(tmp_path, goldens.OSCILLATING_3)
+    # --max-iter caps the power iterations per block: a block above
+    # core.DENSE_FALLBACK_DIM nodes exits 3 when they run out, a smaller one
+    # takes the certified step.
+    path = matrix_file(tmp_path, LARGE_BLOCK_70)
     code, _, err = run_cli(capsys, "eig", path, "--max-iter", "3")
     assert code == 3
     assert "error" in err
+    path = matrix_file(tmp_path, goldens.OSCILLATING_3)
+    code, out, _ = run_cli(capsys, "eig", path, "--max-iter", "3")
+    assert code == 0
+    assert float(out.split()[0]) == pytest.approx(goldens.OSCILLATING_3_ABSCISSA,
+                                                  abs=1e-11)
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from metzstab.errors import IterationLimitError, PreconditionError
 
 import exact
 import goldens
+from helpers import LARGE_BLOCK_70
 import oracles
 
 ENTRIES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -64,10 +65,10 @@ def test_translation_shift_examples():
 def test_translation_identity(a, h):
     # rho(A + h I) = eta(A) + h once the shift makes the matrix nonnegative.
     # Hypothesis likes degenerate zero patterns with defective leading pairs,
-    # so both sides go through the fallback-capable eigensolver.
+    # which the certified step serves.
     h = h + core.translation_shift(a)
-    eta = core.leading_eigenpair_with_fallback(a).value
-    rho = core.leading_eigenpair_with_fallback(a + h * np.eye(3)).value
+    eta = core.selected_leading_eigenpair(a).value
+    rho = core.selected_leading_eigenpair(a + h * np.eye(3)).value
     assert rho == pytest.approx(eta + h, abs=1e-8)
 
 
@@ -152,15 +153,18 @@ DENSE_5 = np.array([
 ])
 
 
-@pytest.mark.parametrize("a", [goldens.OSCILLATING_3, DENSE_5],
-                         ids=["oscillating_3", "dense_5"])
+@pytest.mark.parametrize("a", [goldens.OSCILLATING_3, DENSE_5, LARGE_BLOCK_70],
+                         ids=["oscillating_3", "dense_5", "large_70"])
 @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
 def test_power_shift_follows_the_scale(a, s):
     # The shift is relative to the block's entries, so the iteration count
-    # does not grow as the matrix shrinks. The stopping test is absolute
-    # (tol on the residual), which bounds the value's error by tol rather
-    # than by tol relative at the smallest scale; at the largest scales the
-    # residual stops at its rounding floor, 16 eps times the value.
+    # does not grow as the matrix shrinks. The two small inputs take the
+    # certified step after 30 iterations; the 70-node block, above
+    # DENSE_FALLBACK_DIM, runs the power loop until it converges. The
+    # stopping test is absolute (tol on the residual), which bounds the
+    # value's error by tol rather than by tol relative at the smallest
+    # scale; at the largest scales the residual stops at its rounding floor,
+    # 16 eps times the value.
     want = s * float(np.linalg.eigvals(a).real.max())
     pair = core.selected_leading_eigenpair(s * a)
     assert pair.iterations <= 100
@@ -168,28 +172,45 @@ def test_power_shift_follows_the_scale(a, s):
 
 
 def test_power_iteration_budget_error():
+    # max_iter caps the power iterations of a block: one above
+    # DENSE_FALLBACK_DIM nodes raises when they run out, a smaller one takes
+    # the certified step.
     with pytest.raises(IterationLimitError) as err:
-        core.selected_leading_eigenpair(goldens.OSCILLATING_3, max_iter=3)
+        core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
     assert err.value.best is not None
+    assert err.value.best.iterations == 3
+    pair = core.selected_leading_eigenpair(goldens.OSCILLATING_3, max_iter=3)
+    assert pair.method == "certified"
+    assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
 
 
 def test_fallback_handles_defective_leading_pair():
     # Shifted power method on [[0,1],[0,0]] converges like 1/k and times out;
     # the dense fallback still reports eta = 0.
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    pair = core.leading_eigenpair_with_fallback(a, max_iter=500)
+    pair = core.selected_leading_eigenpair(a, max_iter=500)
     assert pair.value == pytest.approx(0.0, abs=1e-9)
 
 
+def _with_a_node(block: np.ndarray) -> np.ndarray:
+    # ``block`` and one more node at -5 that points into it: reducible.
+    d = block.shape[0]
+    a = np.zeros((d + 1, d + 1))
+    a[:d, :d] = block
+    a[d, d] = -5.0
+    a[d, 0] = 1.0
+    return a
+
+
 def test_fallback_respects_dense_dim_cap():
-    # A stalled irreducible block above dense_dim still raises.
+    # A stalled irreducible block above DENSE_FALLBACK_DIM still raises.
+    assert LARGE_BLOCK_70.shape[0] > core.DENSE_FALLBACK_DIM
     with pytest.raises(IterationLimitError):
-        core.leading_eigenpair_with_fallback(goldens.OSCILLATING_3, max_iter=3,
-                                             dense_dim=2)
+        core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
     # An acyclic pattern splits into single nodes and needs no iteration.
     a = np.zeros((3, 3))
     a[0, 1] = 1.0
-    pair = core.leading_eigenpair_with_fallback(a, max_iter=200, dense_dim=2)
+    pair = core.selected_leading_eigenpair(a, max_iter=200)
     assert pair.value == 0.0
     assert pair.iterations == 0
 
@@ -197,17 +218,16 @@ def test_fallback_respects_dense_dim_cap():
 def test_fallback_escapes_per_irreducible_block():
     # OSCILLATING_3 stalls at max_iter=3; inside a reducible matrix it is one
     # block, solved by the certified step while the single node is read off
-    # its diagonal.
-    a = np.zeros((4, 4))
-    a[:3, :3] = goldens.OSCILLATING_3
-    a[3, 3] = -5.0
-    a[3, 0] = 1.0
-    pair = core.leading_eigenpair_with_fallback(a, max_iter=3, dense_dim=3)
+    # its diagonal. A stalled block above DENSE_FALLBACK_DIM still raises
+    # inside a reducible matrix.
+    pair = core.selected_leading_eigenpair(_with_a_node(goldens.OSCILLATING_3),
+                                           max_iter=3)
+    assert pair.method == "certified"
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
     assert pair.iterations >= 3
     assert pair.residual <= 1e-12
     with pytest.raises(IterationLimitError):
-        core.leading_eigenpair_with_fallback(a, max_iter=3, dense_dim=2)
+        core.selected_leading_eigenpair(_with_a_node(LARGE_BLOCK_70), max_iter=3)
 
 
 def test_method_and_bracket_compose_over_blocks():
@@ -216,17 +236,16 @@ def test_method_and_bracket_compose_over_blocks():
     assert pair.method == "diagonal"
     assert pair.bracket == (pair.value, pair.value)
     # One irreducible block and one node: the block's method and bracket.
-    a = np.zeros((4, 4))
-    a[:3, :3] = goldens.OSCILLATING_3
-    a[3, 3] = -5.0
-    a[3, 0] = 1.0
-    # OSCILLATING_3 needs more than 30 power iterations.
-    for pair, method in ((core.selected_leading_eigenpair(a), "power"),
-                         (core.leading_eigenpair_with_fallback(a), "certified")):
+    # SWAP_2 settles in 2 power iterations; OSCILLATING_3 needs more than 30.
+    for block, value, method in ((goldens.SWAP_2, 2.0, "power"),
+                                 (goldens.OSCILLATING_3,
+                                  goldens.OSCILLATING_3_ABSCISSA, "certified")):
+        pair = core.selected_leading_eigenpair(_with_a_node(block))
         assert pair.method == method
         lo, hi = pair.bracket
-        assert lo <= goldens.OSCILLATING_3_ABSCISSA <= hi
+        assert lo <= value <= hi
         assert lo <= pair.value <= hi
+    a = _with_a_node(goldens.OSCILLATING_3)
     assert core.dense_leading_eigenpair(a).method == "dense"
 
 
@@ -468,7 +487,7 @@ def test_near_nilpotent_block_has_the_exact_value():
     # converges like 1/k here, and a dense eig is off by about eps^(1/3).
     t = 2.2e-308
     a = np.array([[t, t, t], [1.0, t, 1.0], [1.0, t, t]]) - 6.0 * np.eye(3)
-    pair = core.leading_eigenpair_with_fallback(a)
+    pair = core.selected_leading_eigenpair(a)
     assert pair.value == pytest.approx(-6.0, abs=1e-12)
     assert pair.bracket[0] <= -6.0 <= pair.bracket[1]
     assert pair.method == "bisect"
@@ -499,7 +518,7 @@ def test_bracket_holds_the_exact_value_on_random_irreducible_blocks():
         d = int(rng.integers(2, 13))
         a = _irreducible_block(rng, d, nearly_nilpotent=n % 4 == 0)
         value, vector = exact.perron_pair(a)
-        pair = core.leading_eigenpair_with_fallback(a)
+        pair = core.selected_leading_eigenpair(a)
         methods[pair.method] += 1
         lo, hi = pair.bracket
         assert lo <= value <= hi, (a, pair.method)

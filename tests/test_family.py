@@ -204,7 +204,7 @@ def test_greedy_equals_a_row_by_row_reference(direction):
         out = selective_greedy(fam, direction, start_choices=choices)
         trace = [tuple(choices)]
         for it in range(1, 201):
-            pair = core.leading_eigenpair_with_fallback(fam.matrix(choices))
+            pair = core.selected_leading_eigenpair(fam.matrix(choices))
             new = _row_optimize_on(allrows @ pair.vector, offsets, fam.sizes,
                                    choices, direction, family.TIE_TOL)
             if new == choices:
@@ -224,3 +224,21 @@ def test_greedy_rejects_start_choices_of_the_wrong_length(count):
                               for i in range(3)))
     with pytest.raises(ValueError, match=f"need 3 choices, got {count}"):
         selective_greedy(fam, start_choices=[0] * count)
+
+
+def test_the_patch_passes_eig_tol_to_every_eigen_call(monkeypatch):
+    # This family ends in the blockwise assembly (12 blocks), whose last
+    # eigen call gives the assembled member's eigenvector.
+    fam = gen.generate_family(12, 3, kind="sparse", density=(0.05, 0.1), seed=0)
+    tols = []
+
+    def recorded(a, **kwargs):
+        tols.append(kwargs.get("tol", core.DEFAULT_TOL))
+        return original(a, **kwargs)
+
+    original = core.selected_leading_eigenpair
+    monkeypatch.setattr(core, "selected_leading_eigenpair", recorded)
+    out = optimize_with_irreducibility_patch(fam, "max", eig_tol=1e-6)
+    assert len(frobenius_blocks(fam).blocks) == 12
+    assert out.reducibility_flag
+    assert tols and set(tols) == {1e-6}

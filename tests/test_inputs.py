@@ -59,7 +59,7 @@ MATRIX_CASES = {
     "metzlerize": (ms.metzlerize, lambda: _rng().uniform(-1.0, 1.0, (6, 6))),
     "eig-irreducible": (ms.selected_leading_eigenpair,
                         lambda: helpers.random_metzler(_rng(), 6)),
-    "eig-reducible": (core.leading_eigenpair_with_fallback,
+    "eig-reducible": (core.selected_leading_eigenpair,
                       lambda: goldens.zeroed(helpers.random_metzler(_rng(), 6),
                                              [(i, j) for i in range(3, 6)
                                               for j in range(3)])),
