@@ -11,7 +11,6 @@ from .core import (
     NormKind,
     PowerIterationResult,
     StabilizationResult,
-    dense_leading_eigenpair,
     is_hurwitz_stable,
     is_metzler,
     is_schur_stable,
@@ -92,7 +91,6 @@ __all__ = [
     "closest_unstable_inf_hurwitz",
     "closest_unstable_inf_schur",
     "closest_unstable_max",
-    "dense_leading_eigenpair",
     "frobenius_blocks",
     "generate_family",
     "hull_max_abscissa",

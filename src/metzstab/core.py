@@ -104,7 +104,7 @@ def translation_shift(a) -> float:
 
 # How an EigenPair was computed, from the cheapest method to the costliest;
 # a reducible result reports the costliest method any of its blocks used.
-METHODS = ("diagonal", "power", "dense", "certified", "bisect")
+METHODS = ("diagonal", "power", "certified", "bisect")
 
 
 @dataclass(frozen=True)
@@ -556,29 +556,6 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     if len(blocks) == 1 and arr.shape[0] > 1:
         return _perron_pair(arr, tol, max_iter)
     return _reducible_pair(arr, blocks, tol, max_iter)
-
-
-def dense_leading_eigenpair(a) -> EigenPair:
-    """Leading eigenpair via a dense eigendecomposition, uncertified.
-
-    Value and vector come from one ``eig`` call, with ``method`` "dense" and
-    no bracket. It serves callers that only need a proposal, such as the
-    l-inf stabilizer's jump candidate on a small compression; the eigen entry
-    points never call it.
-    """
-    arr = as_square_matrix(a)
-    d = arr.shape[0]
-    vals, vecs = np.linalg.eig(arr)
-    k = int(np.argmax(vals.real))
-    value = float(vals[k].real)
-    v = vecs[:, k].real.copy()
-    if v.sum() < 0:
-        v = -v
-    v = np.clip(v, 0.0, None)
-    s = v.sum()
-    v = np.full(d, 1.0 / d) if s == 0.0 else v / s
-    resid = float(np.abs(arr @ v - value * v).max())
-    return EigenPair(value, v, 0, resid, "dense")
 
 
 def spectral_abscissa(a, *, tol: float = DEFAULT_TOL,

@@ -59,7 +59,6 @@ class _BallMinimum:
     matrix: np.ndarray
     objective: float
     cr: CRDecomposition | None
-    sweeps: int
 
 
 def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
@@ -119,7 +118,8 @@ def _minimize_rows(rows: np.ndarray, cols: np.ndarray, tau: float,
     unbounded diagonal absorbs any leftover budget there) and the pivot keeps
     its mass minus tau; otherwise ``stop`` is the last position and the pivot
     is clamped at zero. Returns (x, c, pivots) with c holding the pivots'
-    cumulative masses.
+    cumulative masses. The sign ball's sweep uses the Schur form on
+    sgn(M) + I.
     """
     cums = np.cumsum(rows[:, cols], axis=1)
     at = np.arange(rows.shape[0])
@@ -202,9 +202,11 @@ def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
     x, pair = base.copy(), base_pair
     cr_last = None
     scale = max(1.0, float(np.abs(base).max()) + tau)
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        if cr_last is not None and pair.value < level - ZERO_TOL:
-            return _BallMinimum("stable", x, pair.value, cr_last, sweep)
+    for _ in range(_MAX_SWEEPS):
+        # The base is above level (a precondition), so a stable iterate has
+        # a sweep, and its (C, R) pair, behind it.
+        if pair.value < level - ZERO_TOL:
+            return _BallMinimum("stable", x, pair.value, cr_last)
         x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
         if float(np.abs(x_next - x).max()) <= _FP_RTOL * scale:
             if abs(pair.value - level) <= ZERO_TOL:
@@ -213,7 +215,7 @@ def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
                 status = "infeasible"
             else:
                 status = "stable"
-            return _BallMinimum(status, x, pair.value, cr_last, sweep)
+            return _BallMinimum(status, x, pair.value, cr_last)
         x, cr_last = x_next, cr
         pair = core.selected_leading_eigenpair(x, tol=tol)
     raise IterationLimitError(
@@ -241,8 +243,9 @@ def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | N
         if not np.isfinite(y).all() or float(y.min()) < -_NEG_GUARD:
             return None
         # Only a proposal, which the next ball minimum verifies, so the
-        # dense eigenvalue of the small compression serves without iteration.
-        lam = core.dense_leading_eigenpair(np.maximum(y[cols], 0.0)).value
+        # largest real eigenvalue of the small compression serves as it is,
+        # without a vector or a certificate.
+        lam = float(np.linalg.eigvals(np.maximum(y[cols], 0.0)).real.max())
     except np.linalg.LinAlgError:
         return None
     if lam <= 1e-14:
@@ -270,9 +273,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
             tau_hi = tau
             if best is None or tau < best[0]:
                 best = (tau, bm)
-            cand = None
-            if bm.cr is not None:
-                cand = _jump_candidate(bm.cr, schur, level)
+            cand = _jump_candidate(bm.cr, schur, level)
             eps = 1e-14 * max(1.0, tau)
             if cand is None or cand <= tau_lo + eps:
                 cand = 0.5 * (tau_lo + tau_hi)

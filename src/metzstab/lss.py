@@ -193,6 +193,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
         raise ValueError("budget must be at least 1")
     d = system.dim
     eye = np.eye(d)
+    diag = eye > 0.0
     modes = [m.copy() for m in system.modes]
 
     def strictify(a: np.ndarray) -> np.ndarray:
@@ -221,18 +222,14 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
         else:
             target = strictify(hull)
         delta = target - hull
-        active = np.flatnonzero(hp.weights > _ACTIVE_TOL)
-        for idx in active:
+        # Off-diagonal entries that the repair lowers shrink by the share of
+        # the hull entry it removes; the diagonal takes the shift as it is.
+        cut = (hull > 0.0) & (delta < 0.0) & ~diag
+        ratio = np.minimum(1.0, np.divide(-delta, hull, out=np.zeros((d, d)), where=cut))
+        for idx in np.flatnonzero(hp.weights > _ACTIVE_TOL):
             mode = modes[idx]
-            new = mode.copy()
-            for row in range(d):
-                for col in range(d):
-                    if row == col:
-                        new[row, col] = mode[row, col] + delta[row, col]
-                    elif hull[row, col] > 0.0 and delta[row, col] < 0.0:
-                        ratio = min(1.0, -delta[row, col] / hull[row, col])
-                        new[row, col] = mode[row, col] * (1.0 - ratio)
-            modes[idx] = new
+            modes[idx] = np.where(diag, mode + delta,
+                                  np.where(cut, mode * (1.0 - ratio), mode))
     taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
                  for m, orig in zip(modes, system.modes))
     raise IterationLimitError(

@@ -56,7 +56,8 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     the sign change of eta(A(tau)), then resolves the exact crossing inside
     the bracketing linear piece: with H = (A(tau1) - A(tau2)) / (tau2 - tau1),
     tau* = tau2 - 1 / rho(-A(tau2)^{-1} H). If the largest diagonal entry is
-    also the largest entry overall, the boundary sits exactly there.
+    also the largest entry overall, the boundary sits exactly there, at the
+    top breakpoint.
     """
     arr = core.validate_metzler(a)
     eta0 = core.spectral_abscissa(arr, tol=tol, max_iter=eig_max_iter)
@@ -66,17 +67,6 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     trace: list[tuple[float, float]] = [(0.0, eta0)]
 
     diag_max = float(np.diag(arr).max())
-    entry_max = float(arr.max())
-    if diag_max >= entry_max:
-        # All off-diagonal mass clamps away by tau = diag_max, where A(tau)
-        # is diagonal with largest entry exactly 0, its abscissa; below it
-        # eta >= diag_max - tau > 0.
-        tau = diag_max
-        x = _clamp(arr, tau)
-        trace.append((tau, 0.0))
-        return core.StabilizationResult(tau_star=tau, matrix=x, iterations=1,
-                                        abscissa=0.0, trace=tuple(trace))
-
     grid = np.unique(arr[arr > 0.0])
     grid = np.concatenate(([0.0], grid))
     lo, hi = 0, len(grid) - 1
@@ -91,9 +81,11 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
 
     # All off-diagonal mass is clamped away at the top breakpoint, the
     # largest entry, so A(tau) there is diagonal and its abscissa is
-    # diag_max - tau < 0: a sign change exists on the grid. Subtracting tau
-    # keeps the order of the diagonal entries, so this is bitwise the value
-    # an eigen call on A(tau) returns; it counts as an evaluation.
+    # diag_max - tau <= 0: a sign change exists on the grid, and when the
+    # largest entry sits on the diagonal the boundary is exactly there.
+    # Subtracting tau keeps the order of the diagonal entries, so this is
+    # bitwise the value an eigen call on A(tau) returns; it counts as an
+    # evaluation.
     eval_count = 1
     eta_hi = diag_max - float(grid[hi])
     trace.append((float(grid[hi]), eta_hi))

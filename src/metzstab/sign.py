@@ -8,9 +8,13 @@ realization; both are decidable from the realization's abscissa because it
 majorizes every normalized realization row-wise.
 
 Distances between sign matrices use the l-inf metric on realizations, which
-counts unit reductions per row. Over the radius-k ball the row optimizer is a
-pick-k-best-gains greedy, and the abscissa-minimizing pattern is found by the
-same eigenvector-guided sweep as the numeric modules.
+counts unit reductions per row. Shifted by the identity, sgn(M) + I is
+entrywise nonnegative (a + diagonal holds two units, a 0 diagonal one), and
+the radius-k sign ball is the l-inf ball of radius k around it with every
+entry floored at zero. Its row optimizer is therefore the l-inf ball's
+closed-form row minimizer, which takes the k best unit gains, and the
+abscissa-minimizing pattern is found by the same eigenvector-guided sweep
+as the numeric modules.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, infnorm
 from .errors import CycleSuspicionError, PreconditionError
 
 _GAIN_TOL = 1e-15
@@ -87,81 +91,59 @@ def _require_metzler_pattern(m: SignMatrix) -> SignMatrix:
     return m
 
 
-def is_sign_stable(m: SignMatrix, *, strict: bool = True,
-                   cross_check: bool = False) -> bool:
+def is_sign_stable(m: SignMatrix, *, strict: bool = True) -> bool:
     """Sign-stability test for a Metzler sign pattern.
 
     Strict mode decides strong sign-stability combinatorially: all diagonal
     entries - and the + off-diagonal graph acyclic. Weak mode checks
-    eta(sgn(M)) <= STABILITY_TOL. ``cross_check=True`` additionally verifies
-    the combinatorial answer against the spectral one (eta < -STABILITY_TOL)
-    and raises on disagreement; useful in tests, off by default.
+    eta(sgn(M)) <= STABILITY_TOL.
     """
     _require_metzler_pattern(m)
     e = m.entries
     if not strict:
         eta = core.selected_leading_eigenpair(m.realize()).value
         return eta <= core.STABILITY_TOL
-
     # The + graph is acyclic exactly when every strong component is one node.
-    combinatorial = (int(np.diag(e).max()) < 0
-                     and len(core.strong_components(e > 0)) == m.dim)
-    if cross_check:
-        eta = core.selected_leading_eigenpair(m.realize()).value
-        spectral = eta < -core.STABILITY_TOL
-        if combinatorial != spectral:
-            raise AssertionError(
-                f"sign-stability routes disagree: graph={combinatorial} spectral={spectral}")
-    return combinatorial
+    return (int(np.diag(e).max()) < 0
+            and len(core.strong_components(e > 0)) == m.dim)
 
 
-def _best_row(orig_row: np.ndarray, i: int, k: int, v: np.ndarray) -> np.ndarray:
-    # Unit reductions: a + off-diagonal drops to 0 for one unit (gain v_j);
-    # the diagonal steps down by one unit at a time (gain v_i each), two
-    # steps available from +, one from 0. Gains are additive, so the best
-    # row inside the radius-k slice takes the k largest positive gains.
-    gains = []
-    for j in np.flatnonzero(orig_row > 0):
-        j = int(j)
-        if j != i:
-            gains.append((float(v[j]), j))
-    steps = 1 + int(orig_row[i]) if orig_row[i] >= 0 else 0
-    gains.extend([(float(v[i]), i)] * steps)
-    # Weight descending; a gain within _TIE_RTOL * max(v) of the first gain
-    # of its run is tied with it (eigensolver noise in the last ulps), and
-    # tied gains go higher column first.
-    gains.sort(key=lambda g: -g[0])
+def _ranked_support(v: np.ndarray) -> np.ndarray:
+    # Columns with a positive gain, weight descending. A gain within
+    # _TIE_RTOL * max(v) of the first gain of its run is tied with it
+    # (eigensolver noise in the last ulps), and tied gains go higher column
+    # first.
+    sup = np.flatnonzero(v > _GAIN_TOL)
+    sup = sup[np.argsort(-v[sup], kind="stable")]
     tie = _TIE_RTOL * float(v.max())
-    run, lead, ranked = -1, np.inf, []
-    for gain, j in gains:
+    run, lead, runs = -1, np.inf, []
+    for gain in v[sup]:
         if gain < lead - tie:
             run, lead = run + 1, gain
-        ranked.append((run, -j, gain, j))
-    ranked.sort()
-    row = orig_row.copy()
-    for _, _, gain, j in ranked[:k]:
-        if gain <= _GAIN_TOL:
-            break
-        row[j] -= 1
-    return row
+        runs.append(run)
+    return sup[np.lexsort((-sup, runs))]
 
 
 def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     """Minimize eta(sgn(X)) over sign matrices within l-inf distance k of M.
 
-    Greedy sweeps guided by the selected leading eigenvector of the current
-    realization; rows change only on strict score improvement, and a full
-    no-change sweep certifies the minimum over the ball. Degenerate iterates
-    can tie rows exactly, and eigensolver noise then flips them back and
-    forth; revisiting a state proves such a plateau, and the best state seen
-    is returned (states in the ball are finite, so this always terminates).
+    Greedy sweeps guided by the selected leading eigenvector v of the current
+    realization. A sweep's candidate rows are the l-inf ball's row minimizers
+    on sgn(M) + I with budget k, which zero entries in the order of
+    ``_ranked_support(v)``; a row changes only on strict score improvement,
+    and a full no-change sweep certifies the minimum over the ball.
+    Degenerate iterates can tie rows exactly, and eigensolver noise then
+    flips them back and forth; revisiting a state proves such a plateau, and
+    the best state seen is returned (states in the ball are finite, so this
+    always terminates).
     """
     _require_metzler_pattern(m)
     if k < 0:
         raise PreconditionError(f"ball radius must be nonnegative, got {k}")
-    d = m.dim
     x = m.entries.copy()
-    orig = m.entries
+    # Unit reductions of sgn(M) + I within l1 distance k, row by row.
+    eye = np.eye(m.dim)
+    base = m.entries + eye
     trace: list[float] = []
     seen: set[bytes] = set()
     best = None
@@ -178,15 +160,13 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
                 eigenvector=pair.vector, abscissa_trace=tuple(trace))
         seen.add(key)
         v = pair.vector
-        changed = False
-        if k > 0:
-            for i in range(d):
-                cand = _best_row(orig[i], i, k, v)
-                gap = float((x[i] - cand).astype(float) @ v)
-                if gap > _IMPROVE_TOL:
-                    x[i] = cand
-                    changed = True
-        if not changed:
+        cols = _ranked_support(v)
+        rows, _, _ = infnorm._minimize_rows(base, cols, float(k), cols.size - 1,
+                                            clamp=True)
+        rows -= eye
+        take = (x - rows) @ v > _IMPROVE_TOL
+        x[take] = rows[take]
+        if not take.any():
             return SignBallOutcome(
                 sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=it,
                 eigenvector=pair.vector, abscissa_trace=tuple(trace))
@@ -198,7 +178,7 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     """Smallest k whose radius-k sign ball around M contains a weakly stable pattern.
 
     Weakly stable means eta <= STABILITY_TOL. Integer bisection on k in
-    [0, ||sgn(M)||_inf], seeded at the midpoint; the minimized eta is
+    [0, ||sgn(M)||_inf]; the minimized eta is
     nonincreasing in k, which is asserted on the memoized evaluations with a
     linear upward scan as the fallback if numerics ever disagree.
     """
@@ -217,10 +197,8 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
         return memo[k]
 
     k_lo, k_hi = 0, norm
-    first = True
     while k_hi - k_lo > 1:
-        k = max(k_lo + 1, min(norm // 2, k_hi - 1)) if first else (k_lo + k_hi) // 2
-        first = False
+        k = (k_lo + k_hi) // 2
         if at(k).abscissa <= core.STABILITY_TOL:
             k_hi = k
         else:

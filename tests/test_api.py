@@ -33,7 +33,7 @@ OPTIONS = {
     "family.optimize_with_irreducibility_patch": ("direction", "greedy_kwargs"),
     "family.row_optimize": ("direction", "incumbent", "tol"),
     "family.selective_greedy": ("direction", "start_choices", "max_iter", "eig_tol"),
-    "sign.is_sign_stable": ("strict", "cross_check"),
+    "sign.is_sign_stable": ("strict",),
     "sign.sign_pattern": ("tol",),
     "lss.hull_max_abscissa": ("resolution",),
     "lss.stabilize_2d_lss": ("margin", "budget", "resolution"),
@@ -62,4 +62,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 39
+    assert sum(len(options) for options in found.values()) == 38

@@ -119,6 +119,19 @@ def test_the_linf_stabilizers_never_repeat_an_eigen_call(stabilize, make, monkey
         assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
 
 
+@pytest.mark.parametrize("stabilize,make", [
+    (closest_stable_inf_hurwitz, helpers.random_unstable_metzler),
+    (closest_stable_inf_schur, helpers.random_unstable_nonneg),
+], ids=["hurwitz", "schur"])
+def test_the_linf_stabilizers_make_no_eig_call(stabilize, make, linalg_calls):
+    # The jump candidate needs only the largest real eigenvalue of its small
+    # compression, which ``eigvals`` gives without eigenvectors.
+    for seed in range(3):
+        stabilize(make(np.random.default_rng(seed), 25))
+    assert linalg_calls["eigvals"] > 0
+    assert linalg_calls["eig"] == 0
+
+
 def _is_diagonal(m):
     return np.count_nonzero(m - np.diag(np.diag(m))) == 0
 

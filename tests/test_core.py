@@ -245,8 +245,6 @@ def test_method_and_bracket_compose_over_blocks():
         lo, hi = pair.bracket
         assert lo <= value <= hi
         assert lo <= pair.value <= hi
-    a = _with_a_node(goldens.OSCILLATING_3)
-    assert core.dense_leading_eigenpair(a).method == "dense"
 
 
 def _reach(a: np.ndarray) -> np.ndarray:

@@ -63,8 +63,6 @@ MATRIX_CASES = {
                       lambda: goldens.zeroed(helpers.random_metzler(_rng(), 6),
                                              [(i, j) for i in range(3, 6)
                                               for j in range(3)])),
-    "eig-dense": (ms.dense_leading_eigenpair,
-                  lambda: helpers.random_metzler(_rng(), 6)),
     "power": (ms.power_iteration, lambda: helpers.random_metzler(_rng(), 6)),
     "sign-pattern": (ms.sign_pattern, lambda: _rng().uniform(-1.0, 1.0, (6, 6))),
 }

@@ -60,6 +60,9 @@ def test_stabilize_diagonal_shortcut():
     out = closest_stable_max(np.diag([2.0, -1.0]))
     assert out.tau_star == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(out.matrix, np.diag([0.0, -3.0]), atol=1e-12)
+    # the top breakpoint is the first and only evaluation, with no eigen call
+    assert out.iterations == 1
+    assert out.trace == ((0.0, 2.0), (2.0, 0.0))
 
 
 def test_stabilize_symmetric_example():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core, sign
+from metzstab import core, infnorm, sign
 from metzstab.errors import PreconditionError
 from metzstab.sign import (
     SignMatrix,
@@ -66,7 +66,7 @@ def test_graph_and_spectral_routes_agree():
         d = int(rng.integers(2, 6))
         e = helpers.random_sign_entries(rng, d)
         m = SignMatrix(e)
-        got = is_sign_stable(m, cross_check=True)
+        got = is_sign_stable(m)
         want = oracles.abscissa(e.astype(float)) < -1e-9
         assert got == want
 
@@ -99,18 +99,45 @@ def test_ball_minimize_printed_distance_one_optimum():
     assert out.abscissa == pytest.approx(goldens.SIGN_LATTICE_BALL1_ETA, abs=1e-9)
 
 
+def _row_step(orig: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
+    # One sweep's candidate rows: the l-inf ball's row minimizer on
+    # sgn(M) + I with budget k, in the ranked order of v's support.
+    eye = np.eye(orig.shape[0])
+    cols = sign._ranked_support(v)
+    rows, _, _ = infnorm._minimize_rows(orig + eye, cols, float(k), cols.size - 1,
+                                        clamp=True)
+    return rows - eye
+
+
 @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
 def test_best_row_ignores_last_ulp_noise(ulps):
     # Exact ties go to the higher column. A vector a few ulps away from those
-    # ties, as an eigensolver returns it, must choose the same row.
-    row = np.ones(4, dtype=np.int8)
+    # ties, as an eigensolver returns it, must choose the same rows.
+    orig = np.ones((4, 4), dtype=np.int8)
     tied = np.array([0.3, 0.3, 0.1, 0.3])
     noisy = tied.copy()
     noisy[1] += ulps * np.spacing(0.3)
-    for i in range(4):
-        for k in range(1, 6):
-            np.testing.assert_array_equal(sign._best_row(row, i, k, noisy),
-                                          sign._best_row(row, i, k, tied))
+    for k in range(1, 6):
+        np.testing.assert_array_equal(_row_step(orig, k, noisy),
+                                      _row_step(orig, k, tied))
+
+
+def test_row_step_reaches_each_rows_minimum():
+    # From the center, every row of a sweep minimizes <row, v> over the
+    # admissible rows within l1 distance k, exhaustively enumerated.
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        d = int(rng.integers(2, 5))
+        orig = helpers.random_sign_entries(rng, d)
+        v = rng.random(d) * (rng.random(d) < 0.8)
+        v = v / v.sum() if v.sum() > 0.0 else np.full(d, 1.0 / d)
+        for k in range(2 * d + 2):
+            rows = _row_step(orig, k, v)
+            for i in range(d):
+                options = oracles._sign_row_options(orig[i], i, k)
+                assert tuple(rows[i].astype(int)) in options
+                scores = np.array(options, dtype=float) @ v
+                assert rows[i] @ v <= float(scores.min()) + 1e-12
 
 
 def test_ball_minimize_matches_exhaustive_scan():
