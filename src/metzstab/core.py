@@ -577,7 +577,7 @@ def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     A positive y with A y = -1 certifies that a Metzler A is Hurwitz, and a
     positive y with (hI - A) y = 1 certifies rho(A) < h for a nonnegative A,
     so one LU factorization gives the closed-form destabilizers both their
-    precondition and their answer, and the strict stability tests their
+    precondition and their answer, and the stability tests their
     verdict. A singular m gives None.
     """
     try:
@@ -589,33 +589,27 @@ def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def is_hurwitz_stable(a, *, strict: bool = True) -> bool:
+def is_hurwitz_stable(a) -> bool:
     """Hurwitz stability test for Metzler matrices.
 
-    Strict mode uses the positive-solution certificate: a Metzler A is
-    Hurwitz iff A y = -1 has an entrywise positive solution y (then
-    -A^{-1} is nonnegative and y is its row sums). Weak mode checks
-    eta(A) <= STABILITY_TOL instead.
+    Uses the positive-solution certificate: a Metzler A is Hurwitz iff
+    A y = -1 has an entrywise positive solution y (then -A^{-1} is
+    nonnegative and y is its row sums).
     """
     arr = validate_metzler(a)
-    if not strict:
-        return spectral_abscissa(arr) <= STABILITY_TOL
     return positive_solution(arr, -np.ones(arr.shape[0])) is not None
 
 
-def is_schur_stable(a, *, strict: bool = True, level: float = 1.0) -> bool:
+def is_schur_stable(a, *, level: float = 1.0) -> bool:
     """Schur stability test for nonnegative matrices: rho(A) < level.
 
-    Strict mode checks that (level*I - A) y = 1 has an entrywise positive
-    solution y, which holds iff level*I - A has a nonnegative inverse; weak
-    mode checks rho(A) <= level + STABILITY_TOL.
+    Checks that (level*I - A) y = 1 has an entrywise positive solution y,
+    which holds iff level*I - A has a nonnegative inverse.
     """
     arr = validate_nonnegative(a)
     if level <= 0.0:
         raise PreconditionError("level must be positive")
     d = arr.shape[0]
-    if not strict:
-        return spectral_radius(arr) <= level + STABILITY_TOL
     return positive_solution(level * np.eye(d) - arr, np.ones(d)) is not None
 
 

@@ -103,20 +103,21 @@ class FrobeniusSplit:
 
 
 def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
-                 incumbent: int | None = None, tol: float = TIE_TOL) -> int:
+                 incumbent: int | None = None) -> int:
     """Index of the row optimizing <row, v>, keeping the incumbent on ties.
 
-    Without an incumbent, ties resolve to the lowest index (numpy argmax /
-    argmin first-occurrence behaviour).
+    The incumbent ties within ``TIE_TOL`` of the optimum. Without an
+    incumbent, ties resolve to the lowest index (numpy argmax / argmin
+    first-occurrence behaviour).
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     keep = None if incumbent is None else np.array([incumbent])
-    return int(_choose_rows(rows @ v, np.array([0]), keep, direction, tol)[0])
+    return int(_choose_rows(rows @ v, np.array([0]), keep, direction)[0])
 
 
-def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices, direction: str,
-                 tol: float) -> np.ndarray:
+def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices,
+                 direction: str) -> np.ndarray:
     # row_optimize for every menu at once: menu i holds scores[offsets[i]:
     # offsets[i + 1]] and its incumbent is choices[i] (None: no incumbents).
     if direction == "max":
@@ -129,7 +130,7 @@ def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices, direction: st
     if choices is None:
         return first
     gap = np.abs(scores[offsets + choices] - best)
-    return np.where(gap <= tol * np.maximum(1.0, np.abs(best)), choices, first)
+    return np.where(gap <= TIE_TOL * np.maximum(1.0, np.abs(best)), choices, first)
 
 
 def selective_greedy(family: ProductFamily, direction: str = "max", *,
@@ -177,8 +178,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     for it in range(1, max_iter + 1):
         pair = core.selected_leading_eigenpair(x, tol=eig_tol)
         abscissa_trace.append(pair.value)
-        new = _choose_rows(allrows @ pair.vector, offsets, choices, direction,
-                           TIE_TOL)
+        new = _choose_rows(allrows @ pair.vector, offsets, choices, direction)
         if np.array_equal(new, choices):
             flag = direction == "max" and bool(
                 core.support(pair.vector).size < d)

@@ -13,7 +13,9 @@ order until the budget runs out. Each swept iterate gets one eigen call at
 the caller's tolerance, whose value decides whether the ball minimum is
 stable, on the boundary or infeasible and whose vector drives the next
 sweep; the input's own pair, computed once for the precondition, starts
-every ball. Each sweep yields a decomposition
+every ball. The descent loop is shared with the sign ball, and an iterate
+seen before ends it on the first least-value iterate seen, so a sweep that
+flips between two minimizers settles. Each sweep yields a decomposition
 X = C - tau*R (R marks the pivot column per row), and when the ball minimum
 goes strictly stable the exact boundary budget along the frozen (C, R) pair
 follows from one Perron computation, which gives the outer loop its
@@ -32,7 +34,7 @@ from .errors import IterationLimitError, PreconditionError
 ZERO_TOL = 1e-8
 _FP_RTOL = 1e-12
 _NEG_GUARD = 1e-7
-# Sweep budget of one ball minimization.
+# Sweep budget of one greedy descent, in the l-inf ball or the sign ball.
 _MAX_SWEEPS = 500
 
 
@@ -51,14 +53,6 @@ class CRDecomposition:
 
     def matrix(self) -> np.ndarray:
         return self.c - self.tau * self.r
-
-
-@dataclass(frozen=True)
-class _BallMinimum:
-    status: str  # "stable" | "boundary" | "infeasible"
-    matrix: np.ndarray
-    objective: float
-    cr: CRDecomposition | None
 
 
 def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
@@ -188,39 +182,37 @@ def _threshold(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ball_minimum(base: np.ndarray, base_pair: core.EigenPair, tau: float,
-                  schur: bool, level: float, tol: float) -> _BallMinimum:
-    """Greedy minimization of the leading eigenvalue over the ball B_tau(base).
+def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
+    """Selective greedy descent of the leading eigenvalue from ``x``.
 
-    ``base_pair`` is the leading pair of ``base``, where every ball starts.
-    Each later iterate gets one eigen call at ``tol``, whose value decides
-    the status and whose vector drives the next sweep. Returns as soon as a
-    swept iterate goes strictly below ``level``, or when the sweep reaches a
-    fixed point, which is the certified ball minimum. Raises
-    IterationLimitError after ``_MAX_SWEEPS`` sweeps.
+    ``pair`` is the leading pair of ``x``. ``step(x, pair)`` returns the
+    next iterate with a record of how it was made, or None where ``x`` is
+    final. Each new iterate gets one eigen call at ``tol``. An iterate seen
+    before proves a plateau that the steps cycle on, and then the first
+    least-value iterate seen is returned. Returns (x, pair, record, values):
+    the final iterate, its pair, its step's record (None for the start) and
+    the value of every iterate in turn. Raises IterationLimitError after
+    ``_MAX_SWEEPS`` steps.
     """
-    x, pair = base.copy(), base_pair
-    cr_last = None
-    scale = max(1.0, float(np.abs(base).max()) + tau)
+    record, values = None, [pair.value]
+    # A repeat has the same value, which gates the (practically exact) hash.
+    seen = {(pair.value, hash(x.tobytes()))}
+    best = (x, pair, record)
     for _ in range(_MAX_SWEEPS):
-        # The base is above level (a precondition), so a stable iterate has
-        # a sweep, and its (C, R) pair, behind it.
-        if pair.value < level - ZERO_TOL:
-            return _BallMinimum("stable", x, pair.value, cr_last)
-        x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
-        if float(np.abs(x_next - x).max()) <= _FP_RTOL * scale:
-            if abs(pair.value - level) <= ZERO_TOL:
-                status = "boundary"
-            elif pair.value > level:
-                status = "infeasible"
-            else:
-                status = "stable"
-            return _BallMinimum(status, x, pair.value, cr_last)
-        x, cr_last = x_next, cr
+        nxt = step(x, pair)
+        if nxt is None:
+            return x, pair, record, values
+        x, record = nxt
         pair = core.selected_leading_eigenpair(x, tol=tol)
+        values.append(pair.value)
+        key = (pair.value, hash(x.tobytes()))
+        if key in seen:
+            return (*best, values)
+        seen.add(key)
+        if pair.value < best[1].value:
+            best = (x, pair, record)
     raise IterationLimitError(
-        f"ball greedy did not settle in {_MAX_SWEEPS} sweeps at tau={tau}",
-        best=x)
+        f"greedy descent did not settle in {_MAX_SWEEPS} sweeps", best=best[0])
 
 
 def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | None:
@@ -257,23 +249,38 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
                          schur: bool, level: float, tol: float,
                          max_outer: int) -> core.StabilizationResult:
     norm0 = core.matrix_norm(base, core.NormKind.INF)
+    base_max = float(np.abs(base).max())
     tau_lo = 0.0
     tau_hi = None
     tau = norm0 / 2.0 if norm0 > 0.0 else 1.0
     trace: list[tuple[float, float]] = []
-    best: tuple[float, _BallMinimum] | None = None
+    best: tuple[float, np.ndarray, float] | None = None
+
+    def step(x, pair):
+        # One sweep over the ball of the current tau. A strictly stable
+        # iterate ends the ball early, and a fixed point is its certified
+        # minimum. The base is above level (a precondition), so a stable
+        # iterate has a sweep, and its (C, R) pair, behind it.
+        if pair.value < level - ZERO_TOL:
+            return None
+        x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
+        if float(np.abs(x_next - x).max()) <= _FP_RTOL * max(1.0, base_max + tau):
+            return None
+        return x_next, cr
+
     for outer in range(1, max_outer + 1):
-        bm = _ball_minimum(base, base_pair, tau, schur, level, tol)
-        trace.append((tau, bm.objective))
-        if bm.status == "boundary":
+        x, pair, cr, _ = _descend(base, base_pair, step, tol)
+        value = pair.value
+        trace.append((tau, value))
+        if abs(value - level) <= ZERO_TOL:
             return core.StabilizationResult(
-                tau_star=tau, matrix=bm.matrix, iterations=outer,
-                abscissa=bm.objective, trace=tuple(trace))
-        if bm.status == "stable":
+                tau_star=tau, matrix=x, iterations=outer,
+                abscissa=value, trace=tuple(trace))
+        if value < level:
             tau_hi = tau
             if best is None or tau < best[0]:
-                best = (tau, bm)
-            cand = _jump_candidate(bm.cr, schur, level)
+                best = (tau, x, value)
+            cand = _jump_candidate(cr, schur, level)
             eps = 1e-14 * max(1.0, tau)
             if cand is None or cand <= tau_lo + eps:
                 cand = 0.5 * (tau_lo + tau_hi)
@@ -287,15 +294,14 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
             else:
                 tau = 0.5 * (tau_lo + tau_hi)
         if tau_hi is not None and tau_hi - tau_lo <= 1e-12 * max(1.0, norm0):
-            held = best[1]
             return core.StabilizationResult(
-                tau_star=best[0], matrix=held.matrix, iterations=outer,
-                abscissa=held.objective, trace=tuple(trace))
+                tau_star=best[0], matrix=best[1], iterations=outer,
+                abscissa=best[2], trace=tuple(trace))
     raise IterationLimitError(
         f"tau search did not converge in {max_outer} outer iterations",
         best=None if best is None else core.StabilizationResult(
-            tau_star=best[0], matrix=best[1].matrix, iterations=max_outer,
-            abscissa=best[1].objective, trace=tuple(trace)))
+            tau_star=best[0], matrix=best[1], iterations=max_outer,
+            abscissa=best[2], trace=tuple(trace)))
 
 
 def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,

@@ -27,6 +27,10 @@ from .sign import SignMatrix, closest_stable_sign, is_sign_stable, sign_pattern
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _ACTIVE_TOL = 1e-12
+# Relative diagonal shift that pushes boundary results strictly inside, and
+# the number of hull repair rounds of the planar stabilizer.
+_MARGIN = 1e-4
+_REPAIR_ROUNDS = 20
 # Eigen tolerance of the hull scan and its refinement; the worst point found
 # is evaluated again at the default tolerance.
 _SCAN_TOL = 1e-10
@@ -170,27 +174,23 @@ def hull_max_abscissa(system: SwitchingSystem, *,
     return HullPoint(weights=w, matrix=matrix, abscissa=value)
 
 
-def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
-                     budget: int = 20, resolution: int | None = None) -> LSS2DResult:
+def stabilize_2d_lss(system: SwitchingSystem, *,
+                     resolution: int | None = None) -> LSS2DResult:
     """Stabilize a planar switching system under arbitrary switching.
 
     First replaces each unstable mode by its l-inf closest stable matrix
-    (shifted down the diagonal by a small margin so the result is strictly
-    stable), then repairs remaining unstable hull points: the worst point's
-    l-inf repair is distributed over the active modes as proportional
-    off-diagonal cuts plus the common diagonal shift, and the hull is
-    re-checked. Terminates when the hull maximum is strictly negative;
-    per-mode l-inf distances from the input modes are reported in
-    ``mode_taus``.
+    (shifted down the diagonal by a small margin, ``_MARGIN``, so the result
+    is strictly stable), then repairs remaining unstable hull points: the
+    worst point's l-inf repair is distributed over the active modes as
+    proportional off-diagonal cuts plus the common diagonal shift, and the
+    hull is re-checked. Terminates when the hull maximum is strictly
+    negative, and raises after ``_REPAIR_ROUNDS`` rounds; per-mode l-inf
+    distances from the input modes are reported in ``mode_taus``.
     """
     if system.dim != 2:
         raise PreconditionError(
             f"hull stability decides switching stability only in dimension 2, "
             f"got dimension {system.dim}")
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     d = system.dim
     eye = np.eye(d)
     diag = eye > 0.0
@@ -198,7 +198,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
 
     def strictify(a: np.ndarray) -> np.ndarray:
         # Boundary results (eta = 0) get pushed strictly inside.
-        shift = margin * max(1.0, core.matrix_norm(a, core.NormKind.INF))
+        shift = _MARGIN * max(1.0, core.matrix_norm(a, core.NormKind.INF))
         return a - shift * eye
 
     for idx, mode in enumerate(modes):
@@ -209,7 +209,7 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
             modes[idx] = strictify(mode)
 
     hp = None
-    for outer in range(1, budget + 1):
+    for outer in range(1, _REPAIR_ROUNDS + 1):
         hp = hull_max_abscissa(SwitchingSystem(tuple(modes)), resolution=resolution)
         if hp.abscissa < 0.0:
             taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
@@ -233,10 +233,10 @@ def stabilize_2d_lss(system: SwitchingSystem, *, margin: float = 1e-4,
     taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
                  for m, orig in zip(modes, system.modes))
     raise IterationLimitError(
-        f"hull repair did not converge in {budget} rounds; worst weights "
+        f"hull repair did not converge in {_REPAIR_ROUNDS} rounds; worst weights "
         f"{np.array2string(hp.weights, precision=6)} with abscissa {hp.abscissa:.6g}",
         best=LSS2DResult(system=SwitchingSystem(tuple(modes)),
-                         mode_taus=taus, iterations=budget, hull=hp))
+                         mode_taus=taus, iterations=_REPAIR_ROUNDS, hull=hp))
 
 
 def stabilize_lss_by_signs(system: SwitchingSystem) -> LSSSignResult:
@@ -277,4 +277,4 @@ def stabilize_lss_by_signs(system: SwitchingSystem) -> LSSSignResult:
         system=SwitchingSystem(tuple(new_modes)),
         union_sign=overlay, stable_sign=out.sign_matrix, k_star=out.k_star,
         mode_budgets=tuple(budgets), abscissa=out.abscissa,
-        acyclic=is_sign_stable(out.sign_matrix, strict=True))
+        acyclic=is_sign_stable(out.sign_matrix))

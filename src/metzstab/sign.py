@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, infnorm
-from .errors import CycleSuspicionError, PreconditionError
+from .errors import PreconditionError
 
 _GAIN_TOL = 1e-15
 # Relative width, in units of max(v), within which two gains count as tied.
 _TIE_RTOL = 1e-12
 # A ball sweep changes a row only when its score drops by more than this.
 _IMPROVE_TOL = 1e-12
-# Sweep budget of one ball minimization.
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,9 @@ class ClosestSignOutcome:
     fallback_used: bool = False
 
 
-def sign_pattern(a, *, tol: float = 0.0) -> SignMatrix:
-    """Entrywise sign of a numeric matrix, with |entry| <= tol treated as 0."""
-    arr = core.as_square_matrix(a)
-    out = np.sign(np.where(np.abs(arr) <= tol, 0.0, arr))
-    return SignMatrix(out.astype(np.int8))
+def sign_pattern(a) -> SignMatrix:
+    """Entrywise sign of a numeric matrix."""
+    return SignMatrix(np.sign(core.as_square_matrix(a)).astype(np.int8))
 
 
 def _require_metzler_pattern(m: SignMatrix) -> SignMatrix:
@@ -91,18 +87,14 @@ def _require_metzler_pattern(m: SignMatrix) -> SignMatrix:
     return m
 
 
-def is_sign_stable(m: SignMatrix, *, strict: bool = True) -> bool:
-    """Sign-stability test for a Metzler sign pattern.
+def is_sign_stable(m: SignMatrix) -> bool:
+    """Strong sign-stability test for a Metzler sign pattern.
 
-    Strict mode decides strong sign-stability combinatorially: all diagonal
-    entries - and the + off-diagonal graph acyclic. Weak mode checks
-    eta(sgn(M)) <= STABILITY_TOL.
+    Decided combinatorially: all diagonal entries - and the + off-diagonal
+    graph acyclic.
     """
     _require_metzler_pattern(m)
     e = m.entries
-    if not strict:
-        eta = core.selected_leading_eigenpair(m.realize()).value
-        return eta <= core.STABILITY_TOL
     # The + graph is acyclic exactly when every strong component is one node.
     return (int(np.diag(e).max()) < 0
             and len(core.strong_components(e > 0)) == m.dim)
@@ -133,45 +125,38 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     ``_ranked_support(v)``; a row changes only on strict score improvement,
     and a full no-change sweep certifies the minimum over the ball.
     Degenerate iterates can tie rows exactly, and eigensolver noise then
-    flips them back and forth; revisiting a state proves such a plateau, and
-    the best state seen is returned (states in the ball are finite, so this
+    flips them back and forth; the descent's revisit rule ends such a
+    plateau with the best state seen (states in the ball are finite, so this
     always terminates).
     """
     _require_metzler_pattern(m)
     if k < 0:
         raise PreconditionError(f"ball radius must be nonnegative, got {k}")
-    x = m.entries.copy()
+    return _sign_ball(m, k, core.selected_leading_eigenpair(m.realize()))
+
+
+def _sign_ball(m: SignMatrix, k: int, pair: core.EigenPair) -> SignBallOutcome:
+    # ``pair`` is the leading pair of sgn(M), where the descent starts.
     # Unit reductions of sgn(M) + I within l1 distance k, row by row.
+    start = m.realize()
     eye = np.eye(m.dim)
-    base = m.entries + eye
-    trace: list[float] = []
-    seen: set[bytes] = set()
-    best = None
-    for it in range(1, _MAX_SWEEPS + 1):
-        pair = core.selected_leading_eigenpair(x.astype(float))
-        trace.append(pair.value)
-        if best is None or pair.value < best[1].value:
-            best = (x.copy(), pair)
-        key = x.tobytes()
-        if key in seen:
-            x, pair = best
-            return SignBallOutcome(
-                sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=it,
-                eigenvector=pair.vector, abscissa_trace=tuple(trace))
-        seen.add(key)
+    base = start + eye
+
+    def step(x, pair):
         v = pair.vector
         cols = _ranked_support(v)
         rows, _, _ = infnorm._minimize_rows(base, cols, float(k), cols.size - 1,
                                             clamp=True)
         rows -= eye
         take = (x - rows) @ v > _IMPROVE_TOL
-        x[take] = rows[take]
         if not take.any():
-            return SignBallOutcome(
-                sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=it,
-                eigenvector=pair.vector, abscissa_trace=tuple(trace))
-    raise CycleSuspicionError(
-        f"sign ball greedy did not settle in {_MAX_SWEEPS} sweeps", trace=trace)
+            return None
+        return np.where(take[:, None], rows, x), None
+
+    x, pair, _, trace = infnorm._descend(start, pair, step, core.DEFAULT_TOL)
+    return SignBallOutcome(
+        sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=len(trace),
+        eigenvector=pair.vector, abscissa_trace=tuple(trace))
 
 
 def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
@@ -183,7 +168,8 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     linear upward scan as the fallback if numerics ever disagree.
     """
     _require_metzler_pattern(m)
-    eta0 = core.selected_leading_eigenpair(m.realize()).value
+    pair = core.selected_leading_eigenpair(m.realize())
+    eta0 = pair.value
     if eta0 <= core.STABILITY_TOL:
         return ClosestSignOutcome(sign_matrix=m, k_star=0, abscissa=eta0,
                                   evaluated=((0, eta0),))
@@ -193,7 +179,7 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
 
     def at(k: int) -> SignBallOutcome:
         if k not in memo:
-            memo[k] = sign_ball_minimize(m, k)
+            memo[k] = _sign_ball(m, k, pair)
         return memo[k]
 
     k_lo, k_hi = 0, norm

@@ -16,8 +16,7 @@ MODULES = (core, maxnorm, infnorm, family, sign, lss)
 
 OPTIONS = {
     "core.as_square_matrix": ("name",),
-    "core.is_hurwitz_stable": ("strict",),
-    "core.is_schur_stable": ("strict", "level"),
+    "core.is_schur_stable": ("level",),
     "core.matrix_norm": ("kind",),
     "core.power_iteration": ("max_iter",),
     "core.selected_leading_eigenpair": ("tol", "max_iter"),
@@ -31,12 +30,10 @@ OPTIONS = {
     "infnorm.closest_stable_inf_schur": ("allow_metzler", "tol", "max_outer"),
     "infnorm.closest_unstable_inf_schur": ("level",),
     "family.optimize_with_irreducibility_patch": ("direction", "greedy_kwargs"),
-    "family.row_optimize": ("direction", "incumbent", "tol"),
+    "family.row_optimize": ("direction", "incumbent"),
     "family.selective_greedy": ("direction", "start_choices", "max_iter", "eig_tol"),
-    "sign.is_sign_stable": ("strict",),
-    "sign.sign_pattern": ("tol",),
     "lss.hull_max_abscissa": ("resolution",),
-    "lss.stabilize_2d_lss": ("margin", "budget", "resolution"),
+    "lss.stabilize_2d_lss": ("resolution",),
 }
 
 
@@ -62,4 +59,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 38
+    assert sum(len(options) for options in found.values()) == 31

@@ -11,9 +11,12 @@ from metzstab import core, gen
 from metzstab.infnorm import (
     closest_stable_inf_hurwitz, closest_stable_inf_schur,
     closest_unstable_inf_hurwitz, closest_unstable_inf_schur)
+from metzstab.lss import SwitchingSystem, stabilize_lss_by_signs
 from metzstab.maxnorm import clamp_shift, closest_stable_max, closest_unstable_max
+from metzstab.sign import SignMatrix, closest_stable_sign
 
 import helpers
+import oracles
 
 
 @pytest.fixture
@@ -130,6 +133,36 @@ def test_the_linf_stabilizers_make_no_eig_call(stabilize, make, linalg_calls):
         stabilize(make(np.random.default_rng(seed), 25))
     assert linalg_calls["eigvals"] > 0
     assert linalg_calls["eig"] == 0
+
+
+def _unstable_sign(rng):
+    return SignMatrix(helpers.random_unstable_sign(rng, 5))
+
+
+def _unstable_overlay_system(rng):
+    # Three modes with negative diagonals whose sign overlay is unstable.
+    while True:
+        modes = rng.random((3, 4, 4)) * (rng.random((3, 4, 4)) < 0.4)
+        for m in modes:
+            np.fill_diagonal(m, -rng.uniform(0.5, 1.5, 4))
+        if oracles.abscissa(np.sign(np.sign(modes).sum(axis=0))) > 0.05:
+            return SwitchingSystem(tuple(modes))
+
+
+@pytest.mark.parametrize("stabilize,make", [
+    (closest_stable_sign, _unstable_sign),
+    (stabilize_lss_by_signs, _unstable_overlay_system),
+], ids=["sign", "lss-sign"])
+def test_the_sign_routes_never_repeat_an_eigen_call(stabilize, make, eigen_inputs):
+    # The input's pair serves the precondition and starts the descent of
+    # every radius: no matrix is solved twice within one solve.
+    for seed in range(5):
+        eigen_inputs.clear()
+        result = stabilize(make(np.random.default_rng(seed)))
+        assert result.k_star >= 1
+        solved = [m.tobytes() for m in eigen_inputs]
+        assert len(solved) > 1
+        assert len(set(solved)) == len(solved)
 
 
 def _is_diagonal(m):

@@ -340,6 +340,15 @@ def test_stab_one_norm_transposes(tmp_path, capsys):
     np.testing.assert_allclose(payload["matrix"], direct.matrix.T, atol=1e-12)
 
 
+def test_stab_one_norm_settles_on_a_flipping_ball(tmp_path, capsys):
+    path = matrix_file(tmp_path, goldens.SIGN_LATTICE)
+    code, _, err = run_cli(capsys, "stab-inf", "--norm", "one", path)
+    assert code == 0, err
+    assert "tau_star = 1.61803398875 " in err
+    payload = run_json(capsys, "stab-inf", "--norm", "one", path)
+    assert payload["tau_star"] == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("command, text, norm", [
     ("sign-stab", _SIGN_TEXT, "inf"),
     ("lss-check", _SWITCH_TEXT, "one"),

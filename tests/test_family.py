@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metzstab import core, family, gen
+from metzstab import core, gen
 from metzstab.errors import PreconditionError
 from metzstab.family import (
     FrobeniusSplit,
@@ -181,11 +181,11 @@ def _random_menus(rng, d):
     return menus
 
 
-def _row_optimize_on(scores, offsets, sizes, choices, direction, tol):
+def _row_optimize_on(scores, offsets, sizes, choices, direction):
     # row_optimize menu by menu on scores computed once: a one-column row
     # times 1.0 gives the score back exactly.
     return [row_optimize(scores[o:o + m, None], np.ones(1), direction,
-                         incumbent=c, tol=tol)
+                         incumbent=c)
             for o, m, c in zip(offsets, sizes, choices)]
 
 
@@ -206,7 +206,7 @@ def test_greedy_equals_a_row_by_row_reference(direction):
         for it in range(1, 201):
             pair = core.selected_leading_eigenpair(fam.matrix(choices))
             new = _row_optimize_on(allrows @ pair.vector, offsets, fam.sizes,
-                                   choices, direction, family.TIE_TOL)
+                                   choices, direction)
             if new == choices:
                 break
             choices = new

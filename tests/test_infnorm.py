@@ -178,6 +178,17 @@ def test_stabilized_matrix_is_feasible_and_on_boundary():
         assert oracles.abscissa(x) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_stabilize_settles_when_the_sweep_flips_between_two_minima():
+    # At tau* = (1 + sqrt 5) / 2 the sweep alternates between two iterates
+    # with eta = 0; the revisit rule ends the ball on the first of them.
+    a = goldens.SIGN_LATTICE.T
+    out = closest_stable_inf_hurwitz(a)
+    assert out.tau_star == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-9)
+    assert core.is_metzler(out.matrix)
+    assert core.matrix_norm(out.matrix - a, "inf") == pytest.approx(out.tau_star, rel=1e-9)
+    assert abs(out.abscissa) <= ZERO_TOL
+
+
 def test_stabilize_matches_grid_search_2d():
     rng = np.random.default_rng(53)
     for _ in range(12):

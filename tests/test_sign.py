@@ -28,8 +28,6 @@ def test_sign_matrix_validation():
 
 def test_sign_pattern_thresholds():
     a = np.array([[-2.0, 1e-12], [0.5, 3.0]])
-    np.testing.assert_array_equal(sign_pattern(a, tol=1e-9).entries,
-                                  [[-1, 0], [1, 1]])
     np.testing.assert_array_equal(sign_pattern(a).entries,
                                   [[-1, 1], [1, 1]])
 
@@ -54,10 +52,8 @@ def test_strict_sign_stability_examples():
     # a zero diagonal entry breaks strictness even at eta = 0
     web = SignMatrix(goldens.SIGN_WEB_STABLE)
     assert not is_sign_stable(web)
-    assert is_sign_stable(web, strict=False)
     # a 2-cycle forces eta >= 0
     assert not is_sign_stable(SignMatrix(goldens.signs("-+", "+-")))
-    assert not is_sign_stable(SignMatrix(goldens.SWITCH_OVERLAY), strict=False)
 
 
 def test_graph_and_spectral_routes_agree():
