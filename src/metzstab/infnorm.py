@@ -15,11 +15,13 @@ stable, on the boundary or infeasible and whose vector drives the next
 sweep; the input's own pair, computed once for the precondition, starts
 every ball. The descent loop is shared with the sign ball, and an iterate
 seen before ends it on the first least-value iterate seen, so a sweep that
-flips between two minimizers settles. Each sweep yields a decomposition
-X = C - tau*R (R marks the pivot column per row), and when the ball minimum
-goes strictly stable the exact boundary budget along the frozen (C, R) pair
-follows from one Perron computation, which gives the outer loop its
-superlinear jumps.
+flips between two minimizers settles. A sweep yields X = C - tau*R (R marks
+each row's pivot); from a stable ball minimum one Perron computation gives
+the exact boundary budget along the frozen (C, R), the outer search's
+superlinear jump. The search starts at the radius of a closed-form boundary
+matrix, A - eta*I or A*level/rho. After an infeasible probe, or a jump that
+fails or lands by tau_lo, it takes the secant through the last two radii
+with an objective (value - level), bisecting where it leaves the bracket.
 """
 
 from __future__ import annotations
@@ -250,11 +252,15 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
                          max_outer: int) -> core.StabilizationResult:
     norm0 = core.matrix_norm(base, core.NormKind.INF)
     base_max = float(np.abs(base).max())
-    tau_lo = 0.0
-    tau_hi = None
-    tau = norm0 / 2.0 if norm0 > 0.0 else 1.0
+    # A closed-form boundary matrix bounds tau*: A * level/rho or A - (eta - level) I.
+    excess = base_pair.value - level
+    if schur:
+        best = (norm0 * excess / base_pair.value, base * (level / base_pair.value), level)
+    else:
+        best = (excess, base - excess * np.eye(base.shape[0]), level)
+    tau, tau_lo = best[0], 0.0
+    known = [(0.0, excess)]  # (tau, value - level) for the secant; B_0(A) = {A}
     trace: list[tuple[float, float]] = []
-    best: tuple[float, np.ndarray, float] | None = None
 
     def step(x, pair):
         # One sweep over the ball of the current tau. A strictly stable
@@ -268,40 +274,36 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
             return None
         return x_next, cr
 
+    def result(tau, x, value, outer):
+        return core.StabilizationResult(tau_star=tau, matrix=x, iterations=outer,
+                                        abscissa=value, trace=tuple(trace))
+
     for outer in range(1, max_outer + 1):
         x, pair, cr, _ = _descend(base, base_pair, step, tol)
         value = pair.value
         trace.append((tau, value))
         if abs(value - level) <= ZERO_TOL:
-            return core.StabilizationResult(
-                tau_star=tau, matrix=x, iterations=outer,
-                abscissa=value, trace=tuple(trace))
+            return result(tau, x, value, outer)
         if value < level:
-            tau_hi = tau
-            if best is None or tau < best[0]:
-                best = (tau, x, value)
-            cand = _jump_candidate(cr, schur, level)
-            eps = 1e-14 * max(1.0, tau)
-            if cand is None or cand <= tau_lo + eps:
-                cand = 0.5 * (tau_lo + tau_hi)
-            tau = cand
+            best = (tau, x, value)
         else:
             tau_lo = tau
-            if tau_hi is None:
-                # Feasibility is guaranteed by tau = ||A||_inf + 1 (each row
-                # can absorb its whole l1 mass), so doubling terminates.
-                tau = min(2.0 * tau if tau > 0.0 else 1.0, norm0 + 1.0)
-            else:
-                tau = 0.5 * (tau_lo + tau_hi)
-        if tau_hi is not None and tau_hi - tau_lo <= 1e-12 * max(1.0, norm0):
-            return core.StabilizationResult(
-                tau_star=best[0], matrix=best[1], iterations=outer,
-                abscissa=best[2], trace=tuple(trace))
+        if value > 0.0 or not schur:  # a Schur value of 0 is a floor: no slope
+            known.append((tau, value - level))
+        width = best[0] - tau_lo
+        if width <= 1e-12 * max(1.0, norm0):
+            return result(*best, outer)
+        tau = _jump_candidate(cr, schur, level) if value < level else None
+        if tau is None or tau <= tau_lo + 1e-3 * width:
+            # The secant through the last two known radii, or the midpoint
+            # where it leaves the bracket, kept 1e-3 of the width inside it.
+            (t1, f1), (t2, f2) = known[-2:] if len(known) > 1 else known * 2
+            t = t2 - f2 * (t2 - t1) / (f2 - f1) if f1 != f2 else tau_lo
+            t = t if tau_lo < t < best[0] else tau_lo + 0.5 * width
+            tau = min(max(t, tau_lo + 1e-3 * width), best[0] - 1e-3 * width)
     raise IterationLimitError(
         f"tau search did not converge in {max_outer} outer iterations",
-        best=None if best is None else core.StabilizationResult(
-            tau_star=best[0], matrix=best[1], iterations=max_outer,
-            abscissa=best[2], trace=tuple(trace)))
+        best=result(*best, max_outer))
 
 
 def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
@@ -309,7 +311,10 @@ def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
     """Closest Hurwitz-stable Metzler matrix in the l-inf norm, for eta(A) > 0.
 
     Alternates ball-greedy minimization with exact boundary jumps on the
-    frozen (C, R) structure, maintaining an (infeasible, feasible) bracket.
+    frozen (C, R) structure, maintaining an (infeasible, feasible) bracket
+    that starts as (0, eta(A)): A - eta(A) I is on the boundary. After an
+    infeasible probe, or a jump that fails or lands at tau_lo, a secant step
+    on (tau, eta) follows, and bisection where the secant leaves the bracket.
     Completion is accepted when the ball minimum satisfies |eta| <= ZERO_TOL.
     ``max_outer`` bounds the outer steps, each one ball minimization.
     """

@@ -135,6 +135,34 @@ def test_the_linf_stabilizers_make_no_eig_call(stabilize, make, linalg_calls):
     assert linalg_calls["eig"] == 0
 
 
+def _scaled_unstable_metzler(rng, d, scale):
+    return helpers.random_unstable_metzler(rng, d) * scale
+
+
+def _nonneg_past_level(rng, d, excess):
+    # The Schur level fixes the units, so the excess rho - 1 stands in for
+    # the scale.
+    a = rng.uniform(0.1, 1.0, size=(d, d))
+    return a * ((1.0 + excess) / oracles.radius(a))
+
+
+@pytest.mark.parametrize("stabilize,make", [
+    (closest_stable_inf_hurwitz, _scaled_unstable_metzler),
+    (closest_stable_inf_schur, _nonneg_past_level),
+    (functools.partial(closest_stable_inf_schur, allow_metzler=True), _nonneg_past_level),
+], ids=["hurwitz", "schur", "schur-metzler"])
+def test_the_linf_tau_search_takes_few_outer_steps(stabilize, make):
+    # The search starts at a closed-form stable radius and steps by jumps
+    # and secants; a start at ||A||_inf / 2 with a midpoint after every
+    # undershooting jump took up to 29 outer steps on these inputs.
+    steps = {}
+    for d in (10, 25, 50):
+        for e in range(-3, 4):
+            out = stabilize(make(np.random.default_rng([d, e + 3]), d, 10.0 ** e))
+            steps[d, e] = out.iterations
+    assert max(steps.values()) <= 12, steps
+
+
 def _unstable_sign(rng):
     return SignMatrix(helpers.random_unstable_sign(rng, 5))
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,23 @@ def test_tau_probes_decrease_once_feasible():
         accepted = [t for t, obj in out.trace if obj < -ZERO_TOL]
         assert all(b < a_ for a_, b in zip(accepted, accepted[1:]))
         assert out.tau_star <= min(accepted, default=out.tau_star) + 1e-12
+
+
+@pytest.mark.parametrize("stabilize,make,bound", [
+    (closest_stable_inf_hurwitz, helpers.random_unstable_metzler, oracles.abscissa),
+    (closest_stable_inf_schur, helpers.random_unstable_nonneg,
+     lambda a: np.abs(a).sum(axis=1).max() * (1.0 - 1.0 / oracles.radius(a))),
+    (functools.partial(closest_stable_inf_schur, allow_metzler=True),
+     helpers.random_unstable_nonneg, lambda a: oracles.radius(a) - 1.0),
+], ids=["hurwitz", "schur", "schur-metzler"])
+def test_tau_search_starts_at_a_closed_form_stable_radius(stabilize, make, bound):
+    """The first probe is the distance to A - eta I, A / rho or A - (rho - 1) I."""
+    rng = np.random.default_rng(71)
+    for d in (1, 2, 5, 12, 30):
+        a = make(rng, d)
+        out = stabilize(a)
+        assert out.trace[0][0] == pytest.approx(bound(a), rel=1e-9)
+        assert out.tau_star <= out.trace[0][0]
 
 
 def test_sweep_output_matches_its_cr_decomposition():
