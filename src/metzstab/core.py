@@ -322,9 +322,14 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     lam_prev = np.inf
     resid = np.inf
     floor = _RESIDUAL_FLOOR_ULPS * _EPS
+    it = 0
     for it in range(1, budget + 1):
         y = shifted @ x
         lam = float(y.sum())  # x sums to one, so this is the Rayleigh value
+        if not 0.0 < lam < np.inf:
+            # Subnormal weights underflow the shift and the product: y / lam
+            # would be no iterate, and every further one NaN.
+            break
         resid = float(np.abs(y - lam * x).max())
         # Rounding keeps the residual near eps * lam, which exceeds tol once
         # lam passes about tol / (16 eps), some 280 at the default tol.
@@ -335,11 +340,11 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
         lam_prev = lam
         x = y / lam
     if certify:
-        return _certified_pair(block, tol, budget)
-    best = EigenPair(lam - shift, x, max_iter, resid)
+        return _certified_pair(block, tol, it)
+    best = EigenPair(lam - shift, x, it, resid)
     raise IterationLimitError(
         f"power iteration on a {d}-node irreducible block did not reach "
-        f"tol={tol} in {max_iter} iterations (residual {resid:.3e})", best=best)
+        f"tol={tol} in {it} iterations (residual {resid:.3e})", best=best)
 
 
 def _collatz_wielandt(x: np.ndarray, y: np.ndarray,

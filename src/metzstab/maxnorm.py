@@ -7,8 +7,10 @@ is Hurwitz.
 Stabilization of an unstable A searches over the clamp family
 A(tau) = (A - tau*ones) clamped to keep off-diagonal entries nonnegative:
 A(tau) is piecewise linear in tau with breakpoints at the distinct positive
-entries of A, so between two adjacent breakpoints that bracket the stability
-boundary the exact crossing follows from one Perron computation.
+entries of A, and eta(A(tau)) falls strictly, with slope at most -1, so one
+pair of adjacent breakpoints brackets the stability boundary. False position
+on the breakpoint grid finds that pair, and inside it the exact crossing
+follows from one Perron computation.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
                        eig_max_iter: int = core.DEFAULT_MAX_ITER) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the max norm, for eta(A) > 0.
 
-    Bisects the breakpoint grid {0} U {distinct positive entries of A} for
-    the sign change of eta(A(tau)), then resolves the exact crossing inside
-    the bracketing linear piece: with H = (A(tau1) - A(tau2)) / (tau2 - tau1),
-    tau* = tau2 - 1 / rho(-A(tau2)^{-1} H). If the largest diagonal entry is
+    Searches the breakpoint grid {0} U {distinct positive entries of A} for
+    the sign change of eta(A(tau)) by false position (see the loop), then
+    resolves the exact crossing inside the bracketing linear piece: with
+    H = (A(tau1) - A(tau2)) / (tau2 - tau1), tau* = tau2 - 1 / rho(-A(tau2)^{-1} H). If the largest diagonal entry is
     also the largest entry overall, the boundary sits exactly there, at the
     top breakpoint.
     """
@@ -94,8 +96,24 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         return core.StabilizationResult(tau_star=float(grid[hi]), matrix=x,
                                         iterations=eval_count, abscissa=eta_hi,
                                         trace=tuple(trace))
+    # False position on the bracket's ends, snapped to the grid strictly
+    # inside the bracket. eta falls with slope at most -1, so the crossing
+    # lies in [tau_hi + eta_hi, tau_lo + eta_lo], where the chord is clipped.
+    # Illinois: an end kept twice in a row has its weight in the chord
+    # halved, so the chord cannot stall against it. After as many steps as
+    # bisection would take, ceil(log2(hi - lo)), the steps are index
+    # midpoints, so no input takes more than twice bisection's steps.
+    eta_lo, w_lo, w_hi = eta0, 1.0, 1.0
+    moved = 0  # +1 after lo moved, -1 after hi moved
+    budget = eval_count + (hi - 1).bit_length()
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        if eval_count < budget:
+            f_lo, f_hi = w_lo * eta_lo, w_hi * eta_hi
+            chord = grid[lo] + f_lo * (grid[hi] - grid[lo]) / (f_lo - f_hi)
+            chord = min(max(chord, grid[hi] + eta_hi), grid[lo] + eta_lo)
+            mid = min(max(int(np.searchsorted(grid, chord)), lo + 1), hi - 1)
+        else:
+            mid = (lo + hi) // 2
         value = eta_at(float(grid[mid]))
         if abs(value) <= ZERO_TOL:
             x = _clamp(arr, float(grid[mid]))
@@ -103,9 +121,13 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
                                             iterations=eval_count, abscissa=value,
                                             trace=tuple(trace))
         if value > 0.0:
-            lo = mid
+            if moved > 0:
+                w_hi *= 0.5
+            lo, eta_lo, w_lo, moved = mid, value, 1.0, 1
         else:
-            hi = mid
+            if moved < 0:
+                w_lo *= 0.5
+            hi, eta_hi, w_hi, moved = mid, value, 1.0, -1
 
     tau1, tau2 = float(grid[lo]), float(grid[hi])
     a2 = _clamp(arr, tau2)

@@ -3,7 +3,9 @@
 Nothing in this module calls the package. Eigenvalues come from numpy's QR
 solver, row minimization from scipy's HiGHS LP, and optima over finite
 families from brute-force enumeration, so agreement with the package is
-evidence rather than tautology.
+evidence rather than tautology. The one exception takes the package's eigen
+functions as arguments: ``clamp_grid_bisection`` fixes a search rule, not
+the values it searches.
 """
 
 import itertools
@@ -110,6 +112,49 @@ def clamp_tau_root(a: np.ndarray, *, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def clamp_grid_bisection(a: np.ndarray, abscissa_of, radius_of,
+                         zero_tol: float = 1e-12):
+    """Index bisection over the clamp breakpoints: (tau*, matrix, evaluations).
+
+    The search rule ``closest_stable_max`` used before its false position:
+    halve the bracket of grid indices {0} U {distinct positive entries} on
+    the sign of eta, return a breakpoint whose |eta| <= ``zero_tol``, else
+    resolve the adjacent bracket by the closed-form crossing. The eigen
+    functions come in as arguments, so a test can hand it the package's
+    and compare the search rules alone, bit for bit.
+    """
+    def clamp(tau):
+        x = np.maximum(a - tau, 0.0)
+        np.fill_diagonal(x, np.diag(a) - tau)
+        return x
+
+    grid = np.concatenate(([0.0], np.unique(a[a > 0.0])))
+    lo, hi = 0, len(grid) - 1
+    evals = 1
+    top = float(grid[hi])
+    if abs(float(np.diag(a).max()) - top) <= zero_tol:
+        return top, clamp(top), evals
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        evals += 1
+        value = abscissa_of(clamp(float(grid[mid])))
+        if abs(value) <= zero_tol:
+            return float(grid[mid]), clamp(float(grid[mid])), evals
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    tau1, tau2 = float(grid[lo]), float(grid[hi])
+    a2 = clamp(tau2)
+    h = (clamp(tau1) - a2) / (tau2 - tau1)
+    try:
+        m = -np.linalg.solve(a2, h)
+    except np.linalg.LinAlgError:
+        return tau2, a2, evals
+    tau = tau2 - 1.0 / radius_of(np.maximum(m, 0.0))
+    return tau, clamp(tau), evals + 1
 
 
 def _sign_row_options(orig_row: np.ndarray, i: int, k: int):

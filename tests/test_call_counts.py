@@ -212,6 +212,18 @@ def test_closest_stable_max_makes_no_eigen_call_on_a_diagonal_clamp(make, eigen_
     assert out.trace[1] == (tau, core.spectral_abscissa(clamp_shift(a, tau)))
 
 
+def test_the_max_norm_search_takes_few_evaluations():
+    # False position on the breakpoint grid; index bisection took 13-19
+    # evaluations on these inputs (the top breakpoint and the crossing
+    # count too).
+    counts = {}
+    for d in (50, 120, 300):
+        for s in range(3):
+            a = gen.generate_metzler(d, unstable=True, seed=7000 * d + s)
+            counts[d, s] = closest_stable_max(a).iterations
+    assert max(counts.values()) <= 9, counts
+
+
 def test_the_metzler_schur_stabilizer_does_not_solve_the_input_shifted(eigen_inputs):
     # allow_metzler stabilizes A - I, whose pair is the input's pair shifted
     # by -1: no call sees a matrix equal to an earlier one minus I.

@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ def test_fallback_escapes_per_irreducible_block():
     assert pair.residual <= 1e-12
     with pytest.raises(IterationLimitError):
         core.selected_leading_eigenpair(_with_a_node(LARGE_BLOCK_70), max_iter=3)
+
+
+def _subnormal_cycle(d):
+    # An irreducible d-cycle of weight 5e-324 on the diagonal -6: the power
+    # shift and every product underflow, so the first Rayleigh value is 0.
+    a = np.roll(np.eye(d), 1, axis=1) * 5e-324
+    return a - 6.0 * np.eye(d)
+
+
+def test_power_loop_stops_at_an_underflowed_rayleigh_value():
+    # It used to divide by that 0 and spend its whole budget on NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = core.selected_leading_eigenpair(_subnormal_cycle(3))
+        assert pair.value == pytest.approx(-6.0, abs=1e-12)
+        assert pair.method == "certified"
+        assert pair.iterations <= 1
+        with pytest.raises(IterationLimitError) as info:
+            core.selected_leading_eigenpair(_subnormal_cycle(core.DENSE_FALLBACK_DIM + 6))
+    assert info.value.best.iterations <= 1
 
 
 def test_method_and_bracket_compose_over_blocks():

@@ -95,6 +95,59 @@ def test_stabilize_matches_bisection_oracle():
             out.tau_star, abs=1e-10)
 
 
+def _skewed(rng, p):
+    # Off-diagonal mass piled near zero: the clamp's eta falls steeply at
+    # small tau and with slope near -1 at the crossing.
+    a = rng.uniform(0.0, 1.0, (60, 60)) ** p
+    np.fill_diagonal(a, rng.uniform(-1.0, 1.0, 60))
+    return a
+
+
+def _sparse(rng):
+    a = rng.uniform(0.0, 1.0, (80, 80)) * (rng.uniform(size=(80, 80)) < 0.05)
+    np.fill_diagonal(a, rng.uniform(-1.0, 1.0, 80))
+    return a
+
+
+def _integer(rng):
+    # Integer entries put the crossing on a breakpoint (an exact hit) often.
+    while True:
+        a = rng.integers(0, 5, (6, 6)).astype(float)
+        np.fill_diagonal(a, rng.integers(-4, 4, 6))
+        if oracles.abscissa(a) > 0.5:
+            return a
+
+
+def _parity_inputs():
+    for d in (3, 5, 10, 50, 120):
+        for s in range(3):
+            yield f"gen-{d}-{s}", gen.generate_metzler(d, unstable=True, seed=[d, s])
+    for p in (2, 8, 20):
+        for s in range(3):
+            yield f"skewed-{p}-{s}", _skewed(np.random.default_rng([p, s]), p)
+    for s in range(3):
+        yield f"sparse-{s}", _sparse(np.random.default_rng([80, s]))
+    for s in range(8):
+        yield f"integer-{s}", _integer(np.random.default_rng([6, s]))
+
+
+def test_stabilize_matches_grid_bisection_bitwise():
+    # The search rule may change how many breakpoints are probed, never the
+    # bracket: eta(A(tau)) falls strictly, so the sign change between
+    # adjacent breakpoints is unique, and so are tau* and the matrix.
+    extra = {}
+    for name, a in _parity_inputs():
+        for scale in (1e-6, 1.0, 1e6):
+            b = a * scale
+            out = closest_stable_max(b)
+            tau, x, evaluations = oracles.clamp_grid_bisection(
+                b, core.spectral_abscissa, core.spectral_radius)
+            assert out.tau_star == tau, (name, scale)
+            assert np.array_equal(out.matrix, x), (name, scale)
+            extra[name, scale] = out.iterations - evaluations
+    assert max(extra.values()) <= 2, extra
+
+
 @pytest.mark.parametrize("d,s", [(200, 2), (200, 4), (300, 0), (300, 1), (300, 2), (300, 5)])
 def test_stabilize_large_instances_with_diagonal_top_breakpoint(d, s):
     # The clamp iterate at the top breakpoint is diagonal, and after the
