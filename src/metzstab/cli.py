@@ -220,12 +220,15 @@ def _cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
+    # --tol, --max-iter and --seed go only on the commands that read them.
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--tol", type=float, default=None,
                         help="convergence tolerance (op-specific default)")
-    common.add_argument("--max-iter", type=int, default=None,
+    budget.add_argument("--max-iter", type=int, default=None,
                         help="iteration budget (op-specific default)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--norm", choices=("max", "inf", "one"), default=None,
                         help="norm variant where applicable")
     common.add_argument("--json", action="store_true",
@@ -237,23 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization, sign and switching-system stabilization.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, help_text, norms=(), **defaults):
-        p = subs.add_parser(name, parents=[common], help=help_text)
+    def sub(name, func, help_text, norms=(), flags=(), **defaults):
+        p = subs.add_parser(name, parents=[*flags, common], help=help_text)
         p.set_defaults(func=func, norms=norms, **defaults)
         return p
 
-    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix")
+    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix", flags=[budget])
     p.add_argument("matrix", help="matrix file or - for stdin")
 
     for name, (help_text, norms, level, _) in _CLOSEST.items():
-        sub(name, _cmd_closest, help_text, norms, level=level).add_argument("matrix")
+        flags = [budget] if name.startswith("stab-") else []
+        sub(name, _cmd_closest, help_text, norms, flags, level=level).add_argument("matrix")
     subs.choices["destab-schur"].add_argument(
         "--level", type=float, default=1.0, help="target spectral radius level (default 1)")
     subs.choices["stab-schur"].add_argument(
         "--allow-metzler", action="store_true",
         help="allow Metzler results with abscissa 1 instead of nonnegative")
 
-    p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family")
+    p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family",
+            flags=[budget])
     p.add_argument("family", help="family file or - for stdin")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--no-patch", action="store_true",
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("lss-stab-sign", _cmd_lss_stab_sign, "stabilize a switching system by sign cuts")
     p.add_argument("system")
 
-    p = sub("gen", _cmd_gen, "generate a random product family")
+    p = sub("gen", _cmd_gen, "generate a random product family", flags=[seeded])
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--kind", choices=gen.KINDS, default="full")
@@ -281,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-row density bounds in percent (e.g. 9 15)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
-    p = sub("bench", _cmd_bench, "benchmark iteration counts on random instances")
+    p = sub("bench", _cmd_bench, "benchmark iteration counts on random instances",
+            flags=[seeded])
     p.add_argument("--op", action="append", choices=bench.OPS, required=True)
     p.add_argument("--dim", action="append", type=int, required=True)
     p.add_argument("--count", action="append", type=int, default=None)

@@ -236,8 +236,6 @@ def _strong_labels(a):
     # A float CSR graph: csgraph would copy any other dtype first.
     graph = sp.csr_matrix((np.ones(rows.size), cols, indptr), shape=(d, d))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    if n_comp == 1:
-        return None
     return n_comp, labels, labels[rows], labels[cols]
 
 

@@ -120,11 +120,6 @@ def hull_max_abscissa(system: SwitchingSystem, *,
     def eta(weights: np.ndarray) -> float:
         return core.selected_leading_eigenpair(combine(weights), tol=_SCAN_TOL).value
 
-    if n == 1:
-        w = np.ones(1)
-        m = system.modes[0]
-        return HullPoint(w, m, core.selected_leading_eigenpair(m).value)
-
     r = resolution if resolution is not None else _default_resolution(n)
     if r < 1:
         raise ValueError(f"resolution must be >= 1, got {r}")

@@ -73,7 +73,6 @@ class ClosestSignOutcome:
     k_star: int
     abscissa: float
     evaluated: tuple[tuple[int, float], ...] = ()
-    fallback_used: bool = False
 
 
 def sign_pattern(a) -> SignMatrix:
@@ -163,9 +162,10 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     """Smallest k whose radius-k sign ball around M contains a weakly stable pattern.
 
     Weakly stable means eta <= STABILITY_TOL. Integer bisection on k in
-    [0, ||sgn(M)||_inf]; the minimized eta is
-    nonincreasing in k, which is asserted on the memoized evaluations with a
-    linear upward scan as the fallback if numerics ever disagree.
+    [0, ||sgn(M)||_inf] is exact: each radius's descent ends at its ball's
+    minimum, the balls are nested, so the minimized eta is nonincreasing in
+    k, and at k = ||sgn(M)||_inf the ball holds a diagonal pattern with
+    entries in {0, -1}, whose eta is <= 0.
     """
     _require_metzler_pattern(m)
     pair = core.selected_leading_eigenpair(m.realize())
@@ -174,7 +174,6 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
         return ClosestSignOutcome(sign_matrix=m, k_star=0, abscissa=eta0,
                                   evaluated=((0, eta0),))
 
-    norm = int(core.matrix_norm(m.realize(), core.NormKind.INF))
     memo: dict[int, SignBallOutcome] = {}
 
     def at(k: int) -> SignBallOutcome:
@@ -182,7 +181,7 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
             memo[k] = _sign_ball(m, k, pair)
         return memo[k]
 
-    k_lo, k_hi = 0, norm
+    k_lo, k_hi = 0, int(core.matrix_norm(m.realize(), core.NormKind.INF))
     while k_hi - k_lo > 1:
         k = (k_lo + k_hi) // 2
         if at(k).abscissa <= core.STABILITY_TOL:
@@ -190,21 +189,7 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
         else:
             k_lo = k
 
-    fallback = False
-    ks = sorted(memo)
-    etas = [memo[k].abscissa for k in ks]
-    monotone = all(e2 <= e1 + 1e-9 for e1, e2 in zip(etas, etas[1:]))
-    if not monotone or at(k_hi).abscissa > core.STABILITY_TOL:
-        # Numerics disagree with the theory; rescan from below.
-        fallback = True
-        k_hi = norm
-        for k in range(1, norm + 1):
-            if at(k).abscissa <= core.STABILITY_TOL:
-                k_hi = k
-                break
-
     out = at(k_hi)
     evaluated = tuple((k, memo[k].abscissa) for k in sorted(memo))
     return ClosestSignOutcome(sign_matrix=out.sign_matrix, k_star=k_hi,
-                              abscissa=out.abscissa, evaluated=evaluated,
-                              fallback_used=fallback)
+                              abscissa=out.abscissa, evaluated=evaluated)

@@ -360,3 +360,24 @@ def test_norm_is_rejected_where_it_does_not_apply(tmp_path, capsys, command, tex
     assert code == 2
     assert out == ""
     assert f"--norm is not applicable to {command}" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sign-stab", _SIGN_TEXT),
+    ("destab-inf", formats.write_matrix(goldens.STABLE_5)),
+    ("lss-check", _SWITCH_TEXT),
+], ids=["sign-stab", "destab-inf", "lss-check"])
+@pytest.mark.parametrize("flag", [("--tol", "1e-3"), ("--max-iter", "2"), ("--seed", "9")],
+                         ids=["tol", "max-iter", "seed"])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, text, flag):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(path), *flag])
+    assert exc.value.code == 2
+
+
+def test_eig_rejects_seed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eig", matrix_file(tmp_path, goldens.STABLE_5), "--seed", "9"])
+    assert exc.value.code == 2

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from metzstab import cli, core, formats
+from metzstab import cli, core, formats, infnorm
 from metzstab.errors import PreconditionError
 from metzstab.infnorm import (
     ZERO_TOL,
@@ -181,13 +181,66 @@ def test_stabilized_matrix_is_feasible_and_on_boundary():
 
 
 def test_stabilize_settles_when_the_sweep_flips_between_two_minima():
-    # At tau* = (1 + sqrt 5) / 2 the sweep alternates between two iterates
-    # with eta = 0; the revisit rule ends the ball on the first of them.
+    # At tau* = (1 + sqrt 5) / 2 the ball holds two iterates with eta = 0
+    # that a sweep can alternate between. The secant search reaches tau*
+    # without revisiting either; the two tests below cover the revisit rule.
     a = goldens.SIGN_LATTICE.T
     out = closest_stable_inf_hurwitz(a)
     assert out.tau_star == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-9)
     assert core.is_metzler(out.matrix)
     assert core.matrix_norm(out.matrix - a, "inf") == pytest.approx(out.tau_star, rel=1e-9)
+    assert abs(out.abscissa) <= ZERO_TOL
+
+
+def test_descent_ends_on_the_first_of_two_alternating_minima(monkeypatch):
+    # The step alternates between two iterates of equal value. The third
+    # step repeats the first, which proves the plateau, so the descent
+    # returns the first without exhausting its sweep budget.
+    start, first, second = np.eye(2), np.diag([-1.0, 0.0]), np.diag([0.0, -1.0])
+    start_pair = core.selected_leading_eigenpair(start)
+    calls = []
+
+    def counted(a, **kwargs):
+        calls.append(a)
+        return original(a, **kwargs)
+
+    original = core.selected_leading_eigenpair
+    monkeypatch.setattr(core, "selected_leading_eigenpair", counted)
+
+    def step(x, pair):
+        return (second, "second") if np.array_equal(x, first) else (first, "first")
+
+    x, pair, record, values = infnorm._descend(start, start_pair, step, core.DEFAULT_TOL)
+    np.testing.assert_array_equal(x, first)
+    assert (pair.value, record) == (0.0, "first")
+    assert values == [1.0, 0.0, 0.0, 0.0]
+    assert len(calls) == 3
+
+
+def test_stabilize_ends_a_revisiting_ball_on_its_first_minimum(monkeypatch):
+    # One ball of this input's tau search ends by the revisit rule.
+    revisits = []
+
+    def watched(x, pair, step, tol):
+        last = []
+
+        def recorded(x, pair):
+            last[:] = [step(x, pair)]
+            return last[0]
+
+        out = descend(x, pair, recorded, tol)
+        revisits.append(last[0] is not None)
+        return out
+
+    descend = infnorm._descend
+    monkeypatch.setattr(infnorm, "_descend", watched)
+    a = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0],
+                  [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    out = closest_stable_inf_hurwitz(a)
+    assert sum(revisits) == 1
+    assert out.tau_star == pytest.approx(2.0, abs=1e-12)
+    assert core.is_metzler(out.matrix)
+    assert core.matrix_norm(out.matrix - a, "inf") == pytest.approx(out.tau_star, rel=1e-12)
     assert abs(out.abscissa) <= ZERO_TOL
 
 

@@ -114,6 +114,25 @@ def test_stabilize_2d_repairs_unstable_hull():
         assert tau == pytest.approx(core.matrix_norm(got - orig, "inf"), abs=1e-12)
 
 
+def test_stabilize_2d_repairs_the_hull_over_several_rounds():
+    # Both modes are unstable; after their l-inf repair the hull is still
+    # unstable (eta 0.27), and the second round's hull is stable.
+    a = np.array([[-1.0, 2.0], [3.0, -1.0]])
+    b = np.array([[0.0, 3.0], [1.0, -4.0]])
+    sys_in = SwitchingSystem((a, b))
+    out = stabilize_2d_lss(sys_in)
+    assert out.iterations >= 2
+    assert out.hull.abscissa < 0.0
+    assert all(core.is_metzler(got) for got in out.system.modes)
+    alphas = np.linspace(0.0, 1.0, 201)
+    m0, m1 = out.system.modes
+    etas = oracles.abscissa_stack(
+        np.array([al * m0 + (1 - al) * m1 for al in alphas]))
+    assert float(etas.max()) < 0.0
+    for tau, got, orig in zip(out.mode_taus, out.system.modes, sys_in.modes):
+        assert tau == pytest.approx(core.matrix_norm(got - orig, "inf"), abs=1e-12)
+
+
 def test_sign_route_worked_example():
     out = stabilize_lss_by_signs(SwitchingSystem(goldens.SWITCH_MODES))
     np.testing.assert_array_equal(out.union_sign.entries, goldens.SWITCH_OVERLAY)
