@@ -24,7 +24,6 @@ from .core import (
     translation_shift,
 )
 from .errors import (
-    CycleSuspicionError,
     IterationLimitError,
     MetzstabError,
     PreconditionError,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CRDecomposition",
-    "CycleSuspicionError",
     "DestabilizationResult",
     "EigenPair",
     "GreedyOutcome",

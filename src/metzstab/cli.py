@@ -134,7 +134,7 @@ def _cmd_sign_stab(args):
     payload = {"k_star": int(out.k_star),
                "abscissa": float(out.abscissa),
                "sign_matrix": _sign_rows(out.sign_matrix),
-               "evaluated": [[int(k), float(e)] for k, e in out.evaluated]}
+               "evaluated": [[int(k), float(e)] for k, e in sorted(out.trace)]}
     return payload, formats.write_sign_matrix(out.sign_matrix), (
         f"k_star = {out.k_star}  abscissa = {out.abscissa:.12g}")
 

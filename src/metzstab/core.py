@@ -144,6 +144,9 @@ class DestabilizationResult:
 
 @dataclass(frozen=True)
 class StabilizationResult:
+    """``trace`` holds the (tau, value) probes in evaluation order; ``iterations``
+    counts the l-inf solvers' outer steps or the max norm's evaluations."""
+
     tau_star: float
     matrix: np.ndarray
     iterations: int

@@ -22,14 +22,3 @@ class IterationLimitError(MetzstabError, RuntimeError):
         super().__init__(message)
         self.best = best
 
-
-class CycleSuspicionError(IterationLimitError):
-    """A greedy row-selection loop appears to cycle.
-
-    ``trace`` holds the visited row-choice tuples in order, which is
-    usually enough to spot the period of the cycle by eye.
-    """
-
-    def __init__(self, message: str, best=None, trace=()):
-        super().__init__(message, best=best)
-        self.trace = tuple(trace)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import CycleSuspicionError, PreconditionError
+from .errors import IterationLimitError, PreconditionError
 
 TIE_TOL = 1e-12
 # The irreducibility patch appends the rows of w*P (P the cyclic
@@ -84,14 +84,16 @@ class ProductFamily:
 
 @dataclass(frozen=True)
 class GreedyOutcome:
+    """``trace`` holds one (row_choices, abscissa) pair per sweep, the last the
+    outcome's own; ``iterations`` counts sweeps, summed over blocks if blockwise."""
+
     matrix: np.ndarray
     abscissa: float
     row_choices: tuple[int, ...]
     iterations: int
     eigenvector: np.ndarray
     reducibility_flag: bool
-    abscissa_trace: tuple[float, ...] = ()
-    choice_trace: tuple[tuple[int, ...], ...] = ()
+    trace: tuple[tuple[tuple[int, ...], float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,15 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
 
     Raises
     ------
-    CycleSuspicionError
-        If ``max_iter`` sweeps pass without reaching a fixed point; the
-        error carries the visited choice tuples.
+    IterationLimitError
+        If ``max_iter`` sweeps pass without reaching a fixed point. Its
+        ``best`` is the outcome of the last member evaluated, flagged, whose
+        ``trace`` lists every member visited.
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     d = family.dim
     choices = list(start_choices) if start_choices is not None else [0] * d
     if len(choices) != d:
@@ -172,32 +177,25 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     offsets = np.cumsum([0, *family.sizes[:-1]])
     choices = np.array(choices)
     x = allrows[offsets + choices]
-    abscissa_trace: list[float] = []
-    choice_trace: list[tuple[int, ...]] = [tuple(choices.tolist())]
-    pair = None
+    trace: list[tuple[tuple[int, ...], float]] = []
     for it in range(1, max_iter + 1):
         pair = core.selected_leading_eigenpair(x, tol=eig_tol)
-        abscissa_trace.append(pair.value)
+        trace.append((tuple(choices.tolist()), pair.value))
         new = _choose_rows(allrows @ pair.vector, offsets, choices, direction)
-        if np.array_equal(new, choices):
-            flag = direction == "max" and bool(
-                core.support(pair.vector).size < d)
-            return GreedyOutcome(
-                matrix=x, abscissa=pair.value, row_choices=tuple(choices.tolist()),
-                iterations=it, eigenvector=pair.vector, reducibility_flag=flag,
-                abscissa_trace=tuple(abscissa_trace),
-                choice_trace=tuple(choice_trace))
+        settled = np.array_equal(new, choices)
+        if settled or it == max_iter:
+            break
         choices = new
-        choice_trace.append(tuple(choices.tolist()))
         x = allrows[offsets + choices]
 
-    best = GreedyOutcome(
-        matrix=x, abscissa=abscissa_trace[-1], row_choices=tuple(choices.tolist()),
-        iterations=max_iter, eigenvector=pair.vector, reducibility_flag=True,
-        abscissa_trace=tuple(abscissa_trace), choice_trace=tuple(choice_trace))
-    raise CycleSuspicionError(
-        f"greedy row selection did not settle in {max_iter} sweeps",
-        best=best, trace=choice_trace)
+    flag = not settled or (direction == "max" and bool(core.support(pair.vector).size < d))
+    out = GreedyOutcome(matrix=x, abscissa=pair.value, row_choices=trace[-1][0],
+                        iterations=it, eigenvector=pair.vector, reducibility_flag=flag,
+                        trace=tuple(trace))
+    if not settled:
+        raise IterationLimitError(
+            f"greedy row selection did not settle in {max_iter} sweeps", best=out)
+    return out
 
 
 def union_adjacency(family: ProductFamily) -> np.ndarray:
@@ -267,11 +265,10 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     if not plain.reducibility_flag:
         return plain
 
-    sizes = family.sizes
     weight = _PATCH_WEIGHT
     for _ in range(_PATCH_RETRIES):
         out = selective_greedy(_augmented(family, weight), "max", **greedy_kwargs)
-        used_patch = any(c >= m for c, m in zip(out.row_choices, sizes))
+        used_patch = any(c >= m for c, m in zip(out.row_choices, family.sizes))
         if not used_patch and not out.reducibility_flag:
             return out
         weight /= 2.0
@@ -297,4 +294,4 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     return GreedyOutcome(
         matrix=x, abscissa=max(block_abscissas), row_choices=tuple(choices),
         iterations=iterations, eigenvector=pair.vector, reducibility_flag=True,
-        abscissa_trace=(max(block_abscissas),), choice_trace=(tuple(choices),))
+        trace=((tuple(choices), max(block_abscissas)),))

@@ -350,9 +350,7 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
                           bracket=(lo - 1.0, hi - 1.0))
         inner = _closest_stable_ball(arr - np.eye(d), shifted, schur=False, level=0.0,
                                      tol=tol, max_outer=max_outer)
-        return core.StabilizationResult(
-            tau_star=inner.tau_star, matrix=inner.matrix + np.eye(d),
-            iterations=inner.iterations, abscissa=inner.abscissa + 1.0,
-            trace=tuple((t, e + 1.0) for t, e in inner.trace))
+        return replace(inner, matrix=inner.matrix + np.eye(d), abscissa=inner.abscissa + 1.0,
+                       trace=tuple((t, e + 1.0) for t, e in inner.trace))
     return _closest_stable_ball(arr, base_pair, schur=True, level=1.0, tol=tol,
                                 max_outer=max_outer)

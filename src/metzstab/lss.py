@@ -72,6 +72,8 @@ class HullPoint:
 
 @dataclass(frozen=True)
 class LSS2DResult:
+    """The repaired system; ``iterations`` counts the hull repair rounds."""
+
     system: SwitchingSystem
     mode_taus: tuple[float, ...]
     iterations: int
@@ -203,14 +205,16 @@ def stabilize_2d_lss(system: SwitchingSystem, *,
         elif eta > -core.STABILITY_TOL:
             modes[idx] = strictify(mode)
 
-    hp = None
+    def result(rounds: int, hp: HullPoint) -> LSS2DResult:
+        taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
+                     for m, orig in zip(modes, system.modes))
+        return LSS2DResult(system=SwitchingSystem(tuple(modes)), mode_taus=taus,
+                           iterations=rounds, hull=hp)
+
     for outer in range(1, _REPAIR_ROUNDS + 1):
         hp = hull_max_abscissa(SwitchingSystem(tuple(modes)), resolution=resolution)
         if hp.abscissa < 0.0:
-            taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
-                         for m, orig in zip(modes, system.modes))
-            return LSS2DResult(system=SwitchingSystem(tuple(modes)),
-                               mode_taus=taus, iterations=outer, hull=hp)
+            return result(outer, hp)
         hull = hp.matrix
         if hp.abscissa > infnorm.ZERO_TOL:
             target = strictify(infnorm.closest_stable_inf_hurwitz(hull).matrix)
@@ -225,13 +229,10 @@ def stabilize_2d_lss(system: SwitchingSystem, *,
             mode = modes[idx]
             modes[idx] = np.where(diag, mode + delta,
                                   np.where(cut, mode * (1.0 - ratio), mode))
-    taus = tuple(float(core.matrix_norm(m - orig, core.NormKind.INF))
-                 for m, orig in zip(modes, system.modes))
     raise IterationLimitError(
         f"hull repair did not converge in {_REPAIR_ROUNDS} rounds; worst weights "
         f"{np.array2string(hp.weights, precision=6)} with abscissa {hp.abscissa:.6g}",
-        best=LSS2DResult(system=SwitchingSystem(tuple(modes)),
-                         mode_taus=taus, iterations=_REPAIR_ROUNDS, hull=hp))
+        best=result(_REPAIR_ROUNDS, hp))
 
 
 def stabilize_lss_by_signs(system: SwitchingSystem) -> LSSSignResult:

@@ -59,7 +59,8 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     resolves the exact crossing inside the bracketing linear piece: with
     H = (A(tau1) - A(tau2)) / (tau2 - tau1), tau* = tau2 - 1 / rho(-A(tau2)^{-1} H). If the largest diagonal entry is
     also the largest entry overall, the boundary sits exactly there, at the
-    top breakpoint.
+    top breakpoint. ``trace`` holds every (tau, eta) evaluated, the input's
+    first; ``iterations`` counts the evaluations after the input's.
     """
     arr = core.validate_metzler(a)
     eta0 = core.spectral_abscissa(arr, tol=tol, max_iter=eig_max_iter)
@@ -73,13 +74,15 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     grid = np.concatenate(([0.0], grid))
     lo, hi = 0, len(grid) - 1
 
-    def eta_at(tau: float) -> float:
-        nonlocal eval_count
-        eval_count += 1
-        value = core.spectral_abscissa(_clamp(arr, tau), tol=tol,
-                                       max_iter=eig_max_iter)
+    def eta_at(tau: float):
+        x = _clamp(arr, tau)
+        value = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
         trace.append((tau, value))
-        return value
+        return x, value
+
+    def result(tau: float, x: np.ndarray, value: float) -> core.StabilizationResult:
+        return core.StabilizationResult(tau_star=tau, matrix=x, iterations=len(trace) - 1,
+                                        abscissa=value, trace=tuple(trace))
 
     # All off-diagonal mass is clamped away at the top breakpoint, the
     # largest entry, so A(tau) there is diagonal and its abscissa is
@@ -88,14 +91,10 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     # Subtracting tau keeps the order of the diagonal entries, so this is
     # bitwise the value an eigen call on A(tau) returns; it counts as an
     # evaluation.
-    eval_count = 1
     eta_hi = diag_max - float(grid[hi])
     trace.append((float(grid[hi]), eta_hi))
     if abs(eta_hi) <= ZERO_TOL:
-        x = _clamp(arr, float(grid[hi]))
-        return core.StabilizationResult(tau_star=float(grid[hi]), matrix=x,
-                                        iterations=eval_count, abscissa=eta_hi,
-                                        trace=tuple(trace))
+        return result(float(grid[hi]), _clamp(arr, float(grid[hi])), eta_hi)
     # False position on the bracket's ends, snapped to the grid strictly
     # inside the bracket. eta falls with slope at most -1, so the crossing
     # lies in [tau_hi + eta_hi, tau_lo + eta_lo], where the chord is clipped.
@@ -105,21 +104,18 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     # midpoints, so no input takes more than twice bisection's steps.
     eta_lo, w_lo, w_hi = eta0, 1.0, 1.0
     moved = 0  # +1 after lo moved, -1 after hi moved
-    budget = eval_count + (hi - 1).bit_length()
+    budget = len(trace) + (hi - 1).bit_length()
     while hi - lo > 1:
-        if eval_count < budget:
+        if len(trace) < budget:
             f_lo, f_hi = w_lo * eta_lo, w_hi * eta_hi
             chord = grid[lo] + f_lo * (grid[hi] - grid[lo]) / (f_lo - f_hi)
             chord = min(max(chord, grid[hi] + eta_hi), grid[lo] + eta_lo)
             mid = min(max(int(np.searchsorted(grid, chord)), lo + 1), hi - 1)
         else:
             mid = (lo + hi) // 2
-        value = eta_at(float(grid[mid]))
+        x, value = eta_at(float(grid[mid]))
         if abs(value) <= ZERO_TOL:
-            x = _clamp(arr, float(grid[mid]))
-            return core.StabilizationResult(tau_star=float(grid[mid]), matrix=x,
-                                            iterations=eval_count, abscissa=value,
-                                            trace=tuple(trace))
+            return result(float(grid[mid]), x, value)
         if value > 0.0:
             if moved > 0:
                 w_hi *= 0.5
@@ -137,18 +133,11 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     except np.linalg.LinAlgError:
         # A(tau2) stable and singular forces eta(A(tau2)) = 0: the breakpoint
         # itself is the crossing (the eigen value just missed the exact-hit
-        # window by rounding).
-        eta2 = core.spectral_abscissa(a2, tol=tol, max_iter=eig_max_iter)
-        return core.StabilizationResult(tau_star=tau2, matrix=a2,
-                                        iterations=eval_count, abscissa=eta2,
-                                        trace=tuple(trace))
+        # window by rounding). This eigen call does not count as an evaluation.
+        return result(tau2, a2, core.spectral_abscissa(a2, tol=tol, max_iter=eig_max_iter))
     m = np.maximum(m, 0.0)  # clip solver noise; m is nonnegative in theory
     rho = core.spectral_radius(m, tol=tol, max_iter=eig_max_iter)
     if rho <= 0.0:
         raise PreconditionError("degenerate bracket: rho(-A(tau2)^{-1} H) = 0")
     tau = tau2 - 1.0 / rho
-    x = _clamp(arr, tau)
-    eta = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
-    trace.append((tau, eta))
-    return core.StabilizationResult(tau_star=tau, matrix=x, iterations=eval_count + 1,
-                                    abscissa=eta, trace=tuple(trace))
+    return result(tau, *eta_at(tau))

@@ -60,19 +60,24 @@ class SignMatrix:
 
 @dataclass(frozen=True)
 class SignBallOutcome:
+    """``trace`` holds one (sweep, abscissa) pair per iterate, sweep 0 being
+    the start, and ``iterations`` counts these iterates."""
+
     sign_matrix: SignMatrix
     abscissa: float
     iterations: int
     eigenvector: np.ndarray
-    abscissa_trace: tuple[float, ...] = ()
+    trace: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class ClosestSignOutcome:
+    """``trace`` holds one (k, ball minimum) pair per radius evaluated, in order."""
+
     sign_matrix: SignMatrix
     k_star: int
     abscissa: float
-    evaluated: tuple[tuple[int, float], ...] = ()
+    trace: tuple[tuple[int, float], ...] = ()
 
 
 def sign_pattern(a) -> SignMatrix:
@@ -152,10 +157,10 @@ def _sign_ball(m: SignMatrix, k: int, pair: core.EigenPair) -> SignBallOutcome:
             return None
         return np.where(take[:, None], rows, x), None
 
-    x, pair, _, trace = infnorm._descend(start, pair, step, core.DEFAULT_TOL)
+    x, pair, _, values = infnorm._descend(start, pair, step, core.DEFAULT_TOL)
     return SignBallOutcome(
-        sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=len(trace),
-        eigenvector=pair.vector, abscissa_trace=tuple(trace))
+        sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=len(values),
+        eigenvector=pair.vector, trace=tuple(enumerate(values)))
 
 
 def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
@@ -172,24 +177,20 @@ def closest_stable_sign(m: SignMatrix) -> ClosestSignOutcome:
     eta0 = pair.value
     if eta0 <= core.STABILITY_TOL:
         return ClosestSignOutcome(sign_matrix=m, k_star=0, abscissa=eta0,
-                                  evaluated=((0, eta0),))
+                                  trace=((0, eta0),))
 
-    memo: dict[int, SignBallOutcome] = {}
-
-    def at(k: int) -> SignBallOutcome:
-        if k not in memo:
-            memo[k] = _sign_ball(m, k, pair)
-        return memo[k]
-
+    # Bisection never probes a radius twice: ``balls`` holds every probe, in order.
+    balls: dict[int, SignBallOutcome] = {}
     k_lo, k_hi = 0, int(core.matrix_norm(m.realize(), core.NormKind.INF))
     while k_hi - k_lo > 1:
         k = (k_lo + k_hi) // 2
-        if at(k).abscissa <= core.STABILITY_TOL:
+        balls[k] = _sign_ball(m, k, pair)
+        if balls[k].abscissa <= core.STABILITY_TOL:
             k_hi = k
         else:
             k_lo = k
-
-    out = at(k_hi)
-    evaluated = tuple((k, memo[k].abscissa) for k in sorted(memo))
-    return ClosestSignOutcome(sign_matrix=out.sign_matrix, k_star=k_hi,
-                              abscissa=out.abscissa, evaluated=evaluated)
+    if k_hi not in balls:
+        balls[k_hi] = _sign_ball(m, k_hi, pair)
+    out = balls[k_hi]
+    return ClosestSignOutcome(sign_matrix=out.sign_matrix, k_star=k_hi, abscissa=out.abscissa,
+                              trace=tuple((k, b.abscissa) for k, b in balls.items()))

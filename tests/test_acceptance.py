@@ -260,12 +260,12 @@ def test_criterion_8_invariant_suites():
             sets.append(family.UncertaintySet(i, rows))
         direction = "max" if trial % 2 else "min"
         out = family.selective_greedy(family.ProductFamily(sets), direction)
-        trace = out.abscissa_trace
+        choices, trace = zip(*out.trace)
         if direction == "max":
             assert all(b >= t - 1e-9 for t, b in zip(trace, trace[1:]))
         else:
             assert all(b <= t + 1e-9 for t, b in zip(trace, trace[1:]))
-        assert len(set(out.choice_trace)) == len(out.choice_trace)
+        assert len(set(choices)) == len(choices)
     report.append("family traces")
 
     # sign cuts: each mode loses exactly the overlay removals it carries

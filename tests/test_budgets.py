@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from metzstab import cli, core, formats, gen
-from metzstab.errors import CycleSuspicionError, IterationLimitError
+from metzstab.errors import IterationLimitError
 from metzstab.family import optimize_with_irreducibility_patch, selective_greedy
 from metzstab.infnorm import closest_stable_inf_hurwitz, closest_stable_inf_schur
 from metzstab.maxnorm import closest_stable_max
@@ -63,12 +63,13 @@ def test_max_norm_power_budget_raises_with_the_best_pair():
 ], ids=["max", "min", "patch"])
 def test_sweep_budget_raises_with_the_last_member(solve):
     assert solve().iterations > 1
-    with pytest.raises(CycleSuspicionError) as err:
+    with pytest.raises(IterationLimitError) as err:
         solve(max_iter=1)
     best = err.value.best
     assert best.iterations == 1
-    assert len(err.value.trace) == 2  # the start and the one change
-    assert best.row_choices == err.value.trace[-1]
+    # The last member evaluated: its matrix, choices and abscissa agree.
+    assert best.abscissa == core.spectral_abscissa(best.matrix)
+    assert best.trace[-1] == (best.row_choices, best.abscissa)
 
 
 @pytest.mark.parametrize("command,text,extra", [
@@ -91,3 +92,14 @@ def test_cli_budget_of_one_exits_3(tmp_path, capsys, command, text, extra, json_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_a_sweep_budget_below_one_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        selective_greedy(FAMILY, max_iter=0)
+    path = tmp_path / "input.txt"
+    path.write_text(formats.write_family(FAMILY))
+    assert cli.main(["opt-family", str(path), "--max-iter", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_iter must be at least 1, got -1\n"

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from metzstab import cli, core, formats, gen, infnorm
+from metzstab import cli, core, formats, gen, infnorm, maxnorm, sign
 from metzstab.family import selective_greedy
 from metzstab.lss import SwitchingSystem
 from metzstab.sign import SignMatrix
@@ -322,6 +322,28 @@ def test_json_document_keys_in_order(tmp_path, capsys, command, text, keys):
     assert payload["command"] == command
 
 
+@pytest.mark.parametrize("argv, a, solve", [
+    (("stab-max",), goldens.SPIN_2, maxnorm.closest_stable_max),
+    (("stab-inf",), goldens.UNSTABLE_5, infnorm.closest_stable_inf_hurwitz),
+    (("stab-schur", "--allow-metzler"), goldens.SPIN_2,
+     lambda a: infnorm.closest_stable_inf_schur(a, allow_metzler=True)),
+], ids=["stab-max", "stab-inf", "stab-schur-metzler"])
+def test_json_trace_is_the_library_trace(tmp_path, capsys, argv, a, solve):
+    payload = run_json(capsys, *argv, matrix_file(tmp_path, a))
+    trace = solve(a).trace
+    assert len(trace) > 1
+    assert payload["trace"] == [list(probe) for probe in trace]
+
+
+def test_json_evaluated_is_the_library_trace_sorted_by_radius(tmp_path, capsys):
+    path = tmp_path / "sign.txt"
+    path.write_text(_SIGN_TEXT)
+    payload = run_json(capsys, "sign-stab", str(path))
+    trace = sign.closest_stable_sign(SignMatrix(goldens.SIGN_LATTICE)).trace
+    assert len(trace) > 1
+    assert payload["evaluated"] == [list(probe) for probe in sorted(trace)]
+
+
 def test_gen_prints_its_family_text_under_json(capsys):
     argv = ("gen", "--dim", "4", "--count", "3", "--seed", "5")
     code, text, _ = run_cli(capsys, *argv)
@@ -340,7 +362,9 @@ def test_stab_one_norm_transposes(tmp_path, capsys):
     np.testing.assert_allclose(payload["matrix"], direct.matrix.T, atol=1e-12)
 
 
-def test_stab_one_norm_settles_on_a_flipping_ball(tmp_path, capsys):
+def test_stab_one_norm_reaches_the_golden_ratio(tmp_path, capsys):
+    # No ball of this search revisits an iterate any more; the two _descend
+    # tests in test_infnorm.py cover the revisit rule.
     path = matrix_file(tmp_path, goldens.SIGN_LATTICE)
     code, _, err = run_cli(capsys, "stab-inf", "--norm", "one", path)
     assert code == 0, err

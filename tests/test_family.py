@@ -95,11 +95,11 @@ def test_greedy_trace_is_monotone_and_acyclic():
     for _ in range(10):
         fam = gen.generate_family(6, 4, kind="full", rng=rng)
         out = selective_greedy(fam, "max")
-        trace = out.abscissa_trace
+        choices, trace = zip(*out.trace)
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-        assert len(set(out.choice_trace)) == len(out.choice_trace)
+        assert len(set(choices)) == len(choices)
         out = selective_greedy(fam, "min")
-        trace = out.abscissa_trace
+        _, trace = zip(*out.trace)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
@@ -167,6 +167,25 @@ def test_patch_leaves_irreducible_outcome_alone():
     assert patched.row_choices == plain.row_choices
 
 
+def test_patch_returns_a_certified_member_that_uses_no_patch_row():
+    # Plain greedy stops at (0, 0), eta = 1, on the vector (1, 0). On the
+    # augmented family (row 2 of each menu is the patch row) it passes through
+    # (0, 2) to (0, 1): eta = 2 with a positive vector and no patch row.
+    fam = ProductFamily((
+        UncertaintySet(0, [[1.0, 1.0], [-2.0, 0.0]]),
+        UncertaintySet(1, [[0.0, -2.0], [0.0, 2.0]]),
+    ))
+    plain = selective_greedy(fam, "max")
+    assert plain.reducibility_flag
+    assert (plain.row_choices, plain.abscissa) == ((0, 0), 1.0)
+    out = optimize_with_irreducibility_patch(fam, "max")
+    assert not out.reducibility_flag
+    assert out.row_choices == (0, 1)
+    assert out.abscissa == pytest.approx(2.0, abs=1e-12)
+    assert [c for c, _ in out.trace] == [(0, 0), (0, 2), (0, 1)]
+    assert np.array_equal(out.matrix, fam.matrix((0, 1)))
+
+
 def _random_menus(rng, d):
     # Menus of unequal sizes with exact duplicate rows and entries on a
     # coarse grid, so scores tie exactly as well as within the tie band.
@@ -212,7 +231,7 @@ def test_greedy_equals_a_row_by_row_reference(direction):
             choices = new
             trace.append(tuple(choices))
         assert out.row_choices == tuple(choices)
-        assert out.choice_trace == tuple(trace)
+        assert tuple(c for c, _ in out.trace) == tuple(trace)
         assert out.iterations == it
         assert out.abscissa == pair.value
         assert np.array_equal(out.matrix, fam.matrix(choices))
