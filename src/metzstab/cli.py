@@ -109,11 +109,7 @@ def _cmd_closest(args):
 
 def _cmd_opt_family(args):
     fam = _read(formats.read_family, args.family)
-    kwargs = {}
-    if args.tol:
-        kwargs["eig_tol"] = args.tol
-    if args.max_iter:
-        kwargs["max_iter"] = args.max_iter
+    kwargs = {"eig_tol": args.tol or core.DEFAULT_TOL, "max_iter": args.max_iter or 200}
     if args.direction == "max" and not args.no_patch:
         out = family.optimize_with_irreducibility_patch(fam, "max", **kwargs)
     else:
@@ -311,10 +307,19 @@ def _resolve_norm(args) -> None:
             f"(allowed: {', '.join(args.norms)})")
 
 
+def _check_budget(args) -> None:
+    """Reject a --max-iter below one and a --tol that is not positive."""
+    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {args.max_iter}")
+    if getattr(args, "tol", None) is not None and not args.tol > 0.0:
+        raise ValueError(f"tol must be positive, got {args.tol}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_norm(args)
+        _check_budget(args)
         payload, text, summary = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

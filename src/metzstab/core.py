@@ -204,6 +204,9 @@ DENSE_FALLBACK_DIM = 64
 # Power iterations a block of at most DENSE_FALLBACK_DIM nodes gets before
 # the certified step takes over.
 _POWER_BUDGET = 30
+# From this iteration on, such a block leaves for the certified step once
+# geometric decay at its residual's last ratio would miss the threshold.
+_RATE_START = 4
 # Rounding floor of the power method's residual, in units of eps times the
 # shifted value: below it the residual of a converged iterate is noise.
 _RESIDUAL_FLOOR_ULPS = 16
@@ -321,7 +324,7 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     x = np.full(d, 1.0 / d)
     lam = 0.0
     lam_prev = np.inf
-    resid = np.inf
+    resid = resid_prev = np.inf
     floor = _RESIDUAL_FLOOR_ULPS * _EPS
     it = 0
     for it in range(1, budget + 1):
@@ -334,11 +337,14 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
         resid = float(np.abs(y - lam * x).max())
         # Rounding keeps the residual near eps * lam, which exceeds tol once
         # lam passes about tol / (16 eps), some 280 at the default tol.
-        if (resid <= max(tol, floor * lam)
-                and abs(lam - lam_prev) <= tol * max(1.0, abs(lam))):
+        stop = max(tol, floor * lam)
+        if resid <= stop and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return EigenPair(lam - shift, x, it, resid, "power",
                              _collatz_wielandt(x, y, shift))
-        lam_prev = lam
+        if certify and it >= _RATE_START and (
+                resid >= resid_prev or resid * (resid / resid_prev) ** (budget - it) > stop):
+            break
+        lam_prev, resid_prev = lam, resid
         x = y / lam
     if certify:
         return _certified_pair(block, tol, it)
@@ -537,16 +543,17 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     IterationLimitError carrying its best pair.
 
     A block of at most ``DENSE_FALLBACK_DIM`` nodes gets at most
-    ``min(max_iter, 30)`` power iterations and then the *certified step*:
-    lam is the largest real part from ``eigvals``, proved by two M-matrix
-    solves. For a Metzler B, tI - B has a nonnegative inverse exactly when
-    t exceeds its leading eigenvalue, so a positive solution y of
-    (hi I - B) y = 1 proves lam < hi, and a non-positive or singular one at
-    lo proves lam >= lo, with hi and lo = lam +- ``tol * max(1, |lam|)``. If
-    either test fails, bisection on the same test, from the largest diagonal
-    entry or the largest row sum, narrows the bracket down to rounding. The
-    vector is the normalized y of the last solve at hi: (hi I - B)^{-1} 1,
-    the definition of the selected vector.
+    ``min(max_iter, 30)`` power iterations, fewer when from the fourth on
+    the residual at its last ratio would not meet the test in time, and then
+    the *certified step*: lam is the largest real part from ``eigvals``,
+    proved by two M-matrix solves. For a Metzler B, tI - B has a nonnegative
+    inverse exactly when t exceeds its leading eigenvalue, so a positive
+    solution y of (hi I - B) y = 1 proves lam < hi, and a non-positive or
+    singular one at lo proves lam >= lo, with hi and lo = lam +-
+    ``tol * max(1, |lam|)``. If either test fails, bisection on the same
+    test, from the largest diagonal entry or the largest row sum, narrows
+    the bracket down to rounding. The vector is the normalized y of the last
+    solve at hi: (hi I - B)^{-1} 1, the definition of the selected vector.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest

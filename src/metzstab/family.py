@@ -144,7 +144,9 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     member, then re-optimizes every row against the eigenvector; rows only
     change on strict improvement (beyond ``TIE_TOL``), so a full sweep
     without changes is a fixed point and the loop stops. The final iteration
-    (the no-change sweep) is included in ``iterations``.
+    (the no-change sweep) is included in ``iterations``. The default start
+    takes from each menu its first row of largest (``max``) or smallest
+    (``min``) row sum: one sweep against the power method's uniform start.
 
     For ``direction="max"`` the outcome's ``reducibility_flag`` is set when
     the final eigenvector has (numerically) zero components, in which case
@@ -164,18 +166,19 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     d = family.dim
-    choices = list(start_choices) if start_choices is not None else [0] * d
+    # Every menu's rows in one array, menu i starting at offsets[i]: one
+    # product scores all rows of a sweep.
+    allrows = np.concatenate([s.rows for s in family.sets])
+    offsets = np.cumsum([0, *family.sizes[:-1]])
+    if start_choices is None:  # one sweep against the power loop's uniform start
+        start_choices = _choose_rows(allrows.sum(axis=1), offsets, None, direction)
+    choices = np.array(start_choices)
     if len(choices) != d:
         raise ValueError(f"need {d} choices, got {len(choices)}")
     for pos, (c, s) in enumerate(zip(choices, family.sets)):
         if not 0 <= c < s.size:
             raise ValueError(f"start choice {c} out of range for row set {pos}")
 
-    # Every menu's rows in one array, menu i starting at offsets[i]: one
-    # product scores all rows of a sweep.
-    allrows = np.concatenate([s.rows for s in family.sets])
-    offsets = np.cumsum([0, *family.sizes[:-1]])
-    choices = np.array(choices)
     x = allrows[offsets + choices]
     trace: list[tuple[tuple[int, ...], float]] = []
     for it in range(1, max_iter + 1):

@@ -25,7 +25,7 @@ from helpers import LARGE_BLOCK_70
 
 # rho = 15.9 > 1; the first ball (tau = ||A||_inf / 2) is already stable.
 SCHUR_INPUT = np.abs(goldens.UNSTABLE_5)
-FAMILY = gen.generate_family(5, 4, seed=11)
+FAMILY = gen.generate_family(5, 4, seed=13)
 
 
 def _schur_metzler(a, **kwargs):
@@ -103,3 +103,28 @@ def test_a_sweep_budget_below_one_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: max_iter must be at least 1, got -1\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("eig", formats.write_matrix(goldens.UNSTABLE_5)),
+    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5)),
+    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5)),
+    ("stab-schur", formats.write_matrix(SCHUR_INPUT)),
+    ("opt-family", formats.write_family(FAMILY)),
+], ids=["eig", "stab-max", "stab-inf", "stab-schur", "opt-family"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+    ("--max-iter", "-1", "max_iter must be at least 1, got -1"),
+    ("--tol", "0", "tol must be positive, got 0.0"),
+    ("--tol", "-0.5", "tol must be positive, got -0.5"),
+    ("--tol", "nan", "tol must be positive, got nan"),
+], ids=["max-iter-0", "max-iter-neg", "tol-0", "tol-neg", "tol-nan"])
+def test_a_budget_flag_out_of_range_is_an_input_error(tmp_path, capsys, command, text,
+                                                       flag, value, message):
+    # Zero used to mean the default, and -1 an empty budget.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -268,6 +268,48 @@ def test_method_and_bracket_compose_over_blocks():
         assert lo <= pair.value <= hi
 
 
+def test_a_stalling_small_block_leaves_the_power_loop_by_its_rate(monkeypatch):
+    # OSCILLATING_3's residual cannot reach tol within the budget of 30, so
+    # the rate test hands it to the certified step early. That step solves
+    # the block afresh: only ``iterations`` depends on when the loop ends.
+    block = goldens.OSCILLATING_3
+    pair = core.selected_leading_eigenpair(block)
+    assert pair.method == "certified"
+    assert pair.iterations < core._POWER_BUDGET
+    ref = core._certified_pair(block, core.DEFAULT_TOL, pair.iterations)
+    assert pair.value == ref.value
+    assert np.array_equal(pair.vector, ref.vector)
+    assert pair.bracket == ref.bracket
+    # Without the rate test it spends the whole budget on the same answer.
+    monkeypatch.setattr(core, "_RATE_START", core._POWER_BUDGET + 1)
+    full = core.selected_leading_eigenpair(block)
+    assert (full.method, full.iterations) == ("certified", core._POWER_BUDGET)
+    assert full.value == pair.value and full.bracket == pair.bracket
+
+
+def _steady_blocks():
+    # 2-node blocks, whose residual falls at one fixed ratio, that settle in
+    # 27 and 29 iterations, and dense positive blocks with a wide gap.
+    yield np.array([[0.0, 1.0], [0.5, -0.5]])
+    yield np.array([[0.0, 1.0], [3.0, -1.0]])
+    rng = np.random.default_rng(0)
+    for d in (3, 5, 8, 12, 20, 40):
+        yield 1.0 + 0.5 * rng.random((d, d)) - np.diag(rng.random(d))
+
+
+@pytest.mark.parametrize("block", list(_steady_blocks()),
+                         ids=lambda b: f"d{b.shape[0]}")
+def test_a_converging_small_block_keeps_its_power_pair(monkeypatch, block):
+    pair = core.selected_leading_eigenpair(block)
+    monkeypatch.setattr(core, "_RATE_START", core._POWER_BUDGET + 1)
+    ref = core.selected_leading_eigenpair(block)
+    assert pair.method == ref.method == "power"
+    assert pair.iterations == ref.iterations
+    assert pair.value == ref.value
+    assert np.array_equal(pair.vector, ref.vector)
+    assert pair.bracket == ref.bracket
+
+
 def _reach(a: np.ndarray) -> np.ndarray:
     # reach[i, j]: j is reachable from i along nonzero off-diagonal entries.
     d = a.shape[0]

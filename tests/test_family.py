@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from metzstab import core, gen
 from metzstab.errors import PreconditionError
 from metzstab.family import (
     FrobeniusSplit,
+    GreedyOutcome,
     ProductFamily,
     UncertaintySet,
     frobenius_blocks,
@@ -168,17 +171,22 @@ def test_patch_leaves_irreducible_outcome_alone():
 
 
 def test_patch_returns_a_certified_member_that_uses_no_patch_row():
-    # Plain greedy stops at (0, 0), eta = 1, on the vector (1, 0). On the
-    # augmented family (row 2 of each menu is the patch row) it passes through
-    # (0, 2) to (0, 1): eta = 2 with a positive vector and no patch row.
+    # From (0, 0), plain greedy stops there, eta = 1, on the vector (1, 0).
+    # On the augmented family (row 2 of each menu is the patch row) it passes
+    # through (0, 2) to (0, 1): eta = 2 with a positive vector and no patch
+    # row. The default start, each menu's largest row sum, is (0, 1) itself.
     fam = ProductFamily((
         UncertaintySet(0, [[1.0, 1.0], [-2.0, 0.0]]),
         UncertaintySet(1, [[0.0, -2.0], [0.0, 2.0]]),
     ))
-    plain = selective_greedy(fam, "max")
+    default = selective_greedy(fam, "max")
+    assert (default.row_choices, default.iterations) == ((0, 1), 1)
+    assert default.abscissa == pytest.approx(2.0, abs=1e-12)
+    assert not default.reducibility_flag
+    plain = selective_greedy(fam, "max", start_choices=(0, 0))
     assert plain.reducibility_flag
     assert (plain.row_choices, plain.abscissa) == ((0, 0), 1.0)
-    out = optimize_with_irreducibility_patch(fam, "max")
+    out = optimize_with_irreducibility_patch(fam, "max", start_choices=(0, 0))
     assert not out.reducibility_flag
     assert out.row_choices == (0, 1)
     assert out.abscissa == pytest.approx(2.0, abs=1e-12)
@@ -235,6 +243,28 @@ def test_greedy_equals_a_row_by_row_reference(direction):
         assert out.iterations == it
         assert out.abscissa == pair.value
         assert np.array_equal(out.matrix, fam.matrix(choices))
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_the_default_start_is_each_menus_first_best_row_sum(direction):
+    # The rows one sweep against the uniform vector chooses, ties (exact on
+    # these menus) to the first: the same outcome as that explicit start.
+    pick = np.argmax if direction == "max" else np.argmin
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        fam = ProductFamily(tuple(UncertaintySet(i, rows) for i, rows
+                                  in enumerate(_random_menus(rng, d))))
+        start = [int(pick(s.rows.sum(axis=1))) for s in fam.sets]
+        out = selective_greedy(fam, direction)
+        ref = selective_greedy(fam, direction, start_choices=start)
+        assert out.trace[0][0] == tuple(start)
+        for field in dataclasses.fields(GreedyOutcome):
+            got, want = getattr(out, field.name), getattr(ref, field.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
 
 
 @pytest.mark.parametrize("count", [1, 4])
