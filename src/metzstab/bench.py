@@ -53,6 +53,8 @@ def _run_trial(op: str, dim: int, count: int, kind: str, density, seed_seq) -> t
 def run_bench(*, ops=("family-max",), dims=(25,), counts=(50,), kind: str = "full",
               density=None, trials: int = 10, seed: int = 0) -> list[dict]:
     """Run the benchmark grid; one result row per (op, dim, count) cell."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rows = []
     cell = 0
     for op in ops:

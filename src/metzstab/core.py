@@ -374,26 +374,20 @@ def _certified_pair(block: np.ndarray, tol: float, iterations: int) -> EigenPair
     # positive solution of (tI - B) y = 1 proves lam < t and its absence
     # proves lam >= t. Two such tests around the dense value prove it to
     # within tol; if either fails, bisection on the same test finds lam.
-    d = block.shape[0]
-    ones = np.ones(d)
-
-    def above(t):  # positive (tI - B)^{-1} 1, or None when t <= lam
-        return positive_solution(t * np.eye(d) - block, ones)
-
     value = float(np.linalg.eigvals(block).real.max())
     width = tol * max(1.0, abs(value))
     lo, hi = value - width, value + width
-    y = above(hi)
-    y_lo = None if y is None else above(lo)
+    y = level_certificate(block, hi)
+    y_lo = None if y is None else level_certificate(block, lo)
     method = "certified"
     if y is None or y_lo is not None:
         method = "bisect"
         if y is None:  # lam >= hi, and at most the largest row sum
             lo, hi = hi, float(block.sum(axis=1).max()) + width
-            y, step = above(hi), width
+            y, step = level_certificate(block, hi), width
             while y is None:  # only rounding fails above the row-sum bound
                 lo, hi, step = hi, hi + step, 2.0 * step
-                y = above(hi)
+                y = level_certificate(block, hi)
         else:  # lam < lo, and at least the largest diagonal entry
             lo, hi, y = float(block.diagonal().max()), lo, y_lo
         # Halve down to rounding: the two ends are adjacent floats, or the
@@ -402,7 +396,7 @@ def _certified_pair(block: np.ndarray, tol: float, iterations: int) -> EigenPair
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            y_mid = above(mid)
+            y_mid = level_certificate(block, mid)
             if y_mid is None:
                 lo = mid
             else:
@@ -584,17 +578,19 @@ def spectral_radius(a, *, tol: float = DEFAULT_TOL,
     return selected_leading_eigenpair(arr, tol=tol, max_iter=max_iter).value
 
 
-def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solution y of m y = b when it is finite and entrywise positive, else None.
+def level_certificate(a: np.ndarray, level: float) -> np.ndarray | None:
+    """y = (level*I - A)^{-1} 1 when it is finite and entrywise positive, else None.
 
-    A positive y with A y = -1 certifies that a Metzler A is Hurwitz, and a
-    positive y with (hI - A) y = 1 certifies rho(A) < h for a nonnegative A,
-    so one LU factorization gives the closed-form destabilizers both their
-    precondition and their answer, and the stability tests their
-    verdict. A singular m gives None.
+    For a Metzler A, level*I - A has a nonnegative inverse, with row sums y,
+    exactly when lam(A) < level (Berman & Plemmons, ch. 6): at level 0 a
+    positive y certifies that A is Hurwitz, and for a nonnegative A that
+    rho(A) < level. One LU solve gives the closed-form destabilizers their
+    precondition and their answer. A singular level*I - A gives None.
     """
+    m = -a  # level*I - A, without the d x d identity
+    m.flat[:: a.shape[0] + 1] += level
     try:
-        y = np.linalg.solve(m, b)
+        y = np.linalg.solve(m, np.ones(a.shape[0]))
     except np.linalg.LinAlgError:
         return None
     if not (np.isfinite(y).all() and y.min() > 0.0):
@@ -603,27 +599,25 @@ def positive_solution(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def is_hurwitz_stable(a) -> bool:
-    """Hurwitz stability test for Metzler matrices.
+    """Hurwitz stability test for Metzler matrices: lam(A) < 0.
 
-    Uses the positive-solution certificate: a Metzler A is Hurwitz iff
-    A y = -1 has an entrywise positive solution y (then -A^{-1} is
-    nonnegative and y is its row sums).
+    A Metzler A is Hurwitz iff -A y = 1 has an entrywise positive solution
+    y (then -A^{-1} is nonnegative and y is its row sums).
     """
-    arr = validate_metzler(a)
-    return positive_solution(arr, -np.ones(arr.shape[0])) is not None
+    return level_certificate(validate_metzler(a), 0.0) is not None
 
 
 def is_schur_stable(a, *, level: float = 1.0) -> bool:
     """Schur stability test for nonnegative matrices: rho(A) < level.
 
     Checks that (level*I - A) y = 1 has an entrywise positive solution y,
-    which holds iff level*I - A has a nonnegative inverse.
+    which holds iff level*I - A has a nonnegative inverse. ``level`` must
+    be finite and positive.
     """
     arr = validate_nonnegative(a)
-    if level <= 0.0:
-        raise PreconditionError("level must be positive")
-    d = arr.shape[0]
-    return positive_solution(level * np.eye(d) - arr, np.ones(d)) is not None
+    if not (np.isfinite(level) and level > 0.0):
+        raise PreconditionError(f"level must be finite and positive, got {level}")
+    return level_certificate(arr, level) is not None
 
 
 def support(v: np.ndarray) -> np.ndarray:

@@ -46,15 +46,17 @@ class _Reader:
         except ValueError:
             raise ValueError(f"expected integer {name} in {self._what}, got {tok!r}") from None
 
+    def number(self) -> float:
+        tok = self.token()
+        try:
+            return float(tok)
+        except ValueError:
+            raise ValueError(f"bad numeric token {tok!r} in {self._what}") from None
+
     def floats(self, n: int) -> np.ndarray:
-        out = np.empty(n)
-        for k in range(n):
-            tok = self.token()
-            try:
-                out[k] = float(tok)
-            except ValueError:
-                raise ValueError(f"bad numeric token {tok!r} in {self._what}") from None
-        return out
+        # Without a count, fromiter grows with the tokens read, never with
+        # the count a header claims.
+        return np.fromiter((self.number() for _ in range(n)), dtype=float)
 
     def expect_end(self) -> None:
         try:
@@ -123,15 +125,14 @@ def read_sign_matrix(text: str):
     d = r.integer("dimension")
     if d <= 0:
         raise ValueError(f"sign matrix dimension must be positive, got {d}")
-    entries = np.empty((d, d), dtype=np.int8)
-    for i in range(d):
-        for j in range(d):
-            tok = r.token()
-            if tok not in _SIGN_TO_INT:
-                raise ValueError(f"bad sign token {tok!r} (expected -, 0 or +)")
-            entries[i, j] = _SIGN_TO_INT[tok]
+    entries = []
+    for _ in range(d * d):
+        tok = r.token()
+        if tok not in _SIGN_TO_INT:
+            raise ValueError(f"bad sign token {tok!r} (expected -, 0 or +)")
+        entries.append(_SIGN_TO_INT[tok])
     r.expect_end()
-    return SignMatrix(entries)
+    return SignMatrix(np.array(entries, dtype=np.int8).reshape(d, d))
 
 
 def write_sign_matrix(m) -> str:

@@ -1,10 +1,11 @@
 """Closest unstable / stable matrices in the l-infinity norm (max row l1 mass).
 
-Destabilization has a closed form: for Hurwitz-stable Metzler A the nearest
-boundary matrix adds tau* = 1 / max_k(-A^{-1} e)_k to one column; the Schur
-version at level h uses (h I - A)^{-1} e instead. The vector y = -A^{-1} e
-(or (h I - A)^{-1} e) comes from one solve, and y > 0 is itself the
-certificate of stability that the closed form requires.
+Both regimes are one boundary form: for a Metzler A, lam(A) < level exactly
+when (level I - A)^{-1} is nonnegative, and the Hurwitz problems are its
+level-0 case. Destabilization has a closed form: the nearest boundary matrix
+adds tau* = 1 / max_k y_k to one column, y = (level I - A)^{-1} e. The vector
+y comes from one solve, and y > 0 is itself the certificate of stability
+that the closed form requires.
 
 Stabilization minimizes the abscissa (or radius) over the row-wise l1 ball
 B_tau(A) by a selective greedy sweep whose row minimizers have a closed form:
@@ -19,14 +20,15 @@ flips between two minimizers settles. A sweep yields X = C - tau*R (R marks
 each row's pivot); from a stable ball minimum one Perron computation gives
 the exact boundary budget along the frozen (C, R), the outer search's
 superlinear jump. The search starts at the radius of a closed-form boundary
-matrix, A - eta*I or A*level/rho. After an infeasible probe, or a jump that
-fails or lands by tau_lo, it takes the secant through the last two radii
-with an objective (value - level), bisecting where it leaves the bracket.
+matrix, A - (lam - level) I or A*level/rho. After an infeasible probe, or a
+jump that fails or lands by tau_lo, it takes the secant through the last two
+radii with an objective (value - level), bisecting where it leaves the
+bracket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +59,20 @@ class CRDecomposition:
         return self.c - self.tau * self.r
 
 
+def _bump_column(arr: np.ndarray, level: float, failure: str) -> core.DestabilizationResult:
+    # Column k, the argmax of y = (level I - A)^{-1} e, bumped by 1 / y_k
+    # lands exactly on the boundary lam = level. A positive y is also the
+    # certificate lam(A) < level that the closed form requires.
+    y = core.level_certificate(arr, level)
+    if y is None:
+        raise PreconditionError(failure)
+    k = int(np.argmax(y))
+    tau = 1.0 / float(y[k])
+    x = arr.copy()
+    x[:, k] += tau
+    return core.DestabilizationResult(tau_star=tau, matrix=x, column=k)
+
+
 def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
     """Closest matrix with eta >= 0 in the l-inf norm, for Hurwitz-stable Metzler A.
 
@@ -64,37 +80,22 @@ def closest_unstable_inf_hurwitz(a) -> core.DestabilizationResult:
     tau* = 1 / y_k; eta of the result is exactly 0. One solve gives y, and a
     finite, entrywise positive y certifies that A is Hurwitz.
     """
-    arr = core.validate_metzler(a)
-    y = core.positive_solution(arr, -np.ones(arr.shape[0]))
-    if y is None:
-        raise PreconditionError("matrix must be strictly Hurwitz stable")
-    k = int(np.argmax(y))
-    tau = 1.0 / float(y[k])
-    x = arr.copy()
-    x[:, k] += tau
-    return core.DestabilizationResult(tau_star=tau, matrix=x, column=k)
+    return _bump_column(core.validate_metzler(a), 0.0,
+                        "matrix must be strictly Hurwitz stable")
 
 
 def closest_unstable_inf_schur(a, *, level: float = 1.0) -> core.DestabilizationResult:
     """Closest matrix with rho >= level in the l-inf norm, for nonnegative A.
 
-    Requires rho(A) < level; bumps column k, the argmax of
-    y = (level*I - A)^{-1} e, by 1 / y_k, landing exactly on rho = level.
-    One solve gives y, and a finite, entrywise positive y certifies
-    rho(A) < level.
+    Requires rho(A) < level, with ``level`` finite and positive; bumps
+    column k, the argmax of y = (level*I - A)^{-1} e, by 1 / y_k, landing
+    exactly on rho = level. One solve gives y, and a finite, entrywise
+    positive y certifies rho(A) < level.
     """
     arr = core.validate_nonnegative(a)
-    if level <= 0.0:
-        raise PreconditionError("level must be positive")
-    d = arr.shape[0]
-    y = core.positive_solution(level * np.eye(d) - arr, np.ones(d))
-    if y is None:
-        raise PreconditionError(f"matrix must satisfy rho(A) < {level}")
-    k = int(np.argmax(y))
-    tau = 1.0 / float(y[k])
-    x = arr.copy()
-    x[:, k] += tau
-    return core.DestabilizationResult(tau_star=tau, matrix=x, column=k)
+    if not (np.isfinite(level) and level > 0.0):
+        raise PreconditionError(f"level must be finite and positive, got {level}")
+    return _bump_column(arr, level, f"matrix must satisfy rho(A) < {level}")
 
 
 def _sorted_support(v: np.ndarray) -> np.ndarray:
@@ -217,23 +218,21 @@ def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
         f"greedy descent did not settle in {_MAX_SWEEPS} sweeps", best=best[0])
 
 
-def _jump_candidate(cr: CRDecomposition, schur: bool, level: float) -> float | None:
+def _jump_candidate(cr: CRDecomposition, level: float) -> float | None:
     # Root of (leading eigenvalue of C - t*R) = level in t, valid while the
     # (C, R) structure is frozen; None signals the caller to bisect instead.
     # R = S E_J^T for its k distinct pivot columns J, so the nonzero spectrum
-    # of -X^{-1} R (or (level I - X)^{-1} R) is that of the k x k matrix
-    # Y[J], for the k-column solve Y = -X^{-1} S (or (level I - X)^{-1} S).
-    xf = cr.matrix()
-    d = xf.shape[0]
+    # of (level I - X)^{-1} R is that of the k x k matrix Y[J], for the
+    # k-column solve Y = (level I - X)^{-1} S; level 0 is the Hurwitz case.
+    m = -cr.matrix()  # level I - X, without the d x d identity
+    d = m.shape[0]
+    m.flat[:: d + 1] += level
     rows, pivots = np.nonzero(cr.r)
     cols, slot = np.unique(pivots, return_inverse=True)
     s = np.zeros((d, cols.size))
     s[rows, slot] = 1.0
     try:
-        if schur:
-            y = np.linalg.solve(level * np.eye(d) - xf, s)
-        else:
-            y = -np.linalg.solve(xf, s)
+        y = np.linalg.solve(m, s)
         if not np.isfinite(y).all() or float(y.min()) < -_NEG_GUARD:
             return None
         # Only a proposal, which the next ball minimum verifies, so the
@@ -293,7 +292,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
         width = best[0] - tau_lo
         if width <= 1e-12 * max(1.0, norm0):
             return result(*best, outer)
-        tau = _jump_candidate(cr, schur, level) if value < level else None
+        tau = _jump_candidate(cr, level) if value < level else None
         if tau is None or tau <= tau_lo + 1e-3 * width:
             # The secant through the last two known radii, or the midpoint
             # where it leaves the bracket, kept 1e-3 of the width inside it.
@@ -334,23 +333,14 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
 
     With ``allow_metzler=False`` the search stays inside the nonnegative
     matrices. With ``allow_metzler=True`` the constraint relaxes to Metzler
-    matrices with spectral abscissa 1, which reduces exactly to Hurwitz
-    stabilization of A - I (the result's leading eigenvalue is then 1).
+    matrices with spectral abscissa 1: the Hurwitz search, whose diagonal is
+    unbounded, run at level 1 on A itself (the result's leading eigenvalue
+    is then 1).
     """
     arr = core.validate_nonnegative(a)
     base_pair = core.selected_leading_eigenpair(arr, tol=tol)
     if base_pair.value <= 1.0 + ZERO_TOL:
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
-    if allow_metzler:
-        # The pair of A - I is the input's pair shifted by -1.
-        d = arr.shape[0]
-        lo, hi = base_pair.bracket
-        shifted = replace(base_pair, value=base_pair.value - 1.0,
-                          bracket=(lo - 1.0, hi - 1.0))
-        inner = _closest_stable_ball(arr - np.eye(d), shifted, schur=False, level=0.0,
-                                     tol=tol, max_outer=max_outer)
-        return replace(inner, matrix=inner.matrix + np.eye(d), abscissa=inner.abscissa + 1.0,
-                       trace=tuple((t, e + 1.0) for t, e in inner.trace))
-    return _closest_stable_ball(arr, base_pair, schur=True, level=1.0, tol=tol,
-                                max_outer=max_outer)
+    return _closest_stable_ball(arr, base_pair, schur=not allow_metzler, level=1.0,
+                                tol=tol, max_outer=max_outer)

@@ -43,7 +43,7 @@ def closest_unstable_max(a) -> core.DestabilizationResult:
     a finite, entrywise positive y certifies that A is Hurwitz.
     """
     arr = core.validate_metzler(a)
-    y = core.positive_solution(arr, -np.ones(arr.shape[0]))
+    y = core.level_certificate(arr, 0.0)
     if y is None:
         raise PreconditionError("matrix must be strictly Hurwitz stable")
     tau = 1.0 / float(y.sum())

@@ -1,7 +1,10 @@
 import io
 import time
+import warnings
 
-from metzstab import bench, gen
+import pytest
+
+from metzstab import bench, cli, gen
 
 
 def test_one_row_per_grid_cell():
@@ -63,3 +66,14 @@ def test_table_lists_every_row():
     assert len(lines) == 1 + len(rows)
     assert "iterations_mean" in lines[0]
     assert bench.format_table([]) == "(no results)\n"
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_a_trial_count_below_one_is_rejected(trials, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            bench.run_bench(ops=("stab-inf",), dims=(2,), trials=trials)
+        assert cli.main(["bench", "--op", "stab-inf", "--dim", "2",
+                         "--trials", str(trials)]) == 2
+    assert capsys.readouterr().err == f"error: trials must be at least 1, got {trials}\n"

@@ -225,8 +225,8 @@ def test_the_max_norm_search_takes_few_evaluations():
 
 
 def test_the_metzler_schur_stabilizer_does_not_solve_the_input_shifted(eigen_inputs):
-    # allow_metzler stabilizes A - I, whose pair is the input's pair shifted
-    # by -1: no call sees a matrix equal to an earlier one minus I.
+    # allow_metzler runs the Hurwitz search at level 1 on A itself, from the
+    # input's pair: no call sees a matrix equal to an earlier one minus I.
     for seed in range(3):
         eigen_inputs.clear()
         a = helpers.random_unstable_nonneg(np.random.default_rng(seed), 25)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metzstab import formats
+from metzstab import cli, formats
 from metzstab.family import ProductFamily, UncertaintySet
 from metzstab.lss import SwitchingSystem
 from metzstab.sign import SignMatrix
@@ -86,3 +86,20 @@ def test_twelve_significant_digits_survive():
     a = np.array([[1.0 / 3.0, np.pi], [-np.e, 1e-7 / 3.0]])
     back = formats.read_matrix(formats.write_matrix(a))
     np.testing.assert_allclose(back, a, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("reader,command,text", [
+    (formats.read_matrix, "eig", "1000000\n1 2\n"),
+    (formats.read_family, "opt-family", "1\n0 1000000000000\n1\n"),
+    (formats.read_sign_matrix, "sign-stab", "1000000\n+ -\n"),
+    (formats.read_switching_system, "lss-check", "1000000 1000000\n1\n"),
+], ids=["matrix", "family", "sign", "system"])
+def test_a_header_past_memory_reads_as_a_short_file(reader, command, text, tmp_path, capsys):
+    # Each header announces at least 1e12 entries; nothing is allocated for
+    # entries that never arrive.
+    with pytest.raises(ValueError, match="unexpected end"):
+        reader(text)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    assert "unexpected end" in capsys.readouterr().err

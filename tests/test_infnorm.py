@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,23 @@ def test_metzler_relaxation_never_farther():
         assert float(np.abs(plain.matrix).min()) >= -1e-12
 
 
+@pytest.mark.parametrize("case", range(21))
+def test_metzler_relaxation_matches_the_hurwitz_search_of_a_minus_i(case):
+    # The relaxation searches at level 1 on A; stabilizing A - I at level 0
+    # and shifting back by I is the same problem.
+    if case == 0:
+        a = goldens.SPIN_2
+    else:
+        rng = np.random.default_rng(1900 + case)
+        a = helpers.random_unstable_nonneg(rng, int(rng.integers(3, 26)))
+    eye = np.eye(a.shape[0])
+    relaxed = closest_stable_inf_schur(a, allow_metzler=True)
+    shifted = closest_stable_inf_hurwitz(a - eye)
+    assert relaxed.tau_star == pytest.approx(shifted.tau_star, rel=1e-10)
+    scale = core.matrix_norm(a, core.NormKind.INF)
+    np.testing.assert_allclose(relaxed.matrix, shifted.matrix + eye, rtol=0, atol=1e-10 * scale)
+
+
 def test_schur_stabilize_rejects_stable_input():
     with pytest.raises(PreconditionError):
         closest_stable_inf_schur([[0.5]])
@@ -384,7 +402,7 @@ def test_jump_candidate_matches_the_full_resolvent():
         tau = float(rng.choice([0.05, 0.5, 2.0, 8.0]) * row_mass)
         _, cr = _sweep(base, base.copy(), v, tau, schur)
         level = 1.0 if schur else 0.0
-        got = _jump_candidate(cr, schur, level)
+        got = _jump_candidate(cr, level)
         want = _full_jump_reference(cr, schur, level)
         if want is None:
             assert got is None
@@ -405,10 +423,10 @@ def test_jump_candidate_rejects_a_negative_resolvent():
 
     # X = C - R = diag(1, -1) is unstable: -X^{-1} has the entry -1.
     cr = CRDecomposition(c=np.array([[2.0, 0.0], [0.0, 0.0]]), r=np.eye(2), tau=1.0)
-    assert _jump_candidate(cr, False, 0.0) is None
+    assert _jump_candidate(cr, 0.0) is None
     # rho(X) = 2 > 1: (I - X)^{-1} has the entry -1.
     cr = CRDecomposition(c=np.array([[3.0, 0.0], [0.0, 0.5]]), r=np.eye(2), tau=1.0)
-    assert _jump_candidate(cr, True, 1.0) is None
+    assert _jump_candidate(cr, 1.0) is None
 
 
 def test_sweep_rows_match_the_row_minimizer():
@@ -506,3 +524,20 @@ def test_destabilize_rejects_a_singular_input(command, destabilize, a, tmp_path,
     path.write_text(formats.write_matrix(a))
     assert cli.main([command, str(path)]) == 2
     assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_schur_functions_reject_a_level_that_is_not_finite_and_positive(level, tmp_path,
+                                                                         capsys):
+    a = np.array([[0.5, 0.1], [0.2, 0.3]])
+    message = "level must be finite and positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(PreconditionError, match=message):
+            core.is_schur_stable(a, level=level)
+        with pytest.raises(PreconditionError, match=message):
+            closest_unstable_inf_schur(a, level=level)
+    path = tmp_path / "m.txt"
+    path.write_text(formats.write_matrix(a))
+    assert cli.main(["destab-schur", str(path), f"--level={level}"]) == 2
+    assert message in capsys.readouterr().err
