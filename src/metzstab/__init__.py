@@ -39,7 +39,6 @@ from .family import (
 )
 from .gen import generate_family
 from .infnorm import (
-    CRDecomposition,
     ball_row_minimizer,
     closest_stable_inf_hurwitz,
     closest_stable_inf_schur,
@@ -65,7 +64,6 @@ from .sign import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CRDecomposition",
     "DestabilizationResult",
     "EigenPair",
     "GreedyOutcome",

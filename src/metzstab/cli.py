@@ -4,8 +4,8 @@ Matrix results go to stdout in the package text formats (12 significant
 digits); one-line human summaries go to stderr so results stay pipeable.
 ``--json`` switches stdout to a single schema-versioned JSON document.
 
-Exit codes: 0 success, 2 precondition or input violation, 3 iteration
-budget exhausted.
+Exit codes: 0 success, 2 precondition or input violation (a request larger
+than memory included), 3 iteration budget exhausted.
 
 Handlers return ``(payload, text, summary)``: the ``--json`` document
 without ``schema`` and ``command`` (``None`` when the command has no JSON
@@ -51,8 +51,8 @@ def _cmd_eig(args):
                            f"residual = {pair.residual:.3e}")
 
 
-# The closest (un)stable matrix commands: name -> (help, allowed --norm values
-# with the default first, boundary level the residual is measured against
+# The closest (un)stable matrix commands: name -> (help, --norm choices with
+# the default first, boundary level the residual is measured against
 # (destab-schur's --level overrides it), solve(a, args)). Under --norm one the
 # solver runs on the transpose and the result is transposed back.
 _CLOSEST = {
@@ -216,7 +216,7 @@ def _cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --tol, --max-iter and --seed go only on the commands that read them.
+    # --tol, --max-iter, --seed and --norm go only on the commands that read them.
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--tol", type=float, default=None,
                         help="convergence tolerance (op-specific default)")
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--norm", choices=("max", "inf", "one"), default=None,
-                        help="norm variant where applicable")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document on stdout")
 
@@ -236,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization, sign and switching-system stabilization.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, help_text, norms=(), flags=(), **defaults):
+    def sub(name, func, help_text, flags=(), **defaults):
         p = subs.add_parser(name, parents=[*flags, common], help=help_text)
-        p.set_defaults(func=func, norms=norms, **defaults)
+        p.set_defaults(func=func, **defaults)
         return p
 
     p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix", flags=[budget])
@@ -246,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, norms, level, _) in _CLOSEST.items():
         flags = [budget] if name.startswith("stab-") else []
-        sub(name, _cmd_closest, help_text, norms, flags, level=level).add_argument("matrix")
+        p = sub(name, _cmd_closest, help_text, flags, level=level)
+        p.add_argument("matrix")
+        p.add_argument("--norm", choices=norms, default=norms[0],
+                       help=f"norm variant (default {norms[0]})")
     subs.choices["destab-schur"].add_argument(
         "--level", type=float, default=1.0, help="target spectral radius level (default 1)")
     subs.choices["stab-schur"].add_argument(
@@ -295,18 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_norm(args) -> None:
-    """Default --norm to the command's first allowed norm; reject the others."""
-    if args.norm is None:
-        args.norm = args.norms[0] if args.norms else None
-    elif not args.norms:
-        raise PreconditionError(f"--norm is not applicable to {args.command}")
-    elif args.norm not in args.norms:
-        raise PreconditionError(
-            f"--norm {args.norm} is not applicable to {args.command} "
-            f"(allowed: {', '.join(args.norms)})")
-
-
 def _check_budget(args) -> None:
     """Reject a --max-iter below one and a --tol that is not positive."""
     if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
@@ -318,10 +307,9 @@ def _check_budget(args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_norm(args)
         _check_budget(args)
         payload, text, summary = args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IterationLimitError as exc:

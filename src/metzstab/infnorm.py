@@ -16,19 +16,18 @@ stable, on the boundary or infeasible and whose vector drives the next
 sweep; the input's own pair, computed once for the precondition, starts
 every ball. The descent loop is shared with the sign ball, and an iterate
 seen before ends it on the first least-value iterate seen, so a sweep that
-flips between two minimizers settles. A sweep yields X = C - tau*R (R marks
-each row's pivot); from a stable ball minimum one Perron computation gives
-the exact boundary budget along the frozen (C, R), the outer search's
-superlinear jump. The search starts at the radius of a closed-form boundary
-matrix, A - (lam - level) I or A*level/rho. After an infeasible probe, or a
-jump that fails or lands by tau_lo, it takes the secant through the last two
-radii with an objective (value - level), bisecting where it leaves the
-bracket.
+flips between two minimizers settles. A sweep records one pivot per swept
+row and the pivot's unclamped value, which fix the formal matrix
+X = C - tau*R (R marks the pivots); from a stable ball minimum one Perron
+computation gives the exact boundary budget along that frozen structure,
+the outer search's superlinear jump. The search starts at the radius of a
+closed-form boundary matrix, A - (lam - level) I or A*level/rho. After an
+infeasible probe, or a jump that fails or lands by tau_lo, it takes the
+secant through the last two radii with an objective (value - level),
+bisecting where it leaves the bracket.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +39,6 @@ _FP_RTOL = 1e-12
 _NEG_GUARD = 1e-7
 # Sweep budget of one greedy descent, in the l-inf ball or the sign ball.
 _MAX_SWEEPS = 500
-
-
-@dataclass(frozen=True)
-class CRDecomposition:
-    """Sweep decomposition: C collects cumulative masses, R marks pivots.
-
-    ``C - tau*R`` equals the sweep's output matrix exactly in the Hurwitz
-    regime; in the Schur regime the output clamps that formal matrix at zero
-    (rows whose whole support mass fits in the budget).
-    """
-
-    c: np.ndarray
-    r: np.ndarray
-    tau: float
-
-    def matrix(self) -> np.ndarray:
-        return self.c - self.tau * self.r
 
 
 def _bump_column(arr: np.ndarray, level: float, failure: str) -> core.DestabilizationResult:
@@ -98,8 +80,7 @@ def closest_unstable_inf_schur(a, *, level: float = 1.0) -> core.Destabilization
     return _bump_column(arr, level, f"matrix must satisfy rho(A) < {level}")
 
 
-def _sorted_support(v: np.ndarray) -> np.ndarray:
-    sup = np.flatnonzero(v > 0.0)
+def _sorted_support(v: np.ndarray, sup: np.ndarray) -> np.ndarray:
     order = np.lexsort((sup, -v[sup]))  # weight descending, column ascending
     return sup[order]
 
@@ -114,9 +95,9 @@ def _minimize_rows(rows: np.ndarray, cols: np.ndarray, tau: float,
     first. In the Hurwitz regime ``stop`` is the diagonal's position (the
     unbounded diagonal absorbs any leftover budget there) and the pivot keeps
     its mass minus tau; otherwise ``stop`` is the last position and the pivot
-    is clamped at zero. Returns (x, c, pivots) with c holding the pivots'
-    cumulative masses. The sign ball's sweep uses the Schur form on
-    sgn(M) + I.
+    is clamped at zero. Returns (x, pivots, formal), with ``formal`` each
+    pivot's unclamped value, its cumulative mass minus tau. The sign ball's
+    sweep uses the Schur form on sgn(M) + I.
     """
     cums = np.cumsum(rows[:, cols], axis=1)
     at = np.arange(rows.shape[0])
@@ -124,14 +105,11 @@ def _minimize_rows(rows: np.ndarray, cols: np.ndarray, tau: float,
     cross = np.hstack([cums > tau, np.ones((at.size, 1), bool)]).argmax(axis=1)
     li = np.minimum(cross, stop)
     pivots = cols[li]
-    c = rows.copy()
-    c[:, cols] = np.where(np.arange(cols.size) < li[:, None], 0.0, c[:, cols])
-    c[at, pivots] = cums[at, li]
-    x = c.copy()
-    x[at, pivots] -= tau
-    if clamp:
-        x[at, pivots] = np.maximum(x[at, pivots], 0.0)
-    return x, c, pivots
+    x = rows.copy()
+    x[:, cols] = np.where(np.arange(cols.size) < li[:, None], 0.0, x[:, cols])
+    formal = cums[at, li] - tau
+    x[at, pivots] = np.maximum(formal, 0.0) if clamp else formal
+    return x, pivots, formal
 
 
 def ball_row_minimizer(row, v, tau: float, row_index: int, *,
@@ -151,7 +129,7 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
         raise ValueError("tau must be nonnegative")
     if float(w.min()) < 0.0:
         raise ValueError("v must be entrywise nonnegative")
-    cols = _sorted_support(w)
+    cols = _sorted_support(w, np.flatnonzero(w > 0.0))
     if cols.size == 0:
         return base
     # A Hurwitz row whose diagonal is outside the support has no diagonal
@@ -165,24 +143,19 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
 
 def _sweep(base: np.ndarray, x: np.ndarray, v: np.ndarray, tau: float,
            schur: bool):
-    d = base.shape[0]
-    cols = _sorted_support(v)
+    # One sweep of the swept rows, the support of v. Returns the next
+    # iterate and its record (rows, pivots, formal): each swept row's pivot
+    # column and the pivot's unclamped value. That record is the frozen
+    # structure X = C - tau R, with R marking each row's pivot: X equals the
+    # output exactly in the Hurwitz regime, while the Schur regime clamps
+    # its pivots at zero (rows whose whole support mass fits in the budget).
+    cols = _sorted_support(v, core.support(v))
     # Row cols[p] has its diagonal at position p of cols.
     stop = cols.size - 1 if schur else np.arange(cols.size)
-    rows_x, rows_c, pivots = _minimize_rows(base[cols], cols, tau, stop, clamp=schur)
+    rows_x, pivots, formal = _minimize_rows(base[cols], cols, tau, stop, clamp=schur)
     x_next = x.copy()
     x_next[cols] = rows_x
-    c = x.copy()
-    c[cols] = rows_c
-    r = np.zeros((d, d))
-    r[cols, pivots] = 1.0
-    return x_next, CRDecomposition(c=c, r=r, tau=tau)
-
-
-def _threshold(v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    out[out <= core.SUPPORT_RTOL * float(out.max())] = 0.0
-    return out
+    return x_next, (cols, pivots, formal)
 
 
 def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
@@ -218,16 +191,18 @@ def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
         f"greedy descent did not settle in {_MAX_SWEEPS} sweeps", best=best[0])
 
 
-def _jump_candidate(cr: CRDecomposition, level: float) -> float | None:
-    # Root of (leading eigenvalue of C - t*R) = level in t, valid while the
-    # (C, R) structure is frozen; None signals the caller to bisect instead.
-    # R = S E_J^T for its k distinct pivot columns J, so the nonzero spectrum
-    # of (level I - X)^{-1} R is that of the k x k matrix Y[J], for the
-    # k-column solve Y = (level I - X)^{-1} S; level 0 is the Hurwitz case.
-    m = -cr.matrix()  # level I - X, without the d x d identity
+def _jump_candidate(x: np.ndarray, record, tau: float, level: float) -> float | None:
+    # Root of (leading eigenvalue of X - t*R) = level in t, valid while the
+    # sweep's structure is frozen; None signals the caller to bisect instead.
+    # X is the sweep's output ``x`` with its pivots at their unclamped
+    # values. R = S E_J^T for its k distinct pivot columns J, so the nonzero
+    # spectrum of (level I - X)^{-1} R is that of the k x k matrix Y[J], for
+    # the k-column solve Y = (level I - X)^{-1} S; level 0 is the Hurwitz case.
+    rows, pivots, formal = record
+    m = -x  # level I - X, without the d x d identity
+    m[rows, pivots] = -formal
     d = m.shape[0]
     m.flat[:: d + 1] += level
-    rows, pivots = np.nonzero(cr.r)
     cols, slot = np.unique(pivots, return_inverse=True)
     s = np.zeros((d, cols.size))
     s[rows, slot] = 1.0
@@ -243,7 +218,7 @@ def _jump_candidate(cr: CRDecomposition, level: float) -> float | None:
         return None
     if lam <= 1e-14:
         return None
-    return cr.tau - 1.0 / lam
+    return tau - 1.0 / lam
 
 
 def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
@@ -265,20 +240,20 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
         # One sweep over the ball of the current tau. A strictly stable
         # iterate ends the ball early, and a fixed point is its certified
         # minimum. The base is above level (a precondition), so a stable
-        # iterate has a sweep, and its (C, R) pair, behind it.
+        # iterate has a sweep, and its pivot record, behind it.
         if pair.value < level - ZERO_TOL:
             return None
-        x_next, cr = _sweep(base, x, _threshold(pair.vector), tau, schur)
+        x_next, record = _sweep(base, x, pair.vector, tau, schur)
         if float(np.abs(x_next - x).max()) <= _FP_RTOL * max(1.0, base_max + tau):
             return None
-        return x_next, cr
+        return x_next, record
 
     def result(tau, x, value, outer):
         return core.StabilizationResult(tau_star=tau, matrix=x, iterations=outer,
                                         abscissa=value, trace=tuple(trace))
 
     for outer in range(1, max_outer + 1):
-        x, pair, cr, _ = _descend(base, base_pair, step, tol)
+        x, pair, record, _ = _descend(base, base_pair, step, tol)
         value = pair.value
         trace.append((tau, value))
         if abs(value - level) <= ZERO_TOL:
@@ -292,7 +267,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
         width = best[0] - tau_lo
         if width <= 1e-12 * max(1.0, norm0):
             return result(*best, outer)
-        tau = _jump_candidate(cr, level) if value < level else None
+        tau = _jump_candidate(x, record, tau, level) if value < level else None
         if tau is None or tau <= tau_lo + 1e-3 * width:
             # The secant through the last two known radii, or the midpoint
             # where it leaves the bracket, kept 1e-3 of the width inside it.
@@ -310,7 +285,7 @@ def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
     """Closest Hurwitz-stable Metzler matrix in the l-inf norm, for eta(A) > 0.
 
     Alternates ball-greedy minimization with exact boundary jumps on the
-    frozen (C, R) structure, maintaining an (infeasible, feasible) bracket
+    last sweep's frozen pivots, maintaining an (infeasible, feasible) bracket
     that starts as (0, eta(A)): A - eta(A) I is on the boundary. After an
     infeasible probe, or a jump that fails or lands at tau_lo, a secant step
     on (tau, eta) follows, and bisection where the secant leaves the bracket.

@@ -223,8 +223,9 @@ def test_criterion_8_invariant_suites():
         assert out.tau_star <= min(accepted, default=out.tau_star) + 1e-12
     report.append("tau monotonicity")
 
-    # a sweep agrees with its own C - tau R certificate on the support
-    from metzstab.infnorm import _sorted_support, _sweep
+    # a sweep agrees with its own C - tau R certificate on the support,
+    # rebuilt from its pivot record
+    from metzstab.infnorm import _sweep
     for trial in range(1000):
         d = int(rng.integers(2, 6))
         schur = bool(trial % 2)
@@ -232,13 +233,17 @@ def test_criterion_8_invariant_suites():
         base = np.abs(a) if schur else a
         v = rng.uniform(0.0, 1.0, d) * (rng.random(d) < 0.8)
         tau = float(rng.uniform(0.05, 1.0) * core.matrix_norm(base, "inf"))
-        x, cr = _sweep(base, base.copy(), v, tau, schur)
-        formal = cr.c - tau * cr.r
-        sup = _sorted_support(v)
+        x, (rows, pivots, formal_pivots) = _sweep(base, base.copy(), v, tau, schur)
+        r = np.zeros((d, d))
+        np.add.at(r, (rows, pivots), 1.0)
+        formal = x.copy()
+        formal[rows, pivots] = formal_pivots
+        sup = np.flatnonzero(v > 0.0)
         want = np.maximum(formal, 0.0) if schur else formal
         np.testing.assert_allclose(x[sup], want[sup], atol=1e-12)
         if sup.size:
-            np.testing.assert_array_equal(cr.r[sup].sum(axis=1), np.ones(sup.size))
+            np.testing.assert_array_equal(r[sup].sum(axis=1), np.ones(sup.size))
+        assert r.sum() == sup.size
     report.append("CR consistency")
 
     # graph route and spectral route agree on strict sign stability

@@ -8,17 +8,19 @@ nodes takes the certified step when its power budget runs out, so the
 ``stab-max`` input is one 70-node block. Every input here needs more than
 one step of its budget, so a budget of one runs out: the library raises
 with the best iterate it holds, and the CLI exits 3 with the message on
-stderr.
+stderr. The ball descent's sweep budget, ``infnorm._MAX_SWEEPS``, is a
+module constant, which the tests lower to one.
 """
 
 import numpy as np
 import pytest
 
-from metzstab import cli, core, formats, gen
+from metzstab import cli, core, formats, gen, infnorm
 from metzstab.errors import IterationLimitError
 from metzstab.family import optimize_with_irreducibility_patch, selective_greedy
 from metzstab.infnorm import closest_stable_inf_hurwitz, closest_stable_inf_schur
 from metzstab.maxnorm import closest_stable_max
+from metzstab.sign import SignMatrix, closest_stable_sign
 
 import goldens
 from helpers import LARGE_BLOCK_70
@@ -70,6 +72,35 @@ def test_sweep_budget_raises_with_the_last_member(solve):
     # The last member evaluated: its matrix, choices and abscissa agree.
     assert best.abscissa == core.spectral_abscissa(best.matrix)
     assert best.trace[-1] == (best.row_choices, best.abscissa)
+
+
+@pytest.mark.parametrize("solve,a", [
+    (closest_stable_inf_hurwitz, goldens.UNSTABLE_5),
+    (lambda m: closest_stable_sign(SignMatrix(m)), goldens.SIGN_WEB),
+], ids=["l-inf", "sign"])
+def test_ball_descent_budget_raises_with_the_least_value_iterate(monkeypatch, solve, a):
+    # Both balls' descents need more than one sweep here.
+    monkeypatch.setattr(infnorm, "_MAX_SWEEPS", 1)
+    with pytest.raises(IterationLimitError, match="did not settle in 1 sweeps") as err:
+        solve(a)
+    best = err.value.best
+    assert type(best) is np.ndarray
+    assert best.shape == (5, 5)
+    assert core.is_metzler(best)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5)),
+    ("sign-stab", formats.write_sign_matrix(SignMatrix(goldens.SIGN_WEB))),
+], ids=["stab-inf", "sign-stab"])
+def test_cli_ball_descent_budget_exits_3(monkeypatch, tmp_path, capsys, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    monkeypatch.setattr(infnorm, "_MAX_SWEEPS", 1)
+    assert cli.main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: greedy descent did not settle in 1 sweeps\n"
 
 
 @pytest.mark.parametrize("command,text,extra", [

@@ -284,8 +284,20 @@ def test_tau_search_starts_at_a_closed_form_stable_radius(stabilize, make, bound
         assert out.tau_star <= out.trace[0][0]
 
 
+def _formal_structure(x, record):
+    # The frozen structure of a sweep's pivot record: R marks each swept
+    # row's pivot (summed, so a repeated row shows), and X = C - tau R is
+    # the output with its pivots at their unclamped values.
+    rows, pivots, formal = record
+    r = np.zeros_like(x)
+    np.add.at(r, (rows, pivots), 1.0)
+    formal_x = x.copy()
+    formal_x[rows, pivots] = formal
+    return formal_x, r
+
+
 def test_sweep_output_matches_its_cr_decomposition():
-    from metzstab.infnorm import _sorted_support, _sweep
+    from metzstab.infnorm import _sweep
 
     rng = np.random.default_rng(67)
     for trial in range(25):
@@ -295,16 +307,17 @@ def test_sweep_output_matches_its_cr_decomposition():
         tau = float(rng.uniform(0.1, 1.0) * core.matrix_norm(a, "inf"))
         schur = bool(trial % 2)
         base = np.abs(a) if schur else a
-        x, cr = _sweep(base, base.copy(), v, tau, schur)
-        formal = cr.c - tau * cr.r
-        sup = _sorted_support(v)
+        x, record = _sweep(base, base.copy(), v, tau, schur)
+        formal, r = _formal_structure(x, record)
+        sup = np.flatnonzero(v > 0.0)
         if schur:
             np.testing.assert_allclose(x[sup], np.maximum(formal, 0.0)[sup],
                                        atol=1e-12)
         else:
             np.testing.assert_allclose(x[sup], formal[sup], atol=1e-12)
         # each swept row uses exactly one pivot
-        np.testing.assert_array_equal(cr.r[sup].sum(axis=1), np.ones(sup.size))
+        np.testing.assert_array_equal(r[sup].sum(axis=1), np.ones(sup.size))
+        assert r.sum() == sup.size
 
 
 def test_schur_stabilize_scalar():
@@ -359,22 +372,23 @@ def test_schur_stabilize_rejects_stable_input():
         closest_stable_inf_schur([[0.5]])
 
 
-def _full_jump_reference(cr, schur, level):
-    # cr.tau - 1/rho, with rho the Perron root of the full d x d matrix
-    # -X^{-1} R (or (level I - X)^{-1} R); None where that matrix fails the
-    # jump's guard or rho vanishes.
+def _full_jump_reference(x, record, tau, schur, level):
+    # tau - 1/rho, with rho the Perron root of the full d x d matrix
+    # -X^{-1} R (or (level I - X)^{-1} R), X and R rebuilt from the sweep's
+    # pivot record; None where that matrix fails the jump's guard or rho
+    # vanishes.
     from metzstab.infnorm import _NEG_GUARD
 
-    x = cr.matrix()
+    x, r = _formal_structure(x, record)
     d = x.shape[0]
     if schur:
-        m = np.linalg.solve(level * np.eye(d) - x, cr.r)
+        m = np.linalg.solve(level * np.eye(d) - x, r)
     else:
-        m = -np.linalg.solve(x, cr.r)
+        m = -np.linalg.solve(x, r)
     if float(m.min()) < -_NEG_GUARD:
         return None
     rho = float(np.linalg.eigvals(m).real.max())
-    return cr.tau - 1.0 / rho if rho > 1e-14 else None
+    return tau - 1.0 / rho if rho > 1e-14 else None
 
 
 def test_jump_candidate_matches_the_full_resolvent():
@@ -400,16 +414,16 @@ def test_jump_candidate_matches_the_full_resolvent():
                 base = helpers.random_stable_metzler(rng, d)
         row_mass = float(np.abs(base).sum(axis=1).max())
         tau = float(rng.choice([0.05, 0.5, 2.0, 8.0]) * row_mass)
-        _, cr = _sweep(base, base.copy(), v, tau, schur)
+        x, record = _sweep(base, base.copy(), v, tau, schur)
         level = 1.0 if schur else 0.0
-        got = _jump_candidate(cr, level)
-        want = _full_jump_reference(cr, schur, level)
+        got = _jump_candidate(x, record, tau, level)
+        want = _full_jump_reference(x, record, tau, schur, level)
         if want is None:
             assert got is None
             continue
         assert got == pytest.approx(want, rel=1e-10)
         compared += 1
-        k = np.unique(np.nonzero(cr.r)[1]).size
+        k = np.unique(record[1]).size
         if k == 1:
             seen[(schur, "1")] += 1
         if k == d:
@@ -419,14 +433,16 @@ def test_jump_candidate_matches_the_full_resolvent():
 
 
 def test_jump_candidate_rejects_a_negative_resolvent():
-    from metzstab.infnorm import CRDecomposition, _jump_candidate
+    from metzstab.infnorm import _jump_candidate
 
+    both = np.arange(2)
     # X = C - R = diag(1, -1) is unstable: -X^{-1} has the entry -1.
-    cr = CRDecomposition(c=np.array([[2.0, 0.0], [0.0, 0.0]]), r=np.eye(2), tau=1.0)
-    assert _jump_candidate(cr, 0.0) is None
-    # rho(X) = 2 > 1: (I - X)^{-1} has the entry -1.
-    cr = CRDecomposition(c=np.array([[3.0, 0.0], [0.0, 0.5]]), r=np.eye(2), tau=1.0)
-    assert _jump_candidate(cr, 1.0) is None
+    record = (both, both, np.array([1.0, -1.0]))
+    assert _jump_candidate(np.diag([1.0, -1.0]), record, 1.0, 0.0) is None
+    # rho(X) = 2 > 1 for X = diag(2, -0.5), whose second pivot the Schur
+    # output clamps at zero: (I - X)^{-1} has the entry -1.
+    record = (both, both, np.array([2.0, -0.5]))
+    assert _jump_candidate(np.diag([2.0, 0.0]), record, 1.0, 1.0) is None
 
 
 def test_sweep_rows_match_the_row_minimizer():
@@ -447,24 +463,27 @@ def test_sweep_rows_match_the_row_minimizer():
             v[0] = 0.5
         row_mass = float(np.abs(base).sum(axis=1).max())
         tau = float(rng.choice([0.1, 0.6, 3.0]) * row_mass)
-        x_next, cr = _sweep(base, x, v, tau, schur)
-        cols = _sorted_support(v)
+        x_next, record = _sweep(base, x, v, tau, schur)
+        cols = _sorted_support(v, np.flatnonzero(v > 0.0))
+        np.testing.assert_array_equal(record[0], cols)
+        formal_x, r = _formal_structure(x_next, record)
         cases["tie"] += np.unique(v[cols]).size < cols.size
         for i in range(d):
             if i not in cols:
                 np.testing.assert_array_equal(x_next[i], x[i])
-                np.testing.assert_array_equal(cr.r[i], np.zeros(d))
+                np.testing.assert_array_equal(r[i], np.zeros(d))
                 continue
             np.testing.assert_array_equal(
                 x_next[i], ball_row_minimizer(base[i], v, tau, i, schur=schur))
-            (pivot,) = np.flatnonzero(cr.r[i])
-            assert cr.r[i, pivot] == 1.0
-            # C keeps x's row off the pivot and holds the pivot's mass on it.
-            np.testing.assert_array_equal(np.delete(cr.c[i], pivot),
+            (pivot,) = np.flatnonzero(r[i])
+            assert r[i, pivot] == 1.0
+            # X keeps the output off the pivot, and the pivot's formal value
+            # plus tau is its cumulative mass.
+            np.testing.assert_array_equal(np.delete(formal_x[i], pivot),
                                           np.delete(x_next[i], pivot))
             p = int(np.flatnonzero(cols == pivot)[0])
-            assert cr.c[i, pivot] == pytest.approx(base[i, cols[:p + 1]].sum(), abs=1e-12)
-            formal = cr.c[i, pivot] - tau
+            formal = formal_x[i, pivot]
+            assert formal + tau == pytest.approx(base[i, cols[:p + 1]].sum(), abs=1e-12)
             assert x_next[i, pivot] == (max(formal, 0.0) if schur else formal)
             cases["no_cross"] += bool(base[i, cols].sum() <= tau)
             cases["clamped"] += bool(schur and formal < 0.0)

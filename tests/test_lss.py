@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from metzstab import core, infnorm
-from metzstab.errors import PreconditionError
+from metzstab import core, infnorm, lss
+from metzstab.errors import IterationLimitError, PreconditionError
 from metzstab.lss import (
+    LSS2DResult,
     SwitchingSystem,
     hull_max_abscissa,
     stabilize_2d_lss,
@@ -131,6 +132,19 @@ def test_stabilize_2d_repairs_the_hull_over_several_rounds():
     assert float(etas.max()) < 0.0
     for tau, got, orig in zip(out.mode_taus, out.system.modes, sys_in.modes):
         assert tau == pytest.approx(core.matrix_norm(got - orig, "inf"), abs=1e-12)
+
+
+def test_stabilize_2d_raises_after_its_repair_rounds(monkeypatch):
+    # The system above needs two repair rounds; a budget of one runs out.
+    a = np.array([[-1.0, 2.0], [3.0, -1.0]])
+    b = np.array([[0.0, 3.0], [1.0, -4.0]])
+    monkeypatch.setattr(lss, "_REPAIR_ROUNDS", 1)
+    with pytest.raises(IterationLimitError, match="did not converge in 1 rounds") as err:
+        stabilize_2d_lss(SwitchingSystem((a, b)))
+    best = err.value.best
+    assert isinstance(best, LSS2DResult)
+    assert best.iterations == 1
+    assert best.hull.abscissa >= 0.0
 
 
 def test_sign_route_worked_example():
