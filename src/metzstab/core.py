@@ -578,24 +578,45 @@ def spectral_radius(a, *, tol: float = DEFAULT_TOL,
     return selected_leading_eigenpair(arr, tol=tol, max_iter=max_iter).value
 
 
+_NEG_GUARD = 1e-7  # relative to the largest entry: see _level_resolvent
+
+
+def _level_resolvent(a: np.ndarray, level: float, rhs: np.ndarray) -> np.ndarray | None:
+    # (level I - A)^{-1} rhs, or None when level I - A is singular, the
+    # solution is not finite or it has an entry below -_NEG_GUARD times its
+    # largest one, which rounding alone gives at no scale. For a Metzler A
+    # and rhs >= 0 the solution is nonnegative when lam(A) < level, as
+    # (level I - A)^{-1} is then (Berman & Plemmons, ch. 6).
+    m = -a  # level I - A, without the d x d identity
+    m.flat[:: a.shape[0] + 1] += level
+    try:
+        y = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(y).all() or y.min() < -_NEG_GUARD * y.max():
+        return None
+    return y
+
+
 def level_certificate(a: np.ndarray, level: float) -> np.ndarray | None:
     """y = (level*I - A)^{-1} 1 when it is finite and entrywise positive, else None.
 
     For a Metzler A, level*I - A has a nonnegative inverse, with row sums y,
     exactly when lam(A) < level (Berman & Plemmons, ch. 6): at level 0 a
     positive y certifies that A is Hurwitz, and for a nonnegative A that
-    rho(A) < level. One LU solve gives the closed-form destabilizers their
-    precondition and their answer. A singular level*I - A gives None.
+    rho(A) < level. One LU solve, the package's one resolvent, gives the
+    closed-form destabilizers their precondition and their answer.
     """
-    m = -a  # level*I - A, without the d x d identity
-    m.flat[:: a.shape[0] + 1] += level
-    try:
-        y = np.linalg.solve(m, np.ones(a.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.isfinite(y).all() and y.min() > 0.0):
-        return None
-    return y
+    y = _level_resolvent(a, level, np.ones(a.shape[0]))
+    return y if y is not None and y.min() > 0.0 else None
+
+
+def _schur_input(a, level: float) -> np.ndarray:
+    # A Schur function's validated nonnegative input at a finite, positive level.
+    arr = validate_nonnegative(a)
+    if not (np.isfinite(level) and level > 0.0):
+        raise PreconditionError(f"level must be finite and positive, got {level}")
+    return arr
 
 
 def is_hurwitz_stable(a) -> bool:
@@ -614,10 +635,7 @@ def is_schur_stable(a, *, level: float = 1.0) -> bool:
     which holds iff level*I - A has a nonnegative inverse. ``level`` must
     be finite and positive.
     """
-    arr = validate_nonnegative(a)
-    if not (np.isfinite(level) and level > 0.0):
-        raise PreconditionError(f"level must be finite and positive, got {level}")
-    return level_certificate(arr, level) is not None
+    return level_certificate(_schur_input(a, level), level) is not None
 
 
 def support(v: np.ndarray) -> np.ndarray:

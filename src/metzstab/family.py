@@ -201,17 +201,6 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     return out
 
 
-def union_adjacency(family: ProductFamily) -> np.ndarray:
-    """Boolean off-diagonal adjacency of the union sparsity graph."""
-    d = family.dim
-    adj = np.zeros((d, d), dtype=bool)
-    for i, s in enumerate(family.sets):
-        nz = (np.abs(s.rows) > 0.0).any(axis=0)
-        nz[i] = False
-        adj[i] = nz
-    return adj
-
-
 def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     """Split a family along the SCCs of its union sparsity graph.
 
@@ -222,7 +211,8 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     """
     # strong_components places each block after the blocks it points to;
     # reversed, every member is block upper triangular in the node order.
-    components = core.strong_components(union_adjacency(family))[::-1]
+    union = np.array([(s.rows != 0.0).any(axis=0) for s in family.sets])
+    components = core.strong_components(union)[::-1]
 
     blocks = []
     subfamilies = []

@@ -3,8 +3,8 @@
 Both regimes are one boundary form: for a Metzler A, lam(A) < level exactly
 when (level I - A)^{-1} is nonnegative, and the Hurwitz problems are its
 level-0 case. Destabilization has a closed form: the nearest boundary matrix
-adds tau* = 1 / max_k y_k to one column, y = (level I - A)^{-1} e. The vector
-y comes from one solve, and y > 0 is itself the certificate of stability
+adds tau* = 1 / max_k y_k to one column, y = (level I - A)^{-1} e, from
+core's one level resolvent; y > 0 is itself the certificate of stability
 that the closed form requires.
 
 Stabilization minimizes the abscissa (or radius) over the row-wise l1 ball
@@ -18,13 +18,14 @@ every ball. The descent loop is shared with the sign ball, and an iterate
 seen before ends it on the first least-value iterate seen, so a sweep that
 flips between two minimizers settles. A sweep records one pivot per swept
 row and the pivot's unclamped value, which fix the formal matrix
-X = C - tau*R (R marks the pivots); from a stable ball minimum one Perron
-computation gives the exact boundary budget along that frozen structure,
-the outer search's superlinear jump. The search starts at the radius of a
-closed-form boundary matrix, A - (lam - level) I or A*level/rho. After an
-infeasible probe, or a jump that fails or lands by tau_lo, it takes the
-secant through the last two radii with an objective (value - level),
-bisecting where it leaves the bracket.
+X = C - tau*R (R marks the pivots); from a stable ball minimum the Perron
+root of the same resolvent, (level I - X)^{-1} R, gives the exact boundary
+budget along that frozen structure, the outer search's superlinear jump.
+The search starts at the radius of a closed-form boundary matrix,
+A - (lam - level) I or A*level/rho. After an infeasible probe, or a jump
+that fails or lands by tau_lo, it takes the secant through the last two
+radii with an objective (value - level), bisecting where it leaves the
+bracket.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import IterationLimitError, PreconditionError
 
 ZERO_TOL = 1e-8
 _FP_RTOL = 1e-12
-_NEG_GUARD = 1e-7
 # Sweep budget of one greedy descent, in the l-inf ball or the sign ball.
 _MAX_SWEEPS = 500
 
@@ -74,10 +74,8 @@ def closest_unstable_inf_schur(a, *, level: float = 1.0) -> core.Destabilization
     exactly on rho = level. One solve gives y, and a finite, entrywise
     positive y certifies rho(A) < level.
     """
-    arr = core.validate_nonnegative(a)
-    if not (np.isfinite(level) and level > 0.0):
-        raise PreconditionError(f"level must be finite and positive, got {level}")
-    return _bump_column(arr, level, f"matrix must satisfy rho(A) < {level}")
+    return _bump_column(core._schur_input(a, level), level,
+                        f"matrix must satisfy rho(A) < {level}")
 
 
 def _sorted_support(v: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -119,14 +117,17 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
     The slice keeps off-diagonal entries nonnegative; the diagonal entry is
     unconstrained in the Hurwitz regime (``schur=False``) and floored at zero
     in the Schur regime. Entries outside the support of v are left at their
-    original values (changing them cannot lower the objective).
+    original values (changing them cannot lower the objective). Inputs must
+    be finite, with ``row_index`` inside the row.
     """
     base = np.asarray(row, dtype=float).copy()
     w = np.asarray(v, dtype=float)
     if base.ndim != 1 or w.shape != base.shape:
         raise ValueError("row and v must be 1-D arrays of equal length")
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(base).all() and np.isfinite(w).all() and 0.0 <= tau < np.inf):
+        raise ValueError("row, v and tau must be finite, and tau nonnegative")
+    if not 0 <= row_index < base.size:
+        raise ValueError(f"row_index must lie in [0, {base.size}), got {row_index}")
     if float(w.min()) < 0.0:
         raise ValueError("v must be entrywise nonnegative")
     cols = _sorted_support(w, np.flatnonzero(w > 0.0))
@@ -199,26 +200,18 @@ def _jump_candidate(x: np.ndarray, record, tau: float, level: float) -> float | 
     # spectrum of (level I - X)^{-1} R is that of the k x k matrix Y[J], for
     # the k-column solve Y = (level I - X)^{-1} S; level 0 is the Hurwitz case.
     rows, pivots, formal = record
-    m = -x  # level I - X, without the d x d identity
-    m[rows, pivots] = -formal
-    d = m.shape[0]
-    m.flat[:: d + 1] += level
+    formal_x = x.copy()
+    formal_x[rows, pivots] = formal
     cols, slot = np.unique(pivots, return_inverse=True)
-    s = np.zeros((d, cols.size))
+    s = np.zeros((x.shape[0], cols.size))
     s[rows, slot] = 1.0
-    try:
-        y = np.linalg.solve(m, s)
-        if not np.isfinite(y).all() or float(y.min()) < -_NEG_GUARD:
-            return None
-        # Only a proposal, which the next ball minimum verifies, so the
-        # largest real eigenvalue of the small compression serves as it is,
-        # without a vector or a certificate.
-        lam = float(np.linalg.eigvals(np.maximum(y[cols], 0.0)).real.max())
-    except np.linalg.LinAlgError:
+    y = core._level_resolvent(formal_x, level, s)
+    if y is None:
         return None
-    if lam <= 1e-14:
-        return None
-    return tau - 1.0 / lam
+    # Only a proposal, which the next ball minimum verifies: the largest real
+    # eigenvalue of the small compression serves, without vector or certificate.
+    lam = float(np.linalg.eigvals(np.maximum(y[cols], 0.0)).real.max())
+    return tau - 1.0 / lam if lam > 0.0 else None
 
 
 def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,

@@ -10,7 +10,7 @@ A(tau) is piecewise linear in tau with breakpoints at the distinct positive
 entries of A, and eta(A(tau)) falls strictly, with slope at most -1, so one
 pair of adjacent breakpoints brackets the stability boundary. False position
 on the breakpoint grid finds that pair, and inside it the exact crossing
-follows from one Perron computation.
+follows from the Perron root of core's level resolvent, as the l-inf jump's.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     Searches the breakpoint grid {0} U {distinct positive entries of A} for
     the sign change of eta(A(tau)) by false position (see the loop), then
     resolves the exact crossing inside the bracketing linear piece: with
-    H = (A(tau1) - A(tau2)) / (tau2 - tau1), tau* = tau2 - 1 / rho(-A(tau2)^{-1} H). If the largest diagonal entry is
-    also the largest entry overall, the boundary sits exactly there, at the
-    top breakpoint. ``trace`` holds every (tau, eta) evaluated, the input's
+    H = (A(tau1) - A(tau2)) / (tau2 - tau1), tau* = tau2 - 1 / rho(M) for
+    the resolvent M = -A(tau2)^{-1} H. If the largest diagonal entry is also
+    the largest entry overall, the boundary sits exactly there, at the top
+    breakpoint. ``trace`` holds every (tau, eta) evaluated, the input's
     first; ``iterations`` counts the evaluations after the input's.
     """
     arr = core.validate_metzler(a)
@@ -128,16 +129,13 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     tau1, tau2 = float(grid[lo]), float(grid[hi])
     a2 = _clamp(arr, tau2)
     h = (_clamp(arr, tau1) - a2) / (tau2 - tau1)
-    try:
-        m = -np.linalg.solve(a2, h)
-    except np.linalg.LinAlgError:
-        # A(tau2) stable and singular forces eta(A(tau2)) = 0: the breakpoint
-        # itself is the crossing (the eigen value just missed the exact-hit
-        # window by rounding). This eigen call does not count as an evaluation.
+    m = core._level_resolvent(a2, 0.0, h)  # -A(tau2)^{-1} H
+    if m is None:
+        # A(tau2) is stable, so a singular one (to working precision) has eta
+        # = 0: the breakpoint is the crossing, which the eigen value missed by
+        # rounding. This eigen call does not count as an evaluation.
         return result(tau2, a2, core.spectral_abscissa(a2, tol=tol, max_iter=eig_max_iter))
-    m = np.maximum(m, 0.0)  # clip solver noise; m is nonnegative in theory
-    rho = core.spectral_radius(m, tol=tol, max_iter=eig_max_iter)
-    if rho <= 0.0:
-        raise PreconditionError("degenerate bracket: rho(-A(tau2)^{-1} H) = 0")
+    # m >= 0 up to rounding, and rho > 0: -A(tau2)^{-1} has a positive diagonal, H >= I.
+    rho = core.spectral_radius(np.maximum(m, 0.0), tol=tol, max_iter=eig_max_iter)
     tau = tau2 - 1.0 / rho
     return result(tau, *eta_at(tau))

@@ -532,6 +532,30 @@ def test_schur_certificate():
     assert core.is_schur_stable(np.eye(2) * 1.5, level=2.0)
 
 
+def test_level_resolvent_is_none_on_a_singular_matrix():
+    # level I - A = [[1, 1], [1, 1]] at level 2.
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert core._level_resolvent(a, 2.0, np.ones(2)) is None
+
+
+def test_level_resolvent_rejects_an_entry_past_its_relative_guard():
+    # At level 0, -A = diag(1, -1e3) gives y = (1, -1e-3): the negative
+    # entry is 1e-3 of the largest at every scale.
+    for s in (2.0**-27, 1.0, 2.0**27, 2.0**50):
+        a = s * np.diag([-1.0, 1e3])
+        assert core._level_resolvent(a, 0.0, np.ones(2)) is None
+
+
+def test_level_resolvent_keeps_rounding_noise_unchanged():
+    # -A = diag(1, -1e16) gives y = (1, -1e-16): far inside the guard, and
+    # returned as the solve gives it.
+    for s in (2.0**-27, 1.0, 2.0**27, 2.0**50):
+        a = s * np.diag([-1.0, 1e16])
+        y = core._level_resolvent(a, 0.0, np.ones(2))
+        np.testing.assert_array_equal(y, np.linalg.solve(-a, np.ones(2)))
+        assert y[1] < 0.0
+
+
 def test_monotonicity_in_the_metzler_order():
     rng = np.random.default_rng(3)
     for _ in range(50):

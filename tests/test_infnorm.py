@@ -126,6 +126,17 @@ def test_row_minimizer_input_validation():
         ball_row_minimizer([1.0, 2.0], [0.5, 0.5], -1.0, 0)
     with pytest.raises(ValueError):
         ball_row_minimizer([1.0, 2.0], [0.5, -0.5], 1.0, 0)
+    row, v = [1.0, 2.0, 3.0], [0.5, 0.3, 0.2]
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ball_row_minimizer(row, v, tau, 0)
+    with pytest.raises(ValueError):
+        ball_row_minimizer(row, [0.5, np.nan, 0.2], 1.0, 0)
+    with pytest.raises(ValueError):
+        ball_row_minimizer([1.0, np.inf, 3.0], v, 1.0, 0)
+    for row_index in (7, -1):
+        with pytest.raises(ValueError):
+            ball_row_minimizer(row, v, 1.0, row_index)
 
 
 def test_row_minimizer_matches_lp():
@@ -375,9 +386,9 @@ def test_schur_stabilize_rejects_stable_input():
 def _full_jump_reference(x, record, tau, schur, level):
     # tau - 1/rho, with rho the Perron root of the full d x d matrix
     # -X^{-1} R (or (level I - X)^{-1} R), X and R rebuilt from the sweep's
-    # pivot record; None where that matrix fails the jump's guard or rho
-    # vanishes.
-    from metzstab.infnorm import _NEG_GUARD
+    # pivot record; None where that matrix has an entry below -_NEG_GUARD
+    # times its largest or rho is not positive.
+    from metzstab.core import _NEG_GUARD
 
     x, r = _formal_structure(x, record)
     d = x.shape[0]
@@ -385,10 +396,10 @@ def _full_jump_reference(x, record, tau, schur, level):
         m = np.linalg.solve(level * np.eye(d) - x, r)
     else:
         m = -np.linalg.solve(x, r)
-    if float(m.min()) < -_NEG_GUARD:
+    if float(m.min()) < -_NEG_GUARD * float(m.max()):
         return None
     rho = float(np.linalg.eigvals(m).real.max())
-    return tau - 1.0 / rho if rho > 1e-14 else None
+    return tau - 1.0 / rho if rho > 0.0 else None
 
 
 def test_jump_candidate_matches_the_full_resolvent():
@@ -432,13 +443,41 @@ def test_jump_candidate_matches_the_full_resolvent():
     assert min(seen.values()) >= 1, seen
 
 
+def test_jump_candidate_is_scale_equivariant():
+    # Scaling the sweep and tau by a power of two s scales the candidate by
+    # s exactly in theory; the Hurwitz cases of the full-resolvent test's
+    # recipe must keep their None decision and their candidate / s.
+    from metzstab.infnorm import _jump_candidate, _sweep
+
+    rng = np.random.default_rng(5)
+    compared = 0
+    for _ in range(200):
+        d = int(rng.integers(2, 8))
+        base = helpers.random_metzler(rng, d)
+        v = rng.uniform(0.0, 1.0, d)
+        row_mass = float(np.abs(base).sum(axis=1).max())
+        tau = float(rng.choice([0.05, 0.5, 2.0]) * row_mass)
+        x, record = _sweep(base, base.copy(), v, tau, False)
+        want = _jump_candidate(x, record, tau, 0.0)
+        rows, pivots, formal = record
+        for s in (2.0**-27, 2.0**27, 2.0**50):
+            got = _jump_candidate(s * x, (rows, pivots, s * formal), s * tau, 0.0)
+            assert (got is None) == (want is None), (s, want, got)
+            if want is not None:
+                assert got / s == pytest.approx(want, rel=1e-14, abs=0.0)
+                compared += 1
+    assert compared >= 300
+
+
 def test_jump_candidate_rejects_a_negative_resolvent():
     from metzstab.infnorm import _jump_candidate
 
     both = np.arange(2)
-    # X = C - R = diag(1, -1) is unstable: -X^{-1} has the entry -1.
-    record = (both, both, np.array([1.0, -1.0]))
-    assert _jump_candidate(np.diag([1.0, -1.0]), record, 1.0, 0.0) is None
+    # X = C - R = diag(1, -1) is unstable: -X^{-1} has the entry -1, at
+    # every scale.
+    for s in (1.0, 2.0**-27, 2.0**27, 2.0**50):
+        record = (both, both, s * np.array([1.0, -1.0]))
+        assert _jump_candidate(s * np.diag([1.0, -1.0]), record, s, 0.0) is None
     # rho(X) = 2 > 1 for X = diag(2, -0.5), whose second pivot the Schur
     # output clamps at zero: (I - X)^{-1} has the entry -1.
     record = (both, both, np.array([2.0, -0.5]))
