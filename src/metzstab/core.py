@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import IterationLimitError, PreconditionError
@@ -423,84 +424,84 @@ def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
 
 
 def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int) -> EigenPair:
-    # Solve (tI - A) x(t) = 1 block by block, in the order of ``blocks``,
-    # keeping for every node the pole order p and leading coefficient c of
-    # x_i(t) ~ c (t - lam)^-p as t falls to lam. The nodes of highest order
-    # carry the limit direction.
+    # Solve (tI - A) x(t) = 1 for every node's pole order p and leading
+    # coefficient c of x_i(t) ~ c (t - lam)^-p as t falls to lam, one order
+    # at a time. The nodes of highest order carry the limit direction.
     d = arr.shape[0]
-    iterations = 0
-    method = "diagonal"
-    values = np.empty(len(blocks))
-    right: dict[int, np.ndarray] = {}
-    brackets: dict[int, tuple[float, float]] = {}
-    for k, nodes in enumerate(blocks):
-        if nodes.size == 1:
-            values[k] = arr[nodes[0], nodes[0]]
-            continue
-        pair = _perron_pair(arr[np.ix_(nodes, nodes)], tol, max_iter)
-        iterations += pair.iterations
-        method = max(method, pair.method, key=METHODS.index)
-        values[k], right[k], brackets[k] = pair.value, pair.vector, pair.bracket
-    # A single node's value is exact. lam is the largest block value, so the
-    # largest block bounds bracket it.
+    # A single node's value is its exact diagonal entry, read off at once.
+    values = arr.diagonal()[[nodes[0] for nodes in blocks]]
     lows, highs = values.copy(), values.copy()
-    for k, (lo, hi) in brackets.items():
-        lows[k], highs[k] = lo, hi
-    lam = float(values.max())
+    subs = {k: arr[nodes[:, None], nodes] for k, nodes in enumerate(blocks) if nodes.size > 1}
+    pairs = {k: _perron_pair(sub, tol, max_iter) for k, sub in subs.items()}
+    for k, pair in pairs.items():
+        values[k], (lows[k], highs[k]) = pair.value, pair.bracket
+    lam = float(values.max())  # the largest block bounds bracket it
     critical = lam - values <= tol * max(1.0, abs(lam))
-    left: dict[int, np.ndarray] = {}
-    for k, u in right.items():
-        if critical[k]:
-            block = arr[np.ix_(blocks[k], blocks[k])]
-            left[k] = _left_perron(block, values[k], u)
-            # Two-sided Rayleigh quotient: its error is the product of the
-            # errors of u and w, well below that of the block value. It
-            # stays inside the block's bracket, which is proved.
-            values[k] = min(max(left[k] @ block @ u, lows[k]), highs[k])
+    left = {k: _left_perron(subs[k], values[k], pairs[k].vector) for k in pairs if critical[k]}
+    for k, w in left.items():
+        # Two-sided Rayleigh quotient: its error, the product of the errors
+        # of u and w, is well below the block value's; the bracket is proved.
+        values[k] = min(max(w @ subs[k] @ pairs[k].vector, lows[k]), highs[k])
     lam = float(values[critical].max())
 
-    # Node i's coefficient is coef[i] * 2**scale[order[i]]. Coefficients only
-    # combine within one order, so each order keeps its own power-of-two
-    # scale, exact to apply and renewed when a coefficient leaves
-    # [2**-500, 2**500]: long chains of large or small entries cannot
-    # overflow or underflow.
-    order = np.full(d, -1)
-    coef = np.zeros(d)
-    scale: dict[int, int] = {}
+    # Pole orders from the pattern alone: a block's is the largest it points
+    # to (its own nodes and later blocks read 0), plus one if critical. Nodes
+    # keep key = 2 order + critical; every order >= 1 has a critical block.
+    pattern = arr != 0.0
+    node_key = np.zeros(d, dtype=np.intp)
     for k, nodes in enumerate(blocks):
-        inflow = arr[nodes]
-        inflow[:, nodes] = 0.0
-        p = int(order[(inflow != 0.0).any(axis=0)].max(initial=0))
-        top = order == p
-        e = scale.get(p, 0)
-        r = inflow[:, top] @ coef[top] + (np.ldexp(1.0, -e) if p == 0 else 0.0)
-        if critical[k]:
-            p += 1
-            c = r if nodes.size == 1 else (left[k] @ r) * right[k]
-        elif nodes.size == 1:
-            c = r / (lam - values[k])
-        else:
-            c = np.linalg.solve(lam * np.eye(nodes.size) - arr[np.ix_(nodes, nodes)], r)
-        old = scale.setdefault(p, e)
-        if old != e or not 2.0**-500 < c.max() < 2.0**500:
-            # c carries the scale 2**e. Bring it and the nodes already of
-            # order p to the larger of the two scales (shifts <= 0 cannot
-            # overflow), then renormalize them to a peak below 1.
-            common = max(e, old)
-            same = order == p
-            coef[same] = np.ldexp(coef[same], old - common)
-            c = np.ldexp(c, e - common)
-            _, shift = np.frexp(max(c.max(), coef[same].max(initial=0.0)))
-            coef[same] = np.ldexp(coef[same], -shift)
-            c = np.ldexp(c, -shift)
-            scale[p] = common + int(shift)
-        order[nodes] = p
-        coef[nodes] = c
-    v = np.where(order == order.max(), coef, 0.0)
-    v /= v.sum()
+        inflow = pattern[nodes].any(axis=0) if nodes.size > 1 else pattern[nodes[0]]
+        order = node_key[inflow].max(initial=0) // 2 + critical[k]
+        node_key[nodes] = 2 * order + critical[k]
+
+    # The coefficients, order by order (see selected_leading_eigenpair), over
+    # the nodes sorted by key, non-critical N before critical C, each in
+    # reverse block order: (lam I - A)[N, N] is block upper triangular.
+    nodes = np.concatenate(blocks[::-1])
+    sort = np.argsort(node_key[nodes], kind="stable")
+    nodes = nodes[sort]
+    bounds = [0] + np.cumsum(np.bincount(node_key)).tolist()
+    dense = {node_key[blocks[k][0]] for k in pairs if not critical[k]}  # N not triangular
+    coef, one = np.zeros(d), 1.0  # one: the 1 of (tI - A) x = 1 in order 0's units
+    for q in range(len(bounds) // 2):
+        lo, mid, hi = bounds[2 * q: 2 * q + 3]
+        if q:
+            c_nodes, prev = nodes[mid:hi], nodes[bounds[2 * q - 2]:lo]
+            coef[c_nodes] = arr[c_nodes[:, None], prev] @ coef[prev] + (one if q == 1 else 0.0)
+            for k in [k for k in left if node_key[blocks[k][0]] == 2 * q + 1]:
+                coef[blocks[k]] = (left[k] @ coef[blocks[k]]) * pairs[k].vector
+            peak = coef[c_nodes].max()
+            if not 2.0**-500 < peak < 2.0**500:
+                coef[c_nodes] = np.ldexp(coef[c_nodes], -np.frexp(peak)[1])
+        parts = [(lo, mid)] if mid > lo else []
+        while parts:
+            i, j = parts.pop()
+            part, known = nodes[i:j], nodes[j:hi]
+            rhs = (arr[part[:, None], known] @ coef[known] + (one if q == 0 else 0.0)
+                   if known.size else np.full(j - i, one))
+            m = -arr[part[:, None], part]
+            m.flat[:: j - i + 1] += lam  # (lam I - A)[part, part]
+            x, info = (lapack.dgesv if 2 * q in dense else lapack.dtrtrs)(m, rhs)[-2:]
+            coef[part] = np.nan if info else x  # info: a pivot rounded to zero
+            peak = np.nan if info else x.max()
+            if not 2.0**-500 < peak < 2.0**500:
+                peak = coef[nodes[i:hi]].max()  # the order so far
+            if not 2.0**-500 < peak < 2.0**500:
+                label = np.repeat(np.arange(len(blocks)), [b.size for b in blocks[::-1]])
+                ends = i + 1 + np.flatnonzero(np.diff(label[sort[i:j]]))
+                if ends.size:
+                    cut = int(ends[ends.size // 2])
+                    parts += [(i, cut), (cut, j)]
+                    continue
+                shift = -int(np.frexp(peak)[1])
+                coef[nodes[i:hi]] = np.ldexp(coef[nodes[i:hi]], shift)
+                one = np.ldexp(one, shift) if q == 0 else one
+    coef[nodes[:bounds[-3]]] = 0.0  # all but the top order
+    v = coef / coef.sum()
     resid = float(np.abs(arr @ v - lam * v).max())
-    return EigenPair(lam, v, iterations, resid, method,
-                     (float(lows.max()), float(highs.max())))
+    method = max(["diagonal"] + [pair.method for pair in pairs.values()], key=METHODS.index)
+    return EigenPair(lam, v, sum(pair.iterations for pair in pairs.values()), resid,
+                     method, (float(lows.max()), float(highs.max())))
 
 
 def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
@@ -518,45 +519,44 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     units. A reducible one is split into its strongly connected components,
     each placed after every component it points to: lam is the largest block
     value (a single node's diagonal entry, or an irreducible block's power
-    or certified value), and the vector follows exactly by back-substitution
-    over the blocks of the pole order and leading coefficient of
-    (tI - A)^{-1} 1 at lam. A block is *critical* when lam minus its value
-    is at most ``tol * max(1, |lam|)``. A critical block raises the order of
-    its inflow r by one, with coefficient (w.r / w.u) u for its right and
-    left Perron vectors u and w (u = w = 1 for a single node), and its value
-    is refined to w.Bu / w.u; a non-critical block B keeps the order and
-    solves (lam I - B) c = r.
+    or certified value). A block is *critical* when lam minus its value is
+    at most ``tol * max(1, |lam|)``; its value is then refined to w.Bu / w.u
+    for its right and left Perron vectors u and w. The vector follows
+    exactly from each node's pole order in (tI - A)^{-1} 1 at lam (the most
+    critical blocks on a path from it) and leading coefficient, one order at
+    a time: a critical block turns its inflow r from the order below into
+    (w.r / w.u) u (r for a single node), and one solve of
+    (lam I - A)[N, N] c = A[N, C] c_C (+ 1 at order 0) gives the order's
+    other nodes N from its critical ones C. In reverse block order that
+    matrix is block upper triangular (triangular for single nodes), so the
+    LU pivots only inside a block and the substitution adds nonnegative
+    terms. Each order has its own power-of-two scale; a solve whose peak
+    leaves [2^-500, 2^500] is redone in two halves split at a block
+    boundary, so long chains of large or small entries stay in range.
 
     ``tol`` is the power method's threshold on the relative change of the
     value and on the residual ||B v - value v||_inf, and the criticality
     threshold; the residual test is floored at 16 eps times the shifted
-    value, the rounding level of the product, so a block with a large
-    Perron root stops once it has settled. ``max_iter`` caps the power
-    iterations of each irreducible block. A block above
+    value, the rounding level of the product. ``max_iter`` caps the power
+    iterations of each irreducible block; a block above
     ``DENSE_FALLBACK_DIM`` (64) nodes spends all of them and then raises
-    IterationLimitError carrying its best pair.
-
-    A block of at most ``DENSE_FALLBACK_DIM`` nodes gets at most
-    ``min(max_iter, 30)`` power iterations, fewer when from the fourth on
-    the residual at its last ratio would not meet the test in time, and then
-    the *certified step*: lam is the largest real part from ``eigvals``,
-    proved by two M-matrix solves. For a Metzler B, tI - B has a nonnegative
-    inverse exactly when t exceeds its leading eigenvalue, so a positive
-    solution y of (hi I - B) y = 1 proves lam < hi, and a non-positive or
-    singular one at lo proves lam >= lo, with hi and lo = lam +-
-    ``tol * max(1, |lam|)``. If either test fails, bisection on the same
-    test, from the largest diagonal entry or the largest row sum, narrows
-    the bracket down to rounding. The vector is the normalized y of the last
-    solve at hi: (hi I - B)^{-1} 1, the definition of the selected vector.
+    IterationLimitError carrying its best pair. A smaller block gets at most
+    ``min(max_iter, 30)``, fewer when from the fourth on the residual at its
+    last ratio would not meet the test in time, and then the *certified
+    step*: lam is the largest real part from ``eigvals``, proved to
+    ``tol * max(1, |lam|)`` by two M-matrix solves (for a Metzler B, tI - B
+    has a nonnegative inverse exactly when t exceeds its leading
+    eigenvalue), or, if either test fails, bisected on the same test down to
+    rounding. The vector is the normalized (hi I - B)^{-1} 1 of the last
+    solve at the upper end hi, the definition of the selected vector.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest
     one any block used), and ``bracket`` bounds the leading eigenvalue: the
     proved interval of a certified or bisected block, the Collatz-Wielandt
-    ratios of the last power iterate, or the diagonal entry itself. A
-    critical block's refined value stays inside its bracket. ``iterations``
-    sums the power iterations actually spent on all blocks; ``residual`` is
-    measured against A.
+    ratios of the last power iterate, or the diagonal entry itself; a
+    critical block's refined value stays inside it. ``iterations`` sums the
+    power iterations of all blocks; ``residual`` is measured against A.
     """
     arr = validate_metzler(a)
     blocks = _components(arr)

@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 _CHUNK = 4096
 
@@ -210,3 +212,64 @@ def inf_ball_min_2d(a: np.ndarray, tau: float, *, steps: int = 160) -> float:
     stack[:, 0, :] = np.repeat(splits[0], steps, axis=0)
     stack[:, 1, :] = np.tile(splits[1], (steps, 1))
     return float(abscissa_stack(stack).min())
+
+
+def _leading_eigvec(b: np.ndarray) -> tuple[float, np.ndarray]:
+    values, vectors = np.linalg.eig(b)
+    k = int(values.real.argmax())
+    v = np.abs(vectors[:, k].real)
+    return float(values[k].real), v / v.sum()
+
+
+def selected_vector_by_components(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Selected eigenvector of a reducible Metzler matrix, component by component.
+
+    The limit of the normalized (tI - A)^{-1} 1 as t falls to the leading
+    eigenvalue lam, by the per-component substitution: csgraph's strong
+    components, each visited after every component it points to, carry the
+    pole order p and leading coefficient c of their entries. A critical
+    component (value within ``tol * max(1, |lam|)`` of lam) turns its order-p
+    inflow r into (w.r) u at order p + 1, for its right and left Perron
+    vectors u and w with w.u = 1 (numpy's ``eig``); any other component B
+    solves (lam I - B) c = r at order p. No scaling guards the float range,
+    so entries must keep every coefficient within it.
+    """
+    pattern = a != 0
+    np.fill_diagonal(pattern, False)
+    count, labels = connected_components(csr_matrix(pattern.astype(float)),
+                                         directed=True, connection="strong")
+    comps = [np.flatnonzero(labels == k) for k in range(count)]
+    pairs = [_leading_eigvec(a[np.ix_(c, c)]) for c in comps]
+    values = np.array([value for value, _ in pairs])
+    lam = float(values.max())
+    critical = lam - values <= tol * max(1.0, abs(lam))
+    lam = float(values[critical].max())
+    placed: list[int] = []
+
+    def place(k):  # depth first: every component it points to goes first
+        if k not in placed:
+            for j in set(labels[pattern[comps[k]].any(axis=0)]) - {k}:
+                place(j)
+            placed.append(k)
+
+    for k in range(count):
+        place(k)
+    order = np.full(a.shape[0], -1)
+    coef = np.zeros(a.shape[0])
+    for k in placed:
+        nodes = comps[k]
+        inflow = a[nodes].copy()
+        inflow[:, nodes] = 0.0
+        feeds = inflow.any(axis=0)
+        p = int(order[feeds].max(initial=0))
+        top = feeds & (order == p)
+        r = inflow[:, top] @ coef[top] + (1.0 if p == 0 else 0.0)
+        if critical[k]:
+            u = pairs[k][1]
+            w = _leading_eigvec(a[np.ix_(nodes, nodes)].T)[1]
+            p, c = p + 1, (w @ r) / (w @ u) * u
+        else:
+            c = np.linalg.solve(lam * np.eye(nodes.size) - a[np.ix_(nodes, nodes)], r)
+        order[nodes], coef[nodes] = p, c
+    v = np.where(order == order.max(), coef, 0.0)
+    return v / v.sum()

@@ -6,6 +6,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from metzstab import core, gen
 from metzstab.infnorm import (
@@ -73,6 +74,43 @@ def test_a_strongly_connected_pattern_needs_no_graph(monkeypatch):
     a[:, 3] = 0.0
     assert len(core.strong_components(a)) == 2
     assert searches["graph"] == 1
+
+
+def _fed_critical_cycle(m, size):
+    # A critical 3-cycle (value 1) fed by m non-critical blocks of value
+    # 1/2, single nodes or 2-cycles: each points into the 3-cycle, so all
+    # share pole order 1. Every power loop settles at once on the uniform
+    # vector.
+    d = 3 + size * m
+    a = np.zeros((d, d))
+    a[[0, 1, 2], [1, 2, 0]] = 1.0
+    for b, i in enumerate(range(3, d, size)):
+        if size == 1:
+            a[i, i] = 0.5
+        else:
+            a[i, i + 1] = a[i + 1, i] = 0.5
+        a[i, b % 3] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("size", [1, 2], ids=["single-nodes", "two-cycles"])
+def test_the_back_substitution_makes_one_solve_per_pole_order(size, linalg_calls,
+                                                              monkeypatch):
+    # One solve for the left Perron vector of the critical block and one
+    # for the pole order, however many blocks share it.
+    for name in ("dgesv", "dtrtrs"):
+        def counted(*args, _original=getattr(scipy.linalg.lapack, name), **kwargs):
+            linalg_calls["lapack"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    counts = []
+    for m in (2, 20):
+        linalg_calls.clear()
+        pair = core.selected_leading_eigenpair(_fed_critical_cycle(m, size))
+        assert pair.value == pytest.approx(1.0, abs=1e-12)
+        assert pair.method == "power"
+        counts.append(dict(linalg_calls))
+    assert counts[0] == counts[1] == {"solve": 1, "lapack": 1}
 
 
 @pytest.mark.parametrize("value_of", [

@@ -500,6 +500,97 @@ def test_selected_vector_on_long_chain_with_large_entries():
     assert pair.iterations == 0
 
 
+@pytest.mark.parametrize("weight", [1e8, 1e-8], ids=["large", "small"])
+def test_selected_vector_keeps_the_float_range_on_a_noncritical_chain(weight):
+    # 199 non-critical nodes (diagonal -1) chained to one critical node
+    # (diagonal 0) all share pole order 1, and node i carries
+    # weight**(199 - i) times the last node's coefficient: 1e+-1592 at the
+    # far end, past the float range either way. The vector keeps the nodes
+    # within range of its peak, each to rounding; the rest underflow to 0.
+    d = 200
+    a = np.diag(np.full(d - 1, weight), 1) - np.eye(d)
+    a[-1, -1] = 0.0
+    pair = core.selected_leading_eigenpair(a)
+    steps = np.arange(d) if weight > 1.0 else np.arange(d)[::-1]
+    expected = min(weight, 1.0 / weight) ** steps
+    expected /= expected.sum()
+    assert pair.value == 0.0
+    assert np.isfinite(pair.vector).all()
+    # Relative 1e-12 wherever the entry is a normal float.
+    np.testing.assert_allclose(pair.vector, expected, rtol=1e-12,
+                               atol=np.finfo(float).tiny)
+    assert pair.residual <= 1e-12
+
+
+def _layered_reducible(rng):
+    # 1 to 3 critical blocks of value 1 (a single node with diagonal 1, or a
+    # k-cycle with diagonal c and weights 1 - c), non-critical single nodes
+    # and blocks of value at most 1/2, most single nodes chained to the block
+    # before them, random edges to earlier blocks, the nodes shuffled. Dyadic
+    # entries keep the critical values exact.
+    d = int(rng.integers(2, 61))
+    sizes = []
+    while sum(sizes) < d:
+        size = 1 if rng.random() < 0.6 else int(rng.integers(2, 7))
+        sizes.append(min(size, d - sum(sizes)))
+    n = len(sizes)
+    critical = set(rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False).tolist())
+    a = np.zeros((d, d))
+    start = 0
+    for k, size in enumerate(sizes):
+        nodes = np.arange(start, start + size)
+        if k in critical and size == 1:
+            a[start, start] = 1.0
+        elif k in critical:
+            c = int(rng.integers(0, 4)) / 4
+            a[nodes, nodes] = c
+            a[nodes, np.roll(nodes, -1)] = 1.0 - c
+        elif size == 1:
+            a[start, start] = int(rng.integers(-128, 33)) / 64
+        else:  # row sums below 1/2 bound the value
+            block = rng.integers(0, 33, (size, size)) / (64 * size)
+            block[nodes - start, np.roll(nodes, -1) - start] = 1.0 / (2 * size)
+            np.fill_diagonal(block, -rng.integers(0, 128, size) / 64)
+            a[np.ix_(nodes, nodes)] = block
+        if start:
+            edges = rng.random((size, start)) < rng.uniform(0.02, 0.3)
+            a[start:start + size, :start] = edges * rng.integers(1, 65, (size, start)) / 64
+            if size == 1 and rng.random() < 0.7:
+                a[start, start - 1] = int(rng.integers(1, 65)) / 64
+        start += size
+    perm = rng.permutation(d)
+    return a[np.ix_(perm, perm)], len(critical)
+
+
+def test_selected_vector_matches_the_per_component_substitution():
+    rng = np.random.default_rng(2306)
+    criticals = collections.Counter()
+    for _ in range(300):
+        a, count = _layered_reducible(rng)
+        criticals[count] += 1
+        pair = core.selected_leading_eigenpair(a)
+        want = oracles.selected_vector_by_components(a)
+        assert pair.value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(pair.vector, want, rtol=0.0,
+                                   atol=1e-13 * want.max(), err_msg=str(a))
+    assert min(criticals.values()) >= 50
+
+
+def test_selected_vector_matches_the_substitution_on_triangular_orders():
+    # 60 single nodes with distinct diagonals in (-1, 0) under a dense
+    # triangle: the order systems have small pivots next to entries near 1.
+    # Substituting from the nodes pointed to adds nonnegative terms only;
+    # an LU that swapped rows here lost up to the whole vector.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.random((60, 60)), 1) - np.diag(rng.random(60))
+        if seed % 2:
+            a = a[::-1, ::-1].copy()
+        want = oracles.selected_vector_by_components(a)
+        np.testing.assert_allclose(core.selected_leading_eigenpair(a).vector, want,
+                                   rtol=0.0, atol=1e-13 * want.max())
+
+
 def test_selected_vector_matches_exact_limit_on_random_reducible():
     rng = np.random.default_rng(2024)
     checked = 0
