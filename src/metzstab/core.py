@@ -24,7 +24,6 @@ from .errors import IterationLimitError, PreconditionError
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 20_000
 STABILITY_TOL = 1e-9
-SUPPORT_RTOL = 1e-9
 
 
 class NormKind(str, Enum):
@@ -166,6 +165,8 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     iterate keeps flipping sign, and that counts as non-convergence here (it
     is the failure mode the translation removes).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     arr = as_square_matrix(a)
     x = np.ones(arr.shape[0])
     x = x / np.linalg.norm(x)
@@ -637,10 +638,3 @@ def is_schur_stable(a, *, level: float = 1.0) -> bool:
     """
     return level_certificate(_schur_input(a, level), level) is not None
 
-
-def support(v: np.ndarray) -> np.ndarray:
-    """Indices where the nonnegative vector v exceeds SUPPORT_RTOL * max(v)."""
-    vmax = float(v.max(initial=0.0))
-    if vmax <= 0.0:
-        return np.empty(0, dtype=int)
-    return np.flatnonzero(v > SUPPORT_RTOL * vmax)

@@ -108,12 +108,14 @@ def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
                  incumbent: int | None = None) -> int:
     """Index of the row optimizing <row, v>, keeping the incumbent on ties.
 
-    The incumbent ties within ``TIE_TOL`` of the optimum. Without an
-    incumbent, ties resolve to the lowest index (numpy argmax / argmin
-    first-occurrence behaviour).
+    The incumbent, a row index of the menu, ties within ``TIE_TOL`` of the
+    optimum. Without an incumbent, ties resolve to the lowest index (numpy
+    argmax / argmin first-occurrence behaviour).
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if incumbent is not None and not 0 <= incumbent < len(rows):
+        raise ValueError(f"incumbent {incumbent} is not a row of the {len(rows)}-row menu")
     keep = None if incumbent is None else np.array([incumbent])
     return int(_choose_rows(rows @ v, np.array([0]), keep, direction)[0])
 
@@ -149,8 +151,8 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     (``min``) row sum: one sweep against the power method's uniform start.
 
     For ``direction="max"`` the outcome's ``reducibility_flag`` is set when
-    the final eigenvector has (numerically) zero components, in which case
-    the maximality certificate does not apply and the caller should use
+    the final eigenvector has a zero entry, in which case the maximality
+    certificate does not apply and the caller should use
     :func:`optimize_with_irreducibility_patch`. Minimization fixed points
     are certified global minima regardless of zeros.
 
@@ -175,6 +177,8 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     choices = np.array(start_choices)
     if len(choices) != d:
         raise ValueError(f"need {d} choices, got {len(choices)}")
+    if choices.dtype.kind not in "iu":
+        raise ValueError(f"start choices must be integers, got {start_choices!r}")
     for pos, (c, s) in enumerate(zip(choices, family.sets)):
         if not 0 <= c < s.size:
             raise ValueError(f"start choice {c} out of range for row set {pos}")
@@ -191,7 +195,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
         choices = new
         x = allrows[offsets + choices]
 
-    flag = not settled or (direction == "max" and bool(core.support(pair.vector).size < d))
+    flag = not settled or (direction == "max" and not (pair.vector > 0.0).all())
     out = GreedyOutcome(matrix=x, abscissa=pair.value, row_choices=trace[-1][0],
                         iterations=it, eigenvector=pair.vector, reducibility_flag=flag,
                         trace=tuple(trace))

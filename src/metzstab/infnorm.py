@@ -144,13 +144,14 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
 
 def _sweep(base: np.ndarray, x: np.ndarray, v: np.ndarray, tau: float,
            schur: bool):
-    # One sweep of the swept rows, the support of v. Returns the next
+    # One sweep of the swept rows, the support v > 0 (the selected vector's
+    # zeros are exact, so no threshold is needed). Returns the next
     # iterate and its record (rows, pivots, formal): each swept row's pivot
     # column and the pivot's unclamped value. That record is the frozen
     # structure X = C - tau R, with R marking each row's pivot: X equals the
     # output exactly in the Hurwitz regime, while the Schur regime clamps
     # its pivots at zero (rows whose whole support mass fits in the budget).
-    cols = _sorted_support(v, core.support(v))
+    cols = _sorted_support(v, np.flatnonzero(v > 0.0))
     # Row cols[p] has its diagonal at position p of cols.
     stop = cols.size - 1 if schur else np.arange(cols.size)
     rows_x, pivots, formal = _minimize_rows(base[cols], cols, tau, stop, clamp=schur)

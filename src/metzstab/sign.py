@@ -26,7 +26,6 @@ import numpy as np
 from . import core, infnorm
 from .errors import PreconditionError
 
-_GAIN_TOL = 1e-15
 # Relative width, in units of max(v), within which two gains count as tied.
 _TIE_RTOL = 1e-12
 # A ball sweep changes a row only when its score drops by more than this.
@@ -109,7 +108,7 @@ def _ranked_support(v: np.ndarray) -> np.ndarray:
     # _TIE_RTOL * max(v) of the first gain of its run is tied with it
     # (eigensolver noise in the last ulps), and tied gains go higher column
     # first.
-    sup = np.flatnonzero(v > _GAIN_TOL)
+    sup = np.flatnonzero(v > 0.0)
     sup = sup[np.argsort(-v[sup], kind="stable")]
     tie = _TIE_RTOL * float(v.max())
     run, lead, runs = -1, np.inf, []
@@ -136,6 +135,8 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     _require_metzler_pattern(m)
     if k < 0:
         raise PreconditionError(f"ball radius must be nonnegative, got {k}")
+    if np.isfinite(k) and k % 1:
+        raise PreconditionError(f"ball radius k must be a whole number, got {k}")
     return _sign_ball(m, k, core.selected_leading_eigenpair(m.realize()))
 
 

@@ -274,3 +274,15 @@ def test_the_metzler_schur_stabilizer_does_not_solve_the_input_shifted(eigen_inp
         for m in eigen_inputs:
             assert m.tobytes() not in shifted
             shifted.add((m - eye).tobytes())
+
+
+def test_a_sweep_that_moves_only_by_rounding_ends_the_ball(eigen_inputs):
+    # A sweep sums each row in the order of the eigenvector's ranking, so
+    # from a ball minimum it can return the same matrix up to rounding. Such
+    # a sweep ends the ball: no eigen call goes to a rounded copy.
+    for seed in (1, 4, 5):
+        eigen_inputs.clear()
+        closest_stable_inf_schur(_nonneg_past_level(np.random.default_rng([10, 4, seed]),
+                                                    10, 10.0))
+        for p, q in zip(eigen_inputs, eigen_inputs[1:]):
+            assert float(np.abs(p - q).max()) > 1e-12 * max(1.0, float(np.abs(p).max()))

@@ -291,3 +291,19 @@ def test_the_patch_passes_eig_tol_to_every_eigen_call(monkeypatch):
     assert len(frobenius_blocks(fam).blocks) == 12
     assert out.reducibility_flag
     assert tols and set(tols) == {1e-6}
+
+
+def test_the_greedy_keeps_an_incumbent_that_ties_up_to_rounding():
+    # The start member [[0.7, 0.1], [0.1, 0.7]] has the power vector
+    # (1/2, 1/2) exactly. Under it the other row of menu 0 scores 0.4 and
+    # the incumbent 0.39999999999999997: a tie within TIE_TOL, and both
+    # members have abscissa 0.8. The start is a fixed point.
+    fam = ProductFamily((
+        UncertaintySet(0, [[0.7, 0.1], [0.6, 0.2]]),
+        UncertaintySet(1, [[0.1, 0.7]]),
+    ))
+    out = selective_greedy(fam, "max", start_choices=[0, 0])
+    np.testing.assert_array_equal(out.eigenvector, [0.5, 0.5])
+    assert out.row_choices == (0, 0)
+    assert out.iterations == 1
+    assert out.abscissa == pytest.approx(0.8, abs=1e-15)

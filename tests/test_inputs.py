@@ -1,4 +1,5 @@
-"""Public solvers read their matrix inputs and never hand them back.
+"""Public solvers read their matrix inputs and never hand them back, and
+entry points reject inputs outside their domain.
 
 Validation returns a float64 input as itself, not a copy, so a solver that
 wrote into its input or returned it would show here: every input is a
@@ -13,6 +14,7 @@ import pytest
 
 import metzstab as ms
 from metzstab import core
+from metzstab.errors import PreconditionError
 
 import goldens
 import helpers
@@ -98,3 +100,32 @@ def test_a_family_keeps_its_own_rows():
                ms.optimize_with_irreducibility_patch(fam, "max"))
     assert not any(np.shares_memory(x, r) for r in rows
                    for x in _arrays((fam, results)))
+
+
+def test_row_optimize_rejects_an_incumbent_outside_the_menu():
+    rows, v = np.array([[1.0, 2.0], [3.0, 0.0]]), np.ones(2)
+    assert ms.row_optimize(rows, v, incumbent=1) == 1  # a tie keeps it
+    for incumbent in (-1, 2, 5):
+        with pytest.raises(ValueError, match="incumbent"):
+            ms.row_optimize(rows, v, incumbent=incumbent)
+
+
+def test_selective_greedy_rejects_a_start_choice_that_is_no_integer():
+    fam = ms.ProductFamily((ms.UncertaintySet(0, [[-1.0, 2.0], [-3.0, 1.0]]),
+                            ms.UncertaintySet(1, [[1.0, -2.0], [0.5, 0.0]])))
+    with pytest.raises(ValueError, match="integers"):
+        ms.selective_greedy(fam, start_choices=[0.5, 0])
+
+
+def test_power_iteration_needs_at_least_one_iteration():
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            core.power_iteration(goldens.OSCILLATING_3, max_iter=max_iter)
+
+
+def test_a_sign_ball_radius_is_a_whole_number():
+    m = ms.SignMatrix(goldens.SIGN_WEB)
+    for k in (1.5, 2.5):
+        with pytest.raises(PreconditionError, match="k must be a whole number"):
+            ms.sign_ball_minimize(m, k)
+    assert ms.sign_ball_minimize(m, 2.0).abscissa == ms.sign_ball_minimize(m, 2).abscissa

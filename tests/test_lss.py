@@ -203,3 +203,45 @@ def test_sign_route_budgets_bound_the_cut_distance():
                                  goldens.SWITCH_MODES):
         diff = np.sign(orig) - np.sign(got)
         assert int(np.abs(diff).sum(axis=1).max()) <= budget
+
+
+def test_a_mode_on_the_boundary_is_pushed_inside_before_the_hull_scan():
+    # Mode 0 has eta exactly 0, within core.STABILITY_TOL of the boundary:
+    # it is shifted by the margin before the first scan, whose worst point
+    # is then strictly stable. Left on the boundary, it would cost a repair
+    # round.
+    boundary = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert core.spectral_abscissa(boundary) == 0.0
+    out = stabilize_2d_lss(SwitchingSystem((boundary, np.array([[-2.0, 0.5], [0.3, -1.0]]))))
+    assert out.iterations == 1
+    assert out.hull.abscissa < 0.0
+    np.testing.assert_array_equal(out.system.modes[0], boundary - 2e-4 * np.eye(2))
+
+
+def test_the_hull_repair_leaves_a_mode_off_the_worst_point_alone():
+    # At resolution 1 the golden-section refinement leaves a weight of a
+    # few 1e-15 on the stable mode 1 at the worst hull point. That mode
+    # takes no part in the point, so the repair leaves it as it is.
+    modes = (
+        np.array([[-1.1, 0.0], [0.5, 0.1]]),
+        np.array([[-1.3, 0.5], [0.2, -0.2]]),
+        np.array([[-1.1, 0.0], [0.7, 0.2]]),
+        np.array([[0.0, 0.8], [0.6, 0.2]]),
+    )
+    assert core.spectral_abscissa(modes[1]) < 0.0
+    out = stabilize_2d_lss(SwitchingSystem(modes), resolution=1)
+    assert out.hull.abscissa < 0.0
+    assert out.mode_taus[1] == 0.0
+    np.testing.assert_array_equal(out.system.modes[1], modes[1])
+
+
+def test_the_hull_scan_tolerance_fixes_the_reported_weights():
+    # The hull maximum of SWITCH_MODES is flat: the scan's eigen tolerance
+    # moves the weights lss-check reports by about 1e-8 (0.303640198649 at
+    # 1e-12 instead of 0.303640205720), though not the abscissa. The scan
+    # runs at lss._SCAN_TOL, and the point found is evaluated again at the
+    # default tolerance.
+    hp = hull_max_abscissa(SwitchingSystem(goldens.SWITCH_MODES))
+    np.testing.assert_allclose(hp.weights, [0.303640205720058, 0.0, 0.696359794279942],
+                               rtol=1e-10, atol=0.0)
+    assert hp.abscissa == pytest.approx(-0.6960045460986368, rel=1e-12)

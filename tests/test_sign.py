@@ -187,3 +187,17 @@ def test_bisection_agrees_with_linear_scan():
             k += 1
         assert out.k_star == k
         assert out.abscissa <= core.STABILITY_TOL
+
+
+def test_a_ball_sweep_takes_no_row_that_gains_only_rounding():
+    # At the second iterate (eta = (sqrt(5) - 1)/2) the selected vector's
+    # first two entries are equal, computed some 8e-14 apart. Row 0's
+    # candidate trades the one for the other, a gain of rounding only; taken,
+    # it would detour through a pattern with eta = 0.
+    m = SignMatrix(np.array([[1, 1, 1], [0, 0, 1], [0, 1, -1]]))
+    out = sign_ball_minimize(m, 2)
+    values = [value for _, value in out.trace]
+    assert values == pytest.approx([1.0, (np.sqrt(5.0) - 1.0) / 2.0, -1.0], abs=1e-12)
+    assert out.iterations == 3
+    np.testing.assert_array_equal(out.sign_matrix.entries,
+                                  [[-1, 1, 1], [0, -1, 0], [0, 0, -1]])
