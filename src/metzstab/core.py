@@ -240,9 +240,9 @@ def _strong_labels(a):
                   and _reaches_all(pattern) and _reaches_all(pattern.T)):
         return None
     rows, cols = np.nonzero(pattern)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
-    # A float CSR graph: csgraph would copy any other dtype first.
-    graph = sp.csr_matrix((np.ones(rows.size), cols, indptr), shape=(d, d))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d)))).astype(np.int32)
+    # Float data and int32 indices, csgraph's own types: it copies any other.
+    graph = sp.csr_matrix((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(d, d))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     return n_comp, labels, labels[rows], labels[cols]
 

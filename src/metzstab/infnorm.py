@@ -12,18 +12,20 @@ B_tau(A) by a selective greedy sweep whose row minimizers have a closed form:
 sort the support of the leading eigenvector by weight, zero entries in that
 order until the budget runs out. Each swept iterate gets one eigen call at
 the caller's tolerance, whose value decides whether the ball minimum is
-stable, on the boundary or infeasible and whose vector drives the next
-sweep; the input's own pair, computed once for the precondition, starts
-every ball. The descent loop is shared with the sign ball, and an iterate
-seen before ends it on the first least-value iterate seen, so a sweep that
-flips between two minimizers settles. A sweep records one pivot per swept
-row and the pivot's unclamped value, which fix the formal matrix
-X = C - tau*R (R marks the pivots); from a stable ball minimum the Perron
-root of the same resolvent, (level I - X)^{-1} R, gives the exact boundary
-budget along that frozen structure, the outer search's superlinear jump.
-The search starts at the radius of a closed-form boundary matrix,
-A - (lam - level) I or A*level/rho. After an infeasible probe, or a jump
-that fails or lands by tau_lo, it takes the secant through the last two
+stable, on the boundary or infeasible and whose vector drives the next sweep.
+The input's pair, computed once for the precondition, starts every descent;
+each ball after the first sweeps the input along the previous probe's final
+vector (its own where that sweep moves nothing), so a probe near tau* that
+one sweep makes stable costs one eigen call. The descent loop is shared with
+the sign ball, and an iterate seen before ends it on the first least-value
+iterate seen, so a sweep that flips between two minimizers settles. A sweep
+records one pivot per swept row and the pivot's unclamped value, which fix
+the formal matrix X = C - tau*R (R marks the pivots); from a stable ball
+minimum the Perron root of the same resolvent, (level I - X)^{-1} R, gives
+the exact boundary budget along that frozen structure, the outer search's
+superlinear jump. The search starts at the radius of a closed-form boundary
+matrix, A - (lam - level) I or A*level/rho. After an infeasible probe, or a
+jump that fails or lands by tau_lo, it takes the secant through the last two
 radii with an objective (value - level), bisecting where it leaves the
 bracket.
 """
@@ -95,16 +97,19 @@ def _minimize_rows(rows: np.ndarray, cols: np.ndarray, tau: float,
     its mass minus tau; otherwise ``stop`` is the last position and the pivot
     is clamped at zero. Returns (x, pivots, formal), with ``formal`` each
     pivot's unclamped value, its cumulative mass minus tau. The sign ball's
-    sweep uses the Schur form on sgn(M) + I.
+    sweep uses the Schur form on sgn(M) + I. An empty ``cols`` changes nothing.
     """
-    cums = np.cumsum(rows[:, cols], axis=1)
-    at = np.arange(rows.shape[0])
-    # A True column past the end makes a row that never crosses read k.
-    cross = np.hstack([cums > tau, np.ones((at.size, 1), bool)]).argmax(axis=1)
-    li = np.minimum(cross, stop)
+    cums = np.take(rows, cols, axis=1)
+    np.cumsum(cums, axis=1, out=cums)
+    # First crossings (a Hurwitz row's cumsum is not monotone); none reads k.
+    over = cums > tau
+    cross = over.argmax(axis=1) if cols.size else 0
+    li = np.minimum(np.where(over.any(axis=1), cross, cols.size), stop)
     pivots = cols[li]
-    x = rows.copy()
-    x[:, cols] = np.where(np.arange(cols.size) < li[:, None], 0.0, x[:, cols])
+    zero = np.zeros(rows.shape, bool)
+    zero[:, cols] = np.arange(cols.size) < li[:, None]
+    x = np.where(zero, 0.0, rows)
+    at = np.arange(rows.shape[0])
     formal = cums[at, li] - tau
     x[at, pivots] = np.maximum(formal, 0.0) if clamp else formal
     return x, pivots, formal
@@ -229,18 +234,20 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
     tau, tau_lo = best[0], 0.0
     known = [(0.0, excess)]  # (tau, value - level) for the secant; B_0(A) = {A}
     trace: list[tuple[float, float]] = []
+    carried = base_pair.vector  # the last probe's final vector, first the input's
 
     def step(x, pair):
-        # One sweep over the ball of the current tau. A strictly stable
-        # iterate ends the ball early, and a fixed point is its certified
-        # minimum. The base is above level (a precondition), so a stable
-        # iterate has a sweep, and its pivot record, behind it.
+        # One sweep over the ball of the current tau, the base's first along
+        # the carried vector. A strictly stable iterate ends the ball early,
+        # and a fixed point along its own vector is its certified minimum; the
+        # base is above level, so a stable iterate has a pivot record behind it.
         if pair.value < level - ZERO_TOL:
             return None
-        x_next, record = _sweep(base, x, pair.vector, tau, schur)
-        if float(np.abs(x_next - x).max()) <= _FP_RTOL * max(1.0, base_max + tau):
-            return None
-        return x_next, record
+        for v in (carried, pair.vector) if x is base else (pair.vector,):
+            x_next, record = _sweep(base, x, v, tau, schur)
+            if float(np.abs(x_next - x).max()) > _FP_RTOL * max(1.0, base_max + tau):
+                return x_next, record
+        return None
 
     def result(tau, x, value, outer):
         return core.StabilizationResult(tau_star=tau, matrix=x, iterations=outer,
@@ -248,7 +255,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
 
     for outer in range(1, max_outer + 1):
         x, pair, record, _ = _descend(base, base_pair, step, tol)
-        value = pair.value
+        value, carried = pair.value, pair.vector
         trace.append((tau, value))
         if abs(value - level) <= ZERO_TOL:
             return result(tau, x, value, outer)

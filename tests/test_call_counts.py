@@ -142,8 +142,8 @@ def test_a_stalled_small_block_makes_one_eigvals_and_two_solves(value_of, linalg
 ], ids=["hurwitz", "schur", "schur-metzler"])
 def test_the_linf_stabilizers_never_repeat_an_eigen_call(stabilize, make, monkeypatch):
     # One eigen call per ball-greedy sweep, and the input's pair serves the
-    # precondition and the first sweep of every ball: no two consecutive
-    # calls see the same matrix.
+    # precondition and starts every ball's descent (whose first sweep follows
+    # the last probe's vector): no two consecutive calls see the same matrix.
     seen = []
 
     def recorded(a, **kwargs):

@@ -295,6 +295,84 @@ def test_tau_search_starts_at_a_closed_form_stable_radius(stabilize, make, bound
         assert out.tau_star <= out.trace[0][0]
 
 
+@pytest.mark.parametrize("allow_metzler", [False, True], ids=["schur", "schur-metzler"])
+def test_every_later_ball_starts_along_the_last_probes_vector(allow_metzler, monkeypatch):
+    # The first ball's first sweep follows the input's own vector; every
+    # later ball's follows the final vector of the probe before it.
+    balls = []
+
+    def watched(x, pair, step, tol):
+        balls.append([])
+        out = descend(x, pair, step, tol)
+        balls[-1].append(out[1].vector)
+        return out
+
+    def recorded(base, x, v, tau, schur):
+        balls[-1].append(v)
+        return sweep(base, x, v, tau, schur)
+
+    descend, sweep = infnorm._descend, infnorm._sweep
+    monkeypatch.setattr(infnorm, "_descend", watched)
+    monkeypatch.setattr(infnorm, "_sweep", recorded)
+    for seed in range(3):
+        balls.clear()
+        a = helpers.random_unstable_nonneg(np.random.default_rng(seed), 25)
+        closest_stable_inf_schur(a, allow_metzler=allow_metzler)
+        assert len(balls) > 2
+        np.testing.assert_array_equal(balls[0][0], core.selected_leading_eigenpair(a).vector)
+        for before, ball in zip(balls, balls[1:]):
+            np.testing.assert_array_equal(ball[0], before[-1])
+
+
+def _cold_ball_value(base, tau, schur, level):
+    # The ball minimum of a descent whose every sweep, the first included,
+    # follows its own iterate's vector.
+    still = infnorm._FP_RTOL * max(1.0, float(np.abs(base).max()) + tau)
+
+    def step(x, pair):
+        if pair.value < level - ZERO_TOL:
+            return None
+        x_next, record = infnorm._sweep(base, x, pair.vector, tau, schur)
+        return None if float(np.abs(x_next - x).max()) <= still else (x_next, record)
+
+    pair = core.selected_leading_eigenpair(base)
+    return infnorm._descend(base, pair, step, core.DEFAULT_TOL)[1].value
+
+
+@pytest.mark.parametrize("stabilize,make,schur,level", [
+    (closest_stable_inf_hurwitz, helpers.random_unstable_metzler, False, 0.0),
+    (closest_stable_inf_schur, helpers.random_unstable_nonneg, True, 1.0),
+    (functools.partial(closest_stable_inf_schur, allow_metzler=True),
+     helpers.random_unstable_nonneg, False, 1.0),
+], ids=["hurwitz", "schur", "schur-metzler"])
+def test_warm_started_infeasible_probes_are_the_cold_ball_minima(stabilize, make, schur,
+                                                                  level):
+    # An infeasible probe certifies tau < tau*: its value is the ball's
+    # minimum whichever vector the base's first sweep followed.
+    rng = np.random.default_rng(83)
+    checked = 0
+    for d in (3, 5, 10, 25, 40) * 2:
+        a = make(rng, d)
+        for tau, value in stabilize(a).trace:
+            if value > level + ZERO_TOL:
+                assert _cold_ball_value(a, tau, schur, level) == pytest.approx(value, rel=1e-12)
+                checked += 1
+    assert checked > 4
+
+
+def test_a_warm_sweep_that_moves_nothing_falls_back_to_the_inputs_vector():
+    # At tau = 50 the sweep zeroes row 1, and the final vector e_0 of the
+    # nilpotent [[0, 50], [0, 0]] has a support on which A is zero. Along it
+    # a later ball's first sweep changes nothing, which proves no minimum:
+    # the input's own vector then sweeps, and the search reaches the root of
+    # (100 - t)(0.04 - t) = 1.
+    a = np.array([[0.0, 100.0], [0.04, 0.0]])
+    out = closest_stable_inf_schur(a)
+    assert out.trace[0] == (pytest.approx(50.0), 0.0)
+    assert out.tau_star == pytest.approx((100.04 - np.sqrt(100.04**2 - 12.0)) / 2.0, rel=1e-9)
+    assert out.abscissa == pytest.approx(1.0, abs=ZERO_TOL)
+
+
 def _formal_structure(x, record):
     # The frozen structure of a sweep's pivot record: R marks each swept
     # row's pivot (summed, so a repeated row shows), and X = C - tau R is
