@@ -388,6 +388,9 @@ def _certified_pair(block: np.ndarray, tol: float, iterations: int) -> EigenPair
             lo, hi = hi, float(block.sum(axis=1).max()) + width
             y, step = level_certificate(block, hi), width
             while y is None:  # only rounding fails above the row-sum bound
+                if not np.isfinite(hi):
+                    raise PreconditionError(f"the leading eigenvalue of a {block.shape[0]}"
+                                            "-node block overflows")
                 lo, hi, step = hi, hi + step, 2.0 * step
                 y = level_certificate(block, hi)
         else:  # lam < lo, and at least the largest diagonal entry
@@ -413,13 +416,10 @@ def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
     # Left Perron vector w of an irreducible block, scaled so that w.u = 1:
     # the null vector of (value I - B)^T. The rank-one term u u^T makes the
     # system regular while u and w are positive.
-    try:
-        w = np.linalg.solve(value * np.eye(u.size) - block.T + np.outer(u, u), u)
-    except np.linalg.LinAlgError:
-        w = u
-    if not (np.isfinite(w).all() and w @ u > 0.0):
-        # Entries near the underflow threshold have zeroed u where w lives.
-        # w = u still makes the result an eigenvector, if not the selected one.
+    w = _level_resolvent(block.T - np.outer(u, u), value, u)
+    if w is None or not w @ u > 0.0:
+        # u u^T is out of the block's units (singular far from scale 1, zero near
+        # underflow): w = u still gives an eigenvector, if not the selected one.
         w = u
     return w / (w @ u)
 
@@ -549,7 +549,9 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     has a nonnegative inverse exactly when t exceeds its leading
     eigenvalue), or, if either test fails, bisected on the same test down to
     rounding. The vector is the normalized (hi I - B)^{-1} 1 of the last
-    solve at the upper end hi, the definition of the selected vector.
+    solve at the upper end hi, the definition of the selected vector. A
+    ``tol`` that is not positive or a ``max_iter`` below 1 raises ValueError,
+    and a block value that overflows the float range PreconditionError.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest
@@ -559,6 +561,10 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     critical block's refined value stays inside it. ``iterations`` sums the
     power iterations of all blocks; ``residual`` is measured against A.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     arr = validate_metzler(a)
     blocks = _components(arr)
     if len(blocks) == 1 and arr.shape[0] > 1:

@@ -223,6 +223,8 @@ def _jump_candidate(x: np.ndarray, record, tau: float, level: float) -> float | 
 def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
                          schur: bool, level: float, tol: float,
                          max_outer: int) -> core.StabilizationResult:
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     norm0 = core.matrix_norm(base, core.NormKind.INF)
     base_max = float(np.abs(base).max())
     # A closed-form boundary matrix bounds tau*: A * level/rho or A - (eta - level) I.

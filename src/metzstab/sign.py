@@ -135,7 +135,7 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     _require_metzler_pattern(m)
     if k < 0:
         raise PreconditionError(f"ball radius must be nonnegative, got {k}")
-    if np.isfinite(k) and k % 1:
+    if k < np.inf and k % 1:
         raise PreconditionError(f"ball radius k must be a whole number, got {k}")
     return _sign_ball(m, k, core.selected_leading_eigenpair(m.realize()))
 

@@ -734,3 +734,24 @@ def test_eigen_path_components_fall_back_to_the_level_order(monkeypatch):
         assert fallbacks["level"] == before + 1
         assert pair.value == pytest.approx(want.value, abs=1e-15)
         np.testing.assert_allclose(pair.vector, want.vector, rtol=0.0, atol=1e-15)
+
+
+def test_a_left_solve_singular_at_large_scale_keeps_the_selected_vector(monkeypatch):
+    # Two copies of the block [[0, 1], [1, 0]], the first pointing to the
+    # second: both are critical. The left solve's rank-one term u u^T is not
+    # in the block's units, so from a scale of about 1e16 on the resolvent
+    # finds (value I - B^T + u u^T) singular and w = u serves.
+    chain = np.array([[0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+    resolvent, solves = core._level_resolvent, []
+
+    def spy(a, level, rhs):
+        solves.append(resolvent(a, level, rhs))
+        return solves[-1]
+
+    monkeypatch.setattr(core, "_level_resolvent", spy)
+    for s, falls_back in ((1.0, False), (1e15, False), (1e100, True)):
+        solves.clear()
+        pair = core.selected_leading_eigenpair(s * chain)
+        assert pair.value == s
+        np.testing.assert_array_equal(pair.vector, [0.5, 0.5, 0.0, 0.0])
+        assert [y is None for y in solves] == [falls_back] * 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import metzstab as ms
-from metzstab import core
+from metzstab import cli, core, formats
 from metzstab.errors import PreconditionError
 
 import goldens
@@ -129,3 +129,71 @@ def test_a_sign_ball_radius_is_a_whole_number():
         with pytest.raises(PreconditionError, match="k must be a whole number"):
             ms.sign_ball_minimize(m, k)
     assert ms.sign_ball_minimize(m, 2.0).abscissa == ms.sign_ball_minimize(m, 2).abscissa
+
+
+def _nonneg():
+    return helpers.random_unstable_nonneg(_rng(), 6)
+
+
+def _metzler():
+    return helpers.random_unstable_metzler(_rng(), 6)
+
+
+def _family():
+    return ms.ProductFamily((ms.UncertaintySet(0, [[-1.0, 2.0], [-3.0, 1.0]]),
+                             ms.UncertaintySet(1, [[1.0, -2.0], [0.5, 0.0]])))
+
+
+# Each public entry point with the budget keywords it reads, bound to a
+# valid input. A tol that is not positive once sent the certified step's
+# doubling search down, or by NaN, forever.
+BUDGET_CASES = {
+    "eig": lambda **kw: core.selected_leading_eigenpair(_metzler(), **kw),
+    "abscissa": lambda **kw: core.spectral_abscissa(_metzler(), **kw),
+    "radius": lambda **kw: core.spectral_radius(_nonneg(), **kw),
+    "stab-inf": lambda **kw: ms.closest_stable_inf_hurwitz(_metzler(), **kw),
+    "stab-schur": lambda **kw: ms.closest_stable_inf_schur(_nonneg(), **kw),
+    "stab-max": lambda **kw: ms.closest_stable_max(_metzler(), **kw),
+    "greedy": lambda **kw: ms.selective_greedy(_family(), **kw),
+}
+BAD_BUDGETS = {
+    "eig": {"tol": (-1.0, 0.0, float("nan")), "max_iter": (0, -5)},
+    "abscissa": {"tol": (-1.0, float("nan")), "max_iter": (0,)},
+    "radius": {"tol": (-1.0, float("nan")), "max_iter": (0,)},
+    "stab-inf": {"tol": (-1.0, float("nan")), "max_outer": (0, -5)},
+    "stab-schur": {"tol": (-1.0, float("nan")), "max_outer": (0,)},
+    "stab-max": {"tol": (-1.0, float("nan")), "eig_max_iter": (0,)},
+    "greedy": {"eig_tol": (-1.0, float("nan")), "max_iter": (0,)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_an_entry_point_rejects_a_tol_or_budget_out_of_range(name):
+    call = BUDGET_CASES[name]
+    for key, values in BAD_BUDGETS[name].items():
+        for value in values:
+            what = "tol must be positive" if key.endswith("tol") else "must be at least 1"
+            with pytest.raises(ValueError, match=what):
+                call(**{key: value})
+
+
+def test_a_leading_value_that_overflows_is_a_precondition_error(tmp_path, capsys):
+    # Finite entries whose leading value, 2e308, is not: the row-sum bound of
+    # the certified step's search is inf, which once doubled forever.
+    a = np.full((2, 2), 1e308)
+    with pytest.raises(PreconditionError, match="overflows"):
+        core.selected_leading_eigenpair(a)
+    path = tmp_path / "big.txt"
+    path.write_text(formats.write_matrix(a))
+    for command in ("eig", "stab-inf", "stab-max"):
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the leading eigenvalue of a 2-node block overflows\n"
+
+
+def test_a_sign_ball_radius_may_be_any_integer():
+    m = ms.SignMatrix(goldens.SIGN_WEB)
+    huge, whole = ms.sign_ball_minimize(m, 10**30), ms.sign_ball_minimize(m, float("inf"))
+    np.testing.assert_array_equal(huge.sign_matrix.entries, whole.sign_matrix.entries)
+    assert huge.abscissa == whole.abscissa
