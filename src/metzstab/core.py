@@ -307,6 +307,9 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
     return tuple(blocks[c] for c in _level_order(n_comp, src, dst))
 
 
+# An overflow in the shift or a sum is an inf that ends the power loop, and
+# the certified step raises PreconditionError on an inf bound: no warning.
+@np.errstate(over="ignore")
 def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     # Translative power method on an irreducible Metzler block: iterate
     # A + (h + 0.1m)I from the uniform vector, h making the block nonnegative

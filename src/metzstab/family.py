@@ -18,10 +18,6 @@ from . import core
 from .errors import IterationLimitError, PreconditionError
 
 TIE_TOL = 1e-12
-# The irreducibility patch appends the rows of w*P (P the cyclic
-# permutation): up to _PATCH_RETRIES tries, w halved after each.
-_PATCH_WEIGHT = 1.0
-_PATCH_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -230,14 +226,14 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     return FrobeniusSplit(tuple(blocks), tuple(subfamilies))
 
 
-def _augmented(family: ProductFamily, weight: float) -> ProductFamily:
-    # Append the rows of weight*P (P the cyclic permutation), whose directed
-    # cycle makes the union graph irreducible.
+def _augmented(family: ProductFamily) -> ProductFamily:
+    # Append the rows of P/4 (P the cyclic permutation), whose directed cycle
+    # makes the union graph irreducible.
     d = family.dim
     sets = []
     for i, s in enumerate(family.sets):
         h = np.zeros(d)
-        h[(i + 1) % d] = weight
+        h[(i + 1) % d] = 0.25
         sets.append(UncertaintySet(i, np.vstack([s.rows, h])))
     return ProductFamily(tuple(sets))
 
@@ -246,13 +242,13 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
                                        **greedy_kwargs) -> GreedyOutcome:
     """Maximize the abscissa with a certificate even on reducible families.
 
-    Runs the greedy on the family augmented with the rows of P, the cyclic
-    permutation. If the optimum uses no augmented row and its eigenvector is
-    strictly positive, it is a certified maximum of the original family.
-    Otherwise the patch is retried with halved weights (1, 1/2, 1/4), and
-    finally the family is split into its Frobenius blocks and optimized
-    blockwise (the block assembly is exact: the assembled member is
-    block-triangular, so its abscissa is the maximum of the block optima).
+    When the plain greedy is flagged, runs it once more on the family
+    augmented with the rows of P/4, P the cyclic permutation. If that optimum
+    uses no augmented row and its eigenvector is strictly positive, it is a
+    certified maximum of the original family. Otherwise the family is split
+    into its Frobenius blocks and optimized blockwise (the block assembly is
+    exact: the assembled member is block-triangular, so its abscissa is the
+    maximum of the block optima).
     """
     if direction != "max":
         raise PreconditionError(
@@ -262,13 +258,10 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     if not plain.reducibility_flag:
         return plain
 
-    weight = _PATCH_WEIGHT
-    for _ in range(_PATCH_RETRIES):
-        out = selective_greedy(_augmented(family, weight), "max", **greedy_kwargs)
-        used_patch = any(c >= m for c, m in zip(out.row_choices, family.sizes))
-        if not used_patch and not out.reducibility_flag:
-            return out
-        weight /= 2.0
+    out = selective_greedy(_augmented(family), "max", **greedy_kwargs)
+    used_patch = any(c >= m for c, m in zip(out.row_choices, family.sizes))
+    if not used_patch and not out.reducibility_flag:
+        return out
 
     split = frobenius_blocks(family)
     if len(split.blocks) == 1:

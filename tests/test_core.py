@@ -139,6 +139,22 @@ def test_plain_power_iteration_oscillates_without_shift():
     assert out.sign_changes > 0
 
 
+def test_plain_power_iteration_stops_on_a_settled_iterate():
+    # The uniform start is already the eigenvector of 3: the second iterate
+    # repeats the first one's sign pattern and passes both tests.
+    out = core.power_iteration([[2.0, 1.0], [1.0, 2.0]])
+    assert out.converged
+    assert out.value == pytest.approx(3.0, abs=1e-12)
+    assert (out.iterations, out.sign_changes) == (2, 0)
+
+
+def test_plain_power_iteration_stops_on_a_collapsed_iterate():
+    # The nilpotent block maps its second iterate, (1, 0), to zero.
+    out = core.power_iteration([[0.0, 1.0], [0.0, 0.0]])
+    assert not out.converged
+    assert (out.value, out.iterations) == (0.0, 2)
+
+
 def test_shifted_iteration_converges_where_plain_stalls():
     pair = core.selected_leading_eigenpair(goldens.OSCILLATING_3)
     assert pair.residual <= 1e-12

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from metzstab import core, gen
+from metzstab import core, family, gen
 from metzstab.errors import PreconditionError
 from metzstab.family import (
     FrobeniusSplit,
@@ -159,6 +159,40 @@ def test_patch_resolves_block_diagonal_maximum():
     out = optimize_with_irreducibility_patch(fam, "max")
     assert out.abscissa == pytest.approx(want, abs=1e-8)
     assert core.spectral_abscissa(out.matrix) == pytest.approx(want, abs=1e-8)
+
+
+def test_a_flagged_maximization_builds_one_augmented_family(monkeypatch):
+    # The block-diagonal family above: the plain greedy is flagged, the one
+    # patch try, at weight 1/4, uses a patch row, and the split follows.
+    built = []
+
+    def recorded(fam):
+        built.append(original(fam))
+        return built[-1]
+
+    original = family._augmented
+    monkeypatch.setattr(family, "_augmented", recorded)
+    test_patch_resolves_block_diagonal_maximum()
+    assert len(built) == 1
+    for i, s in enumerate(built[0].sets):
+        np.testing.assert_array_equal(s.rows[-1], np.roll([0.0, 0.25, 0.0, 0.0], i))
+
+
+def test_flagged_sparse_maximizations_reach_the_vertex_optimum():
+    # Sparse families whose plain greedy is flagged (142 of the 200 draws)
+    # take the patch or the split; both must land on the exhaustive optimum.
+    rng = np.random.default_rng(2027)
+    flagged = 0
+    for _ in range(200):
+        d, count = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        fam = gen.generate_family(d, count, kind="sparse", density=(0.1, 0.5), rng=rng)
+        if not selective_greedy(fam, "max").reducibility_flag:
+            continue
+        flagged += 1
+        want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
+        out = optimize_with_irreducibility_patch(fam, "max")
+        assert out.abscissa == pytest.approx(want, abs=1e-8)
+    assert flagged == 142
 
 
 def test_patch_leaves_irreducible_outcome_alone():

@@ -8,6 +8,9 @@ may share memory with it.
 """
 
 import dataclasses
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +193,26 @@ def test_a_leading_value_that_overflows_is_a_precondition_error(tmp_path, capsys
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the leading eigenvalue of a 2-node block overflows\n"
+
+
+@pytest.mark.parametrize("entry", [1e308, 1.7e308], ids=["sum", "shift"])
+def test_an_overflowing_block_raises_without_a_warning(entry):
+    # At 1e308 the power loop's sum and the row-sum bound overflow; at
+    # 1.7e308 the diagonal shift does first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="overflows"):
+            core.selected_leading_eigenpair(np.full((2, 2), entry))
+
+
+def test_an_overflowing_block_prints_only_the_error_line(tmp_path):
+    # In a fresh interpreter, since pytest captures warnings in-process.
+    path = tmp_path / "big.txt"
+    path.write_text(formats.write_matrix(np.full((2, 2), 1e308)))
+    proc = subprocess.run([sys.executable, "-m", "metzstab.cli", "eig", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the leading eigenvalue of a 2-node block overflows\n"
 
 
 def test_a_sign_ball_radius_may_be_any_integer():
