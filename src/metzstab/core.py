@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
-from .errors import IterationLimitError, PreconditionError
+from .errors import PreconditionError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 20_000
@@ -121,8 +121,8 @@ class EigenPair:
     vector: np.ndarray
     iterations: int
     residual: float
-    method: str = "power"
-    bracket: tuple[float, float] = (-np.inf, np.inf)
+    method: str
+    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -199,14 +199,13 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     return PowerIterationResult(lam, x, it, resid, False, sign_changes)
 
 
-# Irreducible blocks of at most this size get a short power budget and then
-# the certified step; larger ones keep the full budget and raise when it runs
-# out.
+# Irreducible blocks of at most this size get a short power budget; larger
+# ones keep the full budget, since the certified step's eigvals costs O(d^3).
 DENSE_FALLBACK_DIM = 64
 # Power iterations a block of at most DENSE_FALLBACK_DIM nodes gets before
 # the certified step takes over.
 _POWER_BUDGET = 30
-# From this iteration on, such a block leaves for the certified step once
+# From this iteration on, a block leaves for the certified step once
 # geometric decay at its residual's last ratio would miss the threshold.
 _RATE_START = 4
 # Rounding floor of the power method's residual, in units of eps times the
@@ -316,10 +315,10 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     # and m the largest entry of A + hI. The positive diagonal rules out
     # periodicity; a shift in the block's own units keeps the convergence
     # ratio independent of its scale (an absolute +1 gives about 0.99 on
-    # entries near 1e-3).
+    # entries near 1e-3). A block that leaves the loop unconverged, stalled,
+    # out of budget or overflowed, takes the certified step.
     d = block.shape[0]
-    certify = d <= DENSE_FALLBACK_DIM
-    budget = min(max_iter, _POWER_BUDGET) if certify else max_iter
+    budget = min(max_iter, _POWER_BUDGET) if d <= DENSE_FALLBACK_DIM else max_iter
     diag = block.diagonal()
     h = max(0.0, -float(diag.min()))
     shift = h + 0.1 * max(float(block.max()), float(diag.max()) + h)
@@ -346,17 +345,12 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
         if resid <= stop and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return EigenPair(lam - shift, x, it, resid, "power",
                              _collatz_wielandt(x, y, shift))
-        if certify and it >= _RATE_START and (
+        if it >= _RATE_START and (
                 resid >= resid_prev or resid * (resid / resid_prev) ** (budget - it) > stop):
             break
         lam_prev, resid_prev = lam, resid
         x = y / lam
-    if certify:
-        return _certified_pair(block, tol, it)
-    best = EigenPair(lam - shift, x, it, resid)
-    raise IterationLimitError(
-        f"power iteration on a {d}-node irreducible block did not reach "
-        f"tol={tol} in {it} iterations (residual {resid:.3e})", best=best)
+    return _certified_pair(block, tol, it)
 
 
 def _collatz_wielandt(x: np.ndarray, y: np.ndarray,
@@ -542,19 +536,19 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     value and on the residual ||B v - value v||_inf, and the criticality
     threshold; the residual test is floored at 16 eps times the shifted
     value, the rounding level of the product. ``max_iter`` caps the power
-    iterations of each irreducible block; a block above
-    ``DENSE_FALLBACK_DIM`` (64) nodes spends all of them and then raises
-    IterationLimitError carrying its best pair. A smaller block gets at most
-    ``min(max_iter, 30)``, fewer when from the fourth on the residual at its
-    last ratio would not meet the test in time, and then the *certified
-    step*: lam is the largest real part from ``eigvals``, proved to
-    ``tol * max(1, |lam|)`` by two M-matrix solves (for a Metzler B, tI - B
-    has a nonnegative inverse exactly when t exceeds its leading
-    eigenvalue), or, if either test fails, bisected on the same test down to
-    rounding. The vector is the normalized (hi I - B)^{-1} 1 of the last
-    solve at the upper end hi, the definition of the selected vector. A
-    ``tol`` that is not positive or a ``max_iter`` below 1 raises ValueError,
-    and a block value that overflows the float range PreconditionError.
+    iterations of each irreducible block, and a block of at most
+    ``DENSE_FALLBACK_DIM`` (64) nodes gets at most ``min(max_iter, 30)``.
+    From the fourth iteration on, a block whose residual at its last ratio
+    would not meet the test in time leaves early. Every block that does not
+    converge then takes the *certified step*: lam is the largest real part
+    from ``eigvals``, proved to ``tol * max(1, |lam|)`` by two M-matrix
+    solves (for a Metzler B, tI - B has a nonnegative inverse exactly when t
+    exceeds its leading eigenvalue), or, if either test fails, bisected on
+    the same test down to rounding. The vector is the normalized
+    (hi I - B)^{-1} 1 of the last solve at the upper end hi, the definition
+    of the selected vector. A ``tol`` that is not positive or a ``max_iter``
+    below 1 raises ValueError, and a block value that overflows the float
+    range PreconditionError.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest

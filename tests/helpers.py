@@ -6,10 +6,21 @@ from metzstab import gen
 
 import oracles
 
-# One irreducible 70-node block, above core.DENSE_FALLBACK_DIM, so the
-# certified step never serves it: its power loop settles in 12 iterations
-# and raises IterationLimitError under a budget of 3 or less.
+# One irreducible 70-node block, above core.DENSE_FALLBACK_DIM, so it keeps
+# the full power budget: its power loop settles in 12 iterations, and under
+# a budget of 3 or less the certified step serves it.
 LARGE_BLOCK_70 = gen.generate_metzler(70, unstable=True, seed=1)
+
+
+def weighted_cycles() -> list[np.ndarray]:
+    """Directed cycles of 70, 100, 200 and 400 nodes, weights U(0.5, 1.5).
+
+    Irreducible and above core.DENSE_FALLBACK_DIM; all eigenvalues of a cycle
+    share one modulus, so the power method never converges on one.
+    """
+    rng = np.random.default_rng(0)
+    return [np.roll(np.diag(rng.uniform(0.5, 1.5, d)), 1, axis=1)
+            for d in (70, 100, 200, 400)]
 
 
 def random_metzler(rng: np.random.Generator, d: int, *, scale: float = 1.0) -> np.ndarray:

@@ -13,6 +13,7 @@ from metzstab.sign import SignMatrix
 
 import goldens
 from helpers import LARGE_BLOCK_70
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -67,13 +68,14 @@ def test_eig_rejects_norm_flag(tmp_path, capsys):
 
 
 def test_eig_iteration_budget_exit_code(tmp_path, capsys):
-    # --max-iter caps the power iterations per block: a block above
-    # core.DENSE_FALLBACK_DIM nodes exits 3 when they run out, a smaller one
-    # takes the certified step.
+    # --max-iter caps the power iterations per block: a block that spends
+    # them takes the certified step and exits 0, above
+    # core.DENSE_FALLBACK_DIM nodes as below.
     path = matrix_file(tmp_path, LARGE_BLOCK_70)
-    code, _, err = run_cli(capsys, "eig", path, "--max-iter", "3")
-    assert code == 3
-    assert "error" in err
+    payload = run_json(capsys, "eig", path, "--max-iter", "3")
+    a = formats.read_matrix((tmp_path / "m.txt").read_text())
+    assert payload["iterations"] == 3
+    assert payload["value"] == pytest.approx(oracles.abscissa(a), rel=1e-12)
     path = matrix_file(tmp_path, goldens.OSCILLATING_3)
     code, out, _ = run_cli(capsys, "eig", path, "--max-iter", "3")
     assert code == 0

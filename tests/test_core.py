@@ -10,10 +10,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from metzstab import core
-from metzstab.errors import IterationLimitError, PreconditionError
+from metzstab.errors import PreconditionError
 
 import exact
 import goldens
+import helpers
 from helpers import LARGE_BLOCK_70
 import oracles
 
@@ -188,17 +189,35 @@ def test_power_shift_follows_the_scale(a, s):
     assert pair.value == pytest.approx(want, rel=1e-9, abs=core.DEFAULT_TOL)
 
 
-def test_power_iteration_budget_error():
-    # max_iter caps the power iterations of a block: one above
-    # DENSE_FALLBACK_DIM nodes raises when they run out, a smaller one takes
-    # the certified step.
-    with pytest.raises(IterationLimitError) as err:
-        core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
-    assert err.value.best is not None
-    assert err.value.best.iterations == 3
+def _assert_certified(pair, a):
+    # The certified step's value is eigvals' own, and its bracket holds it.
+    want = float(np.linalg.eigvals(a).real.max())
+    assert pair.method == "certified"
+    assert pair.value == pytest.approx(want, rel=1e-12)
+    lo, hi = pair.bracket
+    assert lo <= want <= hi
+
+
+def test_power_iteration_budget_ends_in_the_certified_step():
+    # max_iter caps the power iterations of a block, above DENSE_FALLBACK_DIM
+    # nodes as below: a block that spends them takes the certified step.
+    pair = core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
+    _assert_certified(pair, LARGE_BLOCK_70)
+    assert pair.iterations == 3
     pair = core.selected_leading_eigenpair(goldens.OSCILLATING_3, max_iter=3)
     assert pair.method == "certified"
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
+
+
+def test_a_stalling_large_cycle_leaves_for_the_certified_step():
+    # The eigenvalues of a weighted directed cycle share one modulus, so the
+    # power loop stalls at any size; above DENSE_FALLBACK_DIM nodes as below,
+    # the rate test sends it to the certified step within a few iterations.
+    for a in helpers.weighted_cycles():
+        assert a.shape[0] > core.DENSE_FALLBACK_DIM
+        pair = core.selected_leading_eigenpair(a)
+        _assert_certified(pair, a)
+        assert pair.iterations <= 10
 
 
 def test_fallback_handles_defective_leading_pair():
@@ -219,11 +238,26 @@ def _with_a_node(block: np.ndarray) -> np.ndarray:
     return a
 
 
+def _two_clusters(d: int) -> np.ndarray:
+    # Two dense clusters joined by entries of 0.1: a small spectral gap, so
+    # the power method converges steadily but in about 100 iterations.
+    a = np.full((d, d), 0.1)
+    a[: d // 2, : d // 2], a[d // 2:, d // 2:] = 1.0, 0.9
+    return a
+
+
 def test_fallback_respects_dense_dim_cap():
-    # A stalled irreducible block above DENSE_FALLBACK_DIM still raises.
-    assert LARGE_BLOCK_70.shape[0] > core.DENSE_FALLBACK_DIM
-    with pytest.raises(IterationLimitError):
-        core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
+    # A block of DENSE_FALLBACK_DIM nodes cannot converge within its short
+    # budget and leaves for the certified step; one node more keeps the full
+    # budget and converges by power iteration.
+    d = core.DENSE_FALLBACK_DIM
+    assert core.selected_leading_eigenpair(_two_clusters(d)).method == "certified"
+    pair = core.selected_leading_eigenpair(_two_clusters(d + 1))
+    assert pair.method == "power"
+    assert pair.iterations > core._POWER_BUDGET
+    # A large block that spends its budget takes the certified step.
+    _assert_certified(core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3),
+                      LARGE_BLOCK_70)
     # An acyclic pattern splits into single nodes and needs no iteration.
     a = np.zeros((3, 3))
     a[0, 1] = 1.0
@@ -235,16 +269,15 @@ def test_fallback_respects_dense_dim_cap():
 def test_fallback_escapes_per_irreducible_block():
     # OSCILLATING_3 stalls at max_iter=3; inside a reducible matrix it is one
     # block, solved by the certified step while the single node is read off
-    # its diagonal. A stalled block above DENSE_FALLBACK_DIM still raises
-    # inside a reducible matrix.
+    # its diagonal. So is a stalled block above DENSE_FALLBACK_DIM.
     pair = core.selected_leading_eigenpair(_with_a_node(goldens.OSCILLATING_3),
                                            max_iter=3)
     assert pair.method == "certified"
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
     assert pair.iterations >= 3
     assert pair.residual <= 1e-12
-    with pytest.raises(IterationLimitError):
-        core.selected_leading_eigenpair(_with_a_node(LARGE_BLOCK_70), max_iter=3)
+    a = _with_a_node(LARGE_BLOCK_70)
+    _assert_certified(core.selected_leading_eigenpair(a, max_iter=3), a)
 
 
 def _subnormal_cycle(d):
@@ -262,9 +295,10 @@ def test_power_loop_stops_at_an_underflowed_rayleigh_value():
         assert pair.value == pytest.approx(-6.0, abs=1e-12)
         assert pair.method == "certified"
         assert pair.iterations <= 1
-        with pytest.raises(IterationLimitError) as info:
-            core.selected_leading_eigenpair(_subnormal_cycle(core.DENSE_FALLBACK_DIM + 6))
-    assert info.value.best.iterations <= 1
+        pair = core.selected_leading_eigenpair(_subnormal_cycle(core.DENSE_FALLBACK_DIM + 6))
+        assert pair.value == pytest.approx(-6.0, abs=1e-12)
+        assert pair.method == "certified"
+        assert pair.iterations <= 1
 
 
 def test_method_and_bracket_compose_over_blocks():

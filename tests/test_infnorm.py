@@ -192,6 +192,19 @@ def test_stabilized_matrix_is_feasible_and_on_boundary():
         assert oracles.abscissa(x) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_stabilize_a_large_cycle_on_which_the_power_method_stalls():
+    # A 100-node weighted cycle minus 0.9 I, on which the power loop stalls:
+    # the certified step answers its eigen calls.
+    a = helpers.weighted_cycles()[1] - 0.9 * np.eye(100)
+    out = closest_stable_inf_hurwitz(a)
+    x = out.matrix
+    assert core.is_metzler(x)
+    assert float((x - a).max()) <= 0.0
+    assert core.matrix_norm(x - a, "inf") == pytest.approx(out.tau_star, rel=1e-9)
+    assert abs(out.abscissa) <= ZERO_TOL
+    assert oracles.abscissa(x) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_stabilize_settles_when_the_sweep_flips_between_two_minima():
     # At tau* = (1 + sqrt 5) / 2 the ball holds two iterates with eta = 0
     # that a sweep can alternate between. The secant search reaches tau*

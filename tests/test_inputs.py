@@ -215,6 +215,23 @@ def test_an_overflowing_block_prints_only_the_error_line(tmp_path):
     assert proc.stderr == "error: the leading eigenvalue of a 2-node block overflows\n"
 
 
+def test_an_overflowing_large_block_is_the_same_precondition_error(tmp_path):
+    # A block above core.DENSE_FALLBACK_DIM overflows as a 2-node one does:
+    # its power loop ends at the inf sum and the certified step says why.
+    a = np.full((70, 70), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="70-node block overflows"):
+            core.selected_leading_eigenpair(a)
+    path = tmp_path / "big.txt"
+    path.write_text(formats.write_matrix(a))
+    proc = subprocess.run([sys.executable, "-m", "metzstab.cli", "eig", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the leading eigenvalue of a 70-node block overflows\n"
+
+
 def test_a_sign_ball_radius_may_be_any_integer():
     m = ms.SignMatrix(goldens.SIGN_WEB)
     huge, whole = ms.sign_ball_minimize(m, 10**30), ms.sign_ball_minimize(m, float("inf"))

@@ -134,6 +134,24 @@ def test_stabilize_2d_repairs_the_hull_over_several_rounds():
         assert tau == pytest.approx(core.matrix_norm(got - orig, "inf"), abs=1e-12)
 
 
+def test_stabilize_2d_pushes_a_hull_on_the_boundary_inside():
+    # Both modes are Hurwitz, but the hull midpoint has abscissa exactly 0:
+    # the repair shifts that boundary point inside rather than solving for
+    # its closest stable matrix.
+    sys_in = SwitchingSystem(([[-1.0, 2.0], [0.0, -1.0]], [[-1.0, 0.0], [2.0, -1.0]]))
+    assert hull_max_abscissa(sys_in).abscissa == pytest.approx(0.0, abs=infnorm.ZERO_TOL)
+    out = stabilize_2d_lss(sys_in)
+    assert out.iterations == 2
+    assert out.hull.abscissa == pytest.approx(-2.0e-4, rel=1e-9)
+    np.testing.assert_allclose(out.hull.weights, [0.5, 0.5], atol=1e-12)
+    assert all(core.is_metzler(got) for got in out.system.modes)
+    alphas = np.linspace(0.0, 1.0, 201)
+    m0, m1 = out.system.modes
+    etas = oracles.abscissa_stack(
+        np.array([al * m0 + (1 - al) * m1 for al in alphas]))
+    assert float(etas.max()) < 0.0
+
+
 def test_stabilize_2d_raises_after_its_repair_rounds(monkeypatch):
     # The system above needs two repair rounds; a budget of one runs out.
     a = np.array([[-1.0, 2.0], [3.0, -1.0]])

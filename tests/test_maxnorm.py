@@ -78,10 +78,36 @@ def test_stabilize_requires_unstable_input():
 
 
 def test_stabilize_handles_singular_breakpoint():
-    # eta hits 0 exactly where the clamp family loses invertibility
+    # A(tau) is singular at the breakpoint tau = 2, where eta is exactly 0:
+    # the search returns at that breakpoint's evaluation, before the
+    # crossing's solve.
     out = closest_stable_max(goldens.SINGULAR_BREAKPOINT_2)
     assert out.tau_star == pytest.approx(goldens.SINGULAR_BREAKPOINT_2_TAU, abs=1e-9)
     assert oracles.abscissa(out.matrix) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_a_singular_crossing_solve_returns_the_upper_breakpoint(monkeypatch):
+    # When A(tau2) is singular to working precision, the crossing's solve
+    # finds no resolvent and the upper end of the bracket is the answer.
+    a = helpers.random_unstable_metzler(np.random.default_rng(37), 5)
+    ref = closest_stable_max(a)
+    # The last probe is the crossing; the least stable tau before it is tau2.
+    tau2 = min(tau for tau, value in ref.trace[:-1] if value < 0.0)
+    resolvent = core._level_resolvent
+
+    def singular_crossing(m, level, rhs):
+        return None if rhs.ndim == 2 else resolvent(m, level, rhs)
+
+    monkeypatch.setattr(core, "_level_resolvent", singular_crossing)
+    out = closest_stable_max(a)
+    a2 = clamp_shift(a, tau2)
+    assert out.tau_star == tau2
+    assert np.array_equal(out.matrix, a2)
+    assert out.abscissa == core.spectral_abscissa(a2)
+    # The trace stops at the bracket: the crossing's eigen call is no
+    # evaluation.
+    assert out.trace == ref.trace[:-1]
+    assert out.iterations == ref.iterations - 1 == len(out.trace) - 1
 
 
 def test_stabilize_matches_bisection_oracle():
