@@ -42,8 +42,7 @@ def _sign_rows(m: sign.SignMatrix) -> list[list[str]]:
 
 def _cmd_eig(args):
     pair = core.selected_leading_eigenpair(
-        _read(formats.read_matrix, args.matrix), tol=args.tol or core.DEFAULT_TOL,
-        max_iter=args.max_iter or core.DEFAULT_MAX_ITER)
+        _read(formats.read_matrix, args.matrix), tol=args.tol or core.DEFAULT_TOL)
     payload = {"value": pair.value, "vector": [float(x) for x in pair.vector],
                "iterations": pair.iterations, "residual": pair.residual}
     text = f"{pair.value:.12g}\n" + " ".join(f"{x:.12g}" for x in pair.vector) + "\n"
@@ -61,9 +60,7 @@ _CLOSEST = {
         lambda a, args: maxnorm.closest_unstable_max(a)),
     "stab-max": (
         "closest stable matrix, max norm", ("max",), 0.0,
-        lambda a, args: maxnorm.closest_stable_max(
-            a, tol=args.tol or core.DEFAULT_TOL,
-            eig_max_iter=args.max_iter or core.DEFAULT_MAX_ITER)),
+        lambda a, args: maxnorm.closest_stable_max(a, tol=args.tol or core.DEFAULT_TOL)),
     "destab-inf": (
         "closest unstable matrix, l-inf norm", ("inf", "one"), 0.0,
         lambda a, args: infnorm.closest_unstable_inf_hurwitz(a)),
@@ -217,9 +214,10 @@ def _cmd_bench(args):
 
 def build_parser() -> argparse.ArgumentParser:
     # --tol, --max-iter, --seed and --norm go only on the commands that read them.
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="convergence tolerance (op-specific default)")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--tol", type=float, default=None,
-                        help="convergence tolerance (op-specific default)")
     budget.add_argument("--max-iter", type=int, default=None,
                         help="iteration budget (op-specific default)")
     seeded = argparse.ArgumentParser(add_help=False)
@@ -239,12 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, **defaults)
         return p
 
-    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix", flags=[budget])
+    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix", flags=[tol])
     p.add_argument("matrix", help="matrix file or - for stdin")
 
+    # The stabilizers read --tol; the two with an outer step budget --max-iter.
+    closest_flags = {"stab-max": [tol], "stab-inf": [tol, budget], "stab-schur": [tol, budget]}
     for name, (help_text, norms, level, _) in _CLOSEST.items():
-        flags = [budget] if name.startswith("stab-") else []
-        p = sub(name, _cmd_closest, help_text, flags, level=level)
+        p = sub(name, _cmd_closest, help_text, closest_flags.get(name, []), level=level)
         p.add_argument("matrix")
         p.add_argument("--norm", choices=norms, default=norms[0],
                        help=f"norm variant (default {norms[0]})")
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow Metzler results with abscissa 1 instead of nonnegative")
 
     p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family",
-            flags=[budget])
+            flags=[tol, budget])
     p.add_argument("family", help="family file or - for stdin")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--no-patch", action="store_true",

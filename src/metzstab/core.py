@@ -22,7 +22,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import PreconditionError
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 20_000
 STABILITY_TOL = 1e-9
 
 
@@ -200,11 +199,12 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
 
 
 # Irreducible blocks of at most this size get a short power budget; larger
-# ones keep the full budget, since the certified step's eigvals costs O(d^3).
+# ones a long one, since the certified step's eigvals costs O(d^3).
 DENSE_FALLBACK_DIM = 64
-# Power iterations a block of at most DENSE_FALLBACK_DIM nodes gets before
-# the certified step takes over.
+# Power iterations before the certified step takes over: for a block of at
+# most DENSE_FALLBACK_DIM nodes, and for a larger one.
 _POWER_BUDGET = 30
+DEFAULT_MAX_ITER = 20_000
 # From this iteration on, a block leaves for the certified step once
 # geometric decay at its residual's last ratio would miss the threshold.
 _RATE_START = 4
@@ -309,7 +309,7 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
 # An overflow in the shift or a sum is an inf that ends the power loop, and
 # the certified step raises PreconditionError on an inf bound: no warning.
 @np.errstate(over="ignore")
-def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
+def _perron_pair(block: np.ndarray, tol: float) -> EigenPair:
     # Translative power method on an irreducible Metzler block: iterate
     # A + (h + 0.1m)I from the uniform vector, h making the block nonnegative
     # and m the largest entry of A + hI. The positive diagonal rules out
@@ -318,7 +318,7 @@ def _perron_pair(block: np.ndarray, tol: float, max_iter: int) -> EigenPair:
     # entries near 1e-3). A block that leaves the loop unconverged, stalled,
     # out of budget or overflowed, takes the certified step.
     d = block.shape[0]
-    budget = min(max_iter, _POWER_BUDGET) if d <= DENSE_FALLBACK_DIM else max_iter
+    budget = _POWER_BUDGET if d <= DENSE_FALLBACK_DIM else DEFAULT_MAX_ITER
     diag = block.diagonal()
     h = max(0.0, -float(diag.min()))
     shift = h + 0.1 * max(float(block.max()), float(diag.max()) + h)
@@ -421,7 +421,7 @@ def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
     return w / (w @ u)
 
 
-def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int) -> EigenPair:
+def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
     # Solve (tI - A) x(t) = 1 for every node's pole order p and leading
     # coefficient c of x_i(t) ~ c (t - lam)^-p as t falls to lam, one order
     # at a time. The nodes of highest order carry the limit direction.
@@ -430,7 +430,7 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int) -> Eigen
     values = arr.diagonal()[[nodes[0] for nodes in blocks]]
     lows, highs = values.copy(), values.copy()
     subs = {k: arr[nodes[:, None], nodes] for k, nodes in enumerate(blocks) if nodes.size > 1}
-    pairs = {k: _perron_pair(sub, tol, max_iter) for k, sub in subs.items()}
+    pairs = {k: _perron_pair(sub, tol) for k, sub in subs.items()}
     for k, pair in pairs.items():
         values[k], (lows[k], highs[k]) = pair.value, pair.bracket
     lam = float(values.max())  # the largest block bounds bracket it
@@ -502,8 +502,7 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float, max_iter: int) -> Eigen
                      method, (float(lows.max()), float(highs.max())))
 
 
-def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
+def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     """Leading eigenvalue of a Metzler matrix with its selected eigenvector.
 
     This is the package's one eigen entry point: every eigen call of the
@@ -535,9 +534,9 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     ``tol`` is the power method's threshold on the relative change of the
     value and on the residual ||B v - value v||_inf, and the criticality
     threshold; the residual test is floored at 16 eps times the shifted
-    value, the rounding level of the product. ``max_iter`` caps the power
-    iterations of each irreducible block, and a block of at most
-    ``DENSE_FALLBACK_DIM`` (64) nodes gets at most ``min(max_iter, 30)``.
+    value, the rounding level of the product. An irreducible block of at
+    most ``DENSE_FALLBACK_DIM`` (64) nodes gets ``_POWER_BUDGET`` (30) power
+    iterations, a larger one ``DEFAULT_MAX_ITER`` (20,000).
     From the fourth iteration on, a block whose residual at its last ratio
     would not meet the test in time leaves early. Every block that does not
     converge then takes the *certified step*: lam is the largest real part
@@ -546,9 +545,9 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     exceeds its leading eigenvalue), or, if either test fails, bisected on
     the same test down to rounding. The vector is the normalized
     (hi I - B)^{-1} 1 of the last solve at the upper end hi, the definition
-    of the selected vector. A ``tol`` that is not positive or a ``max_iter``
-    below 1 raises ValueError, and a block value that overflows the float
-    range PreconditionError.
+    of the selected vector. A ``tol`` that is not positive raises
+    ValueError, and a block value that overflows the float range
+    PreconditionError.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest
@@ -560,26 +559,22 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL,
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     arr = validate_metzler(a)
     blocks = _components(arr)
     if len(blocks) == 1 and arr.shape[0] > 1:
-        return _perron_pair(arr, tol, max_iter)
-    return _reducible_pair(arr, blocks, tol, max_iter)
+        return _perron_pair(arr, tol)
+    return _reducible_pair(arr, blocks, tol)
 
 
-def spectral_abscissa(a, *, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> float:
+def spectral_abscissa(a, *, tol: float = DEFAULT_TOL) -> float:
     """Largest real part of the spectrum of a Metzler matrix."""
-    return selected_leading_eigenpair(a, tol=tol, max_iter=max_iter).value
+    return selected_leading_eigenpair(a, tol=tol).value
 
 
-def spectral_radius(a, *, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> float:
+def spectral_radius(a, *, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of a nonnegative matrix (its leading eigenvalue)."""
     arr = validate_nonnegative(a)
-    return selected_leading_eigenpair(arr, tol=tol, max_iter=max_iter).value
+    return selected_leading_eigenpair(arr, tol=tol).value
 
 
 _NEG_GUARD = 1e-7  # relative to the largest entry: see _level_resolvent

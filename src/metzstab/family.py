@@ -272,7 +272,10 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     choices = [0] * d
     iterations = 0
     block_abscissas = []
+    start = greedy_kwargs.get("start_choices")
     for nodes, sub in zip(split.blocks, split.subfamilies):
+        if start is not None:  # each block starts from its own nodes' choices
+            greedy_kwargs["start_choices"] = [start[node] for node in nodes]
         out = optimize_with_irreducibility_patch(sub, "max", **greedy_kwargs)
         iterations += out.iterations
         block_abscissas.append(out.abscissa)

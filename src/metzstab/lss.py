@@ -123,8 +123,9 @@ def hull_max_abscissa(system: SwitchingSystem, *,
         return core.selected_leading_eigenpair(combine(weights), tol=_SCAN_TOL).value
 
     r = resolution if resolution is not None else _default_resolution(n)
-    if r < 1:
-        raise ValueError(f"resolution must be >= 1, got {r}")
+    if r < 1 or r % 1:
+        raise ValueError(f"resolution must be at least 1 and a whole number, got {r}")
+    r = int(r)
     best_w = None
     best_eta = -np.inf
     for comp in _compositions(r, n):

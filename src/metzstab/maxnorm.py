@@ -50,8 +50,7 @@ def closest_unstable_max(a) -> core.DestabilizationResult:
     return core.DestabilizationResult(tau_star=tau, matrix=arr + tau)
 
 
-def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
-                       eig_max_iter: int = core.DEFAULT_MAX_ITER) -> core.StabilizationResult:
+def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the max norm, for eta(A) > 0.
 
     Searches the breakpoint grid {0} U {distinct positive entries of A} for
@@ -64,7 +63,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
     first; ``iterations`` counts the evaluations after the input's.
     """
     arr = core.validate_metzler(a)
-    eta0 = core.spectral_abscissa(arr, tol=tol, max_iter=eig_max_iter)
+    eta0 = core.spectral_abscissa(arr, tol=tol)
     if eta0 <= ZERO_TOL:
         raise PreconditionError(f"matrix is already stable or on the boundary (eta={eta0:.3e})")
 
@@ -77,7 +76,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
 
     def eta_at(tau: float):
         x = _clamp(arr, tau)
-        value = core.spectral_abscissa(x, tol=tol, max_iter=eig_max_iter)
+        value = core.spectral_abscissa(x, tol=tol)
         trace.append((tau, value))
         return x, value
 
@@ -134,8 +133,8 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL,
         # A(tau2) is stable, so a singular one (to working precision) has eta
         # = 0: the breakpoint is the crossing, which the eigen value missed by
         # rounding. This eigen call does not count as an evaluation.
-        return result(tau2, a2, core.spectral_abscissa(a2, tol=tol, max_iter=eig_max_iter))
+        return result(tau2, a2, core.spectral_abscissa(a2, tol=tol))
     # m >= 0 up to rounding, and rho > 0: -A(tau2)^{-1} has a positive diagonal, H >= I.
-    rho = core.spectral_radius(np.maximum(m, 0.0), tol=tol, max_iter=eig_max_iter)
+    rho = core.spectral_radius(np.maximum(m, 0.0), tol=tol)
     tau = tau2 - 1.0 / rho
     return result(tau, *eta_at(tau))

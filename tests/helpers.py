@@ -3,6 +3,7 @@
 import numpy as np
 
 from metzstab import gen
+from metzstab.family import ProductFamily, UncertaintySet
 
 import oracles
 
@@ -21,6 +22,20 @@ def weighted_cycles() -> list[np.ndarray]:
     rng = np.random.default_rng(0)
     return [np.roll(np.diag(rng.uniform(0.5, 1.5, d)), 1, axis=1)
             for d in (70, 100, 200, 400)]
+
+
+def block_diagonal_family() -> ProductFamily:
+    """Two decoupled 2x2 blocks: every member is reducible.
+
+    The plain greedy's maximum, choices (0, 0, 0, 1), is flagged, and the
+    irreducibility patch ends in the Frobenius split at (0, 0, 1, 1).
+    """
+    return ProductFamily((
+        UncertaintySet(0, [[-1.0, 1.0, 0.0, 0.0], [-0.5, 0.2, 0.0, 0.0]]),
+        UncertaintySet(1, [[2.0, -1.0, 0.0, 0.0]]),
+        UncertaintySet(2, [[0.0, 0.0, -3.0, 1.0], [0.0, 0.0, -4.0, 2.0]]),
+        UncertaintySet(3, [[0.0, 0.0, 1.0, -2.0], [0.0, 0.0, 2.5, -2.0]]),
+    ))
 
 
 def random_metzler(rng: np.random.Generator, d: int, *, scale: float = 1.0) -> np.ndarray:

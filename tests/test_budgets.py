@@ -1,15 +1,14 @@
-"""The iteration budgets the CLI exposes through --max-iter.
+"""The iteration budgets, and the CLI's --max-iter that sets some of them.
 
 ``stab-inf`` and ``stab-schur`` pass it as the outer step budget
-(``max_outer``), ``stab-max`` as the power budget of every irreducible block
-of every eigen call (``eig_max_iter``) and ``opt-family`` as the greedy
-sweep budget (``max_iter``). Every input here needs more than one step of
-its budget, so a budget of one runs out: the library raises with the best
-iterate it holds, and the CLI exits 3 with the message on stderr. The one
-exception is the power budget: a block that spends it takes the certified
-step, so ``stab-max`` answers as it does at the default. The ball descent's
-sweep budget, ``infnorm._MAX_SWEEPS``, is a module constant, which the
-tests lower to one.
+(``max_outer``) and ``opt-family`` as the greedy sweep budget
+(``max_iter``). Every input here needs more than one step of its budget, so
+a budget of one runs out: the library raises with the best iterate it
+holds, and the CLI exits 3 with the message on stderr. The ball descent's
+sweep budget, ``infnorm._MAX_SWEEPS``, and the eigen power budgets,
+``core._POWER_BUDGET`` and ``core.DEFAULT_MAX_ITER``, are module constants,
+which the tests lower to one. A block that spends its power budget takes
+the certified step, so ``stab-max`` answers as it does at the default.
 """
 
 import numpy as np
@@ -49,12 +48,13 @@ def test_outer_budget_raises_with_the_best_stable_iterate(solve, a, level):
     assert best.abscissa <= level
 
 
-def test_max_norm_power_budget_of_one_gives_the_default_answer():
+def test_max_norm_power_budget_of_one_gives_the_default_answer(monkeypatch):
     # Every eigen call's 70-node block spends its one power iteration and
     # takes the certified step.
     assert core.selected_leading_eigenpair(LARGE_BLOCK_70).iterations > 1
-    out = closest_stable_max(LARGE_BLOCK_70, eig_max_iter=1)
     ref = closest_stable_max(LARGE_BLOCK_70)
+    monkeypatch.setattr(core, "DEFAULT_MAX_ITER", 1)
+    out = closest_stable_max(LARGE_BLOCK_70)
     assert out.tau_star == ref.tau_star
     assert out.iterations == ref.iterations
     assert np.array_equal(out.matrix, ref.matrix)
@@ -137,20 +137,27 @@ def test_a_sweep_budget_below_one_is_an_input_error(tmp_path, capsys):
     assert captured.err == "error: max_iter must be at least 1, got -1\n"
 
 
-@pytest.mark.parametrize("command,text", [
-    ("eig", formats.write_matrix(goldens.UNSTABLE_5)),
-    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5)),
-    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5)),
-    ("stab-schur", formats.write_matrix(SCHUR_INPUT)),
-    ("opt-family", formats.write_family(FAMILY)),
-], ids=["eig", "stab-max", "stab-inf", "stab-schur", "opt-family"])
-@pytest.mark.parametrize("flag,value,message", [
-    ("--max-iter", "0", "max_iter must be at least 1, got 0"),
-    ("--max-iter", "-1", "max_iter must be at least 1, got -1"),
-    ("--tol", "0", "tol must be positive, got 0.0"),
-    ("--tol", "-0.5", "tol must be positive, got -0.5"),
-    ("--tol", "nan", "tol must be positive, got nan"),
-], ids=["max-iter-0", "max-iter-neg", "tol-0", "tol-neg", "tol-nan"])
+_BUDGET_COMMANDS = {
+    "eig": formats.write_matrix(goldens.UNSTABLE_5),
+    "stab-max": formats.write_matrix(goldens.UNSTABLE_5),
+    "stab-inf": formats.write_matrix(goldens.UNSTABLE_5),
+    "stab-schur": formats.write_matrix(SCHUR_INPUT),
+    "opt-family": formats.write_family(FAMILY),
+}
+_BAD_FLAGS = {
+    "max-iter-0": ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+    "max-iter-neg": ("--max-iter", "-1", "max_iter must be at least 1, got -1"),
+    "tol-0": ("--tol", "0", "tol must be positive, got 0.0"),
+    "tol-neg": ("--tol", "-0.5", "tol must be positive, got -0.5"),
+    "tol-nan": ("--tol", "nan", "tol must be positive, got nan"),
+}
+
+
+# eig and stab-max take no --max-iter: test_cli.py checks the usage error.
+@pytest.mark.parametrize("command,text,flag,value,message", [
+    pytest.param(command, text, *bad, id=f"{name}-{command}")
+    for name, bad in _BAD_FLAGS.items() for command, text in _BUDGET_COMMANDS.items()
+    if bad[0] == "--tol" or command not in ("eig", "stab-max")])
 def test_a_budget_flag_out_of_range_is_an_input_error(tmp_path, capsys, command, text,
                                                        flag, value, message):
     # Zero used to mean the default, and -1 an empty budget.

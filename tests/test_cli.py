@@ -12,6 +12,7 @@ from metzstab.lss import SwitchingSystem
 from metzstab.sign import SignMatrix
 
 import goldens
+import helpers
 from helpers import LARGE_BLOCK_70
 import oracles
 
@@ -67,17 +68,18 @@ def test_eig_rejects_norm_flag(tmp_path, capsys):
     assert "--norm" in rejected_by_parser(capsys, "eig", path, "--norm", "inf")
 
 
-def test_eig_iteration_budget_exit_code(tmp_path, capsys):
-    # --max-iter caps the power iterations per block: a block that spends
-    # them takes the certified step and exits 0, above
-    # core.DENSE_FALLBACK_DIM nodes as below.
+def test_eig_iteration_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # A block that spends its power budget takes the certified step and
+    # exits 0, above core.DENSE_FALLBACK_DIM nodes as below.
+    monkeypatch.setattr(core, "DEFAULT_MAX_ITER", 3)
+    monkeypatch.setattr(core, "_POWER_BUDGET", 3)
     path = matrix_file(tmp_path, LARGE_BLOCK_70)
-    payload = run_json(capsys, "eig", path, "--max-iter", "3")
+    payload = run_json(capsys, "eig", path)
     a = formats.read_matrix((tmp_path / "m.txt").read_text())
     assert payload["iterations"] == 3
     assert payload["value"] == pytest.approx(oracles.abscissa(a), rel=1e-12)
     path = matrix_file(tmp_path, goldens.OSCILLATING_3)
-    code, out, _ = run_cli(capsys, "eig", path, "--max-iter", "3")
+    code, out, _ = run_cli(capsys, "eig", path)
     assert code == 0
     assert float(out.split()[0]) == pytest.approx(goldens.OSCILLATING_3_ABSCISSA,
                                                   abs=1e-11)
@@ -230,6 +232,20 @@ def test_opt_family_is_a_thin_adapter(tmp_path, capsys):
     assert tuple(payload["row_choices"]) == direct.row_choices
     np.testing.assert_allclose(payload["matrix"],
                                fam.matrix(payload["row_choices"]), atol=1e-12)
+
+
+def test_opt_family_no_patch_reports_the_plain_greedy(tmp_path, capsys):
+    fam = helpers.block_diagonal_family()
+    path = tmp_path / "fam.txt"
+    path.write_text(formats.write_family(fam))
+    plain = run_json(capsys, "opt-family", str(path), "--no-patch")
+    assert plain["reducible"] is True
+    assert tuple(plain["row_choices"]) == selective_greedy(fam, "max").row_choices
+    assert tuple(plain["row_choices"]) == (0, 0, 0, 1)
+    patched = run_json(capsys, "opt-family", str(path))
+    want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
+    assert tuple(patched["row_choices"]) == (0, 0, 1, 1)
+    assert patched["abscissa"] == pytest.approx(want, abs=1e-8)
 
 
 def test_sign_stab_command(tmp_path, capsys):
@@ -417,13 +433,21 @@ def test_norm_is_rejected_where_it_does_not_apply(tmp_path, capsys, command, tex
     assert "--norm" in rejected_by_parser(capsys, command, str(path), "--norm", norm)
 
 
-@pytest.mark.parametrize("command, text", [
-    ("sign-stab", _SIGN_TEXT),
-    ("destab-inf", formats.write_matrix(goldens.STABLE_5)),
-    ("lss-check", _SWITCH_TEXT),
-], ids=["sign-stab", "destab-inf", "lss-check"])
-@pytest.mark.parametrize("flag", [("--tol", "1e-3"), ("--max-iter", "2"), ("--seed", "9")],
-                         ids=["tol", "max-iter", "seed"])
+_FLAGS = {"tol": ("--tol", "1e-3"), "max-iter": ("--max-iter", "2"), "seed": ("--seed", "9")}
+# Each command with the flags it does not read. eig and stab-max read --tol
+# but have no budget that can run out.
+_UNREAD = [
+    ("sign-stab", _SIGN_TEXT, ("tol", "max-iter", "seed")),
+    ("destab-inf", formats.write_matrix(goldens.STABLE_5), ("tol", "max-iter", "seed")),
+    ("lss-check", _SWITCH_TEXT, ("tol", "max-iter", "seed")),
+    ("eig", formats.write_matrix(goldens.STABLE_5), ("max-iter",)),
+    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ("max-iter",)),
+]
+
+
+@pytest.mark.parametrize("command, text, flag", [
+    pytest.param(command, text, _FLAGS[name], id=f"{name}-{command}")
+    for command, text, names in _UNREAD for name in names])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, text, flag):
     path = tmp_path / "input.txt"
     path.write_text(text)

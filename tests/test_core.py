@@ -198,13 +198,16 @@ def _assert_certified(pair, a):
     assert lo <= want <= hi
 
 
-def test_power_iteration_budget_ends_in_the_certified_step():
-    # max_iter caps the power iterations of a block, above DENSE_FALLBACK_DIM
-    # nodes as below: a block that spends them takes the certified step.
-    pair = core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3)
+def test_power_iteration_budget_ends_in_the_certified_step(monkeypatch):
+    # DEFAULT_MAX_ITER caps the power iterations of a block above
+    # DENSE_FALLBACK_DIM nodes, _POWER_BUDGET those of a smaller one: a block
+    # that spends them takes the certified step.
+    monkeypatch.setattr(core, "DEFAULT_MAX_ITER", 3)
+    monkeypatch.setattr(core, "_POWER_BUDGET", 3)
+    pair = core.selected_leading_eigenpair(LARGE_BLOCK_70)
     _assert_certified(pair, LARGE_BLOCK_70)
     assert pair.iterations == 3
-    pair = core.selected_leading_eigenpair(goldens.OSCILLATING_3, max_iter=3)
+    pair = core.selected_leading_eigenpair(goldens.OSCILLATING_3)
     assert pair.method == "certified"
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
 
@@ -224,7 +227,7 @@ def test_fallback_handles_defective_leading_pair():
     # Shifted power method on [[0,1],[0,0]] converges like 1/k and times out;
     # the dense fallback still reports eta = 0.
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    pair = core.selected_leading_eigenpair(a, max_iter=500)
+    pair = core.selected_leading_eigenpair(a)
     assert pair.value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -246,7 +249,7 @@ def _two_clusters(d: int) -> np.ndarray:
     return a
 
 
-def test_fallback_respects_dense_dim_cap():
+def test_fallback_respects_dense_dim_cap(monkeypatch):
     # A block of DENSE_FALLBACK_DIM nodes cannot converge within its short
     # budget and leaves for the certified step; one node more keeps the full
     # budget and converges by power iteration.
@@ -256,28 +259,29 @@ def test_fallback_respects_dense_dim_cap():
     assert pair.method == "power"
     assert pair.iterations > core._POWER_BUDGET
     # A large block that spends its budget takes the certified step.
-    _assert_certified(core.selected_leading_eigenpair(LARGE_BLOCK_70, max_iter=3),
-                      LARGE_BLOCK_70)
+    monkeypatch.setattr(core, "DEFAULT_MAX_ITER", 3)
+    _assert_certified(core.selected_leading_eigenpair(LARGE_BLOCK_70), LARGE_BLOCK_70)
     # An acyclic pattern splits into single nodes and needs no iteration.
     a = np.zeros((3, 3))
     a[0, 1] = 1.0
-    pair = core.selected_leading_eigenpair(a, max_iter=200)
+    pair = core.selected_leading_eigenpair(a)
     assert pair.value == 0.0
     assert pair.iterations == 0
 
 
-def test_fallback_escapes_per_irreducible_block():
-    # OSCILLATING_3 stalls at max_iter=3; inside a reducible matrix it is one
-    # block, solved by the certified step while the single node is read off
-    # its diagonal. So is a stalled block above DENSE_FALLBACK_DIM.
-    pair = core.selected_leading_eigenpair(_with_a_node(goldens.OSCILLATING_3),
-                                           max_iter=3)
+def test_fallback_escapes_per_irreducible_block(monkeypatch):
+    # OSCILLATING_3 stalls at a budget of 3; inside a reducible matrix it is
+    # one block, solved by the certified step while the single node is read
+    # off its diagonal. So is a stalled block above DENSE_FALLBACK_DIM.
+    monkeypatch.setattr(core, "DEFAULT_MAX_ITER", 3)
+    monkeypatch.setattr(core, "_POWER_BUDGET", 3)
+    pair = core.selected_leading_eigenpair(_with_a_node(goldens.OSCILLATING_3))
     assert pair.method == "certified"
     assert pair.value == pytest.approx(goldens.OSCILLATING_3_ABSCISSA, abs=1e-12)
     assert pair.iterations >= 3
     assert pair.residual <= 1e-12
     a = _with_a_node(LARGE_BLOCK_70)
-    _assert_certified(core.selected_leading_eigenpair(a, max_iter=3), a)
+    _assert_certified(core.selected_leading_eigenpair(a), a)
 
 
 def _subnormal_cycle(d):

@@ -16,6 +16,7 @@ from metzstab.family import (
     selective_greedy,
 )
 
+import helpers
 import oracles
 
 
@@ -142,27 +143,29 @@ def test_frobenius_blocks_diagonal_family():
 
 
 def test_patch_resolves_block_diagonal_maximum():
-    # Two decoupled 2x2 blocks; every member is reducible, so the plain
-    # greedy cannot certify and the patch must still land on the true max.
-    rows0 = [[-1.0, 1.0, 0.0, 0.0], [-0.5, 0.2, 0.0, 0.0]]
-    rows1 = [[2.0, -1.0, 0.0, 0.0]]
-    rows2 = [[0.0, 0.0, -3.0, 1.0], [0.0, 0.0, -4.0, 2.0]]
-    rows3 = [[0.0, 0.0, 1.0, -2.0], [0.0, 0.0, 2.5, -2.0]]
-    fam = ProductFamily((
-        UncertaintySet(0, rows0),
-        UncertaintySet(1, rows1),
-        UncertaintySet(2, rows2),
-        UncertaintySet(3, rows3),
-    ))
-    menus = [s.rows for s in fam.sets]
-    want, _ = oracles.family_vertex_optimum(menus, "max")
+    # Every member is reducible, so the plain greedy cannot certify and the
+    # patch must still land on the true max.
+    fam = helpers.block_diagonal_family()
+    want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
     out = optimize_with_irreducibility_patch(fam, "max")
     assert out.abscissa == pytest.approx(want, abs=1e-8)
     assert core.spectral_abscissa(out.matrix) == pytest.approx(want, abs=1e-8)
 
 
+def test_the_split_gives_each_block_its_own_start_choices():
+    # The split hands each block the start choices of its own nodes, so a
+    # start for the whole family reaches the blockwise optimum.
+    fam = helpers.block_diagonal_family()
+    want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
+    default = optimize_with_irreducibility_patch(fam, "max")
+    for start in ((0, 0, 0, 0), (1, 0, 1, 1)):
+        out = optimize_with_irreducibility_patch(fam, "max", start_choices=start)
+        assert out.abscissa == pytest.approx(default.abscissa, abs=1e-8)
+        assert out.abscissa == pytest.approx(want, abs=1e-8)
+
+
 def test_a_flagged_maximization_builds_one_augmented_family(monkeypatch):
-    # The block-diagonal family above: the plain greedy is flagged, the one
+    # The block-diagonal family: the plain greedy is flagged, the one
     # patch try, at weight 1/4, uses a patch row, and the split follows.
     built = []
 

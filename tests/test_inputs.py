@@ -147,9 +147,10 @@ def _family():
                              ms.UncertaintySet(1, [[1.0, -2.0], [0.5, 0.0]])))
 
 
-# Each public entry point with the budget keywords it reads, bound to a
-# valid input. A tol that is not positive once sent the certified step's
-# doubling search down, or by NaN, forever.
+# Each public entry point with the budget and grid keywords it reads, bound
+# to a valid input. A tol that is not positive once sent the certified
+# step's doubling search down, or by NaN, forever; the hull scan's simplex
+# grid needs a whole resolution of at least 1.
 BUDGET_CASES = {
     "eig": lambda **kw: core.selected_leading_eigenpair(_metzler(), **kw),
     "abscissa": lambda **kw: core.spectral_abscissa(_metzler(), **kw),
@@ -158,15 +159,20 @@ BUDGET_CASES = {
     "stab-schur": lambda **kw: ms.closest_stable_inf_schur(_nonneg(), **kw),
     "stab-max": lambda **kw: ms.closest_stable_max(_metzler(), **kw),
     "greedy": lambda **kw: ms.selective_greedy(_family(), **kw),
+    "hull": lambda **kw: ms.hull_max_abscissa(ms.SwitchingSystem(goldens.SWITCH_MODES), **kw),
+    "lss-stab-2d": lambda **kw: ms.stabilize_2d_lss(
+        ms.SwitchingSystem(([[0.5, 1.0], [1.0, -2.0]], [[-3.0, 0.5], [2.0, -1.0]])), **kw),
 }
 BAD_BUDGETS = {
-    "eig": {"tol": (-1.0, 0.0, float("nan")), "max_iter": (0, -5)},
-    "abscissa": {"tol": (-1.0, float("nan")), "max_iter": (0,)},
-    "radius": {"tol": (-1.0, float("nan")), "max_iter": (0,)},
+    "eig": {"tol": (-1.0, 0.0, float("nan"))},
+    "abscissa": {"tol": (-1.0, float("nan"))},
+    "radius": {"tol": (-1.0, float("nan"))},
     "stab-inf": {"tol": (-1.0, float("nan")), "max_outer": (0, -5)},
     "stab-schur": {"tol": (-1.0, float("nan")), "max_outer": (0,)},
-    "stab-max": {"tol": (-1.0, float("nan")), "eig_max_iter": (0,)},
+    "stab-max": {"tol": (-1.0, float("nan"))},
     "greedy": {"eig_tol": (-1.0, float("nan")), "max_iter": (0,)},
+    "hull": {"resolution": (0, 2.5, float("nan"))},
+    "lss-stab-2d": {"resolution": (2.5,)},
 }
 
 
