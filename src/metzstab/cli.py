@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family file or - for stdin")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--no-patch", action="store_true",
-                   help="skip the irreducibility patch for maximization")
+                   help="skip the Frobenius split for maximization")
 
     p = sub("sign-stab", _cmd_sign_stab, "closest weakly stable sign matrix")
     p.add_argument("matrix", help="sign matrix file or - for stdin")

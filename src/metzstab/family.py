@@ -33,6 +33,8 @@ class UncertaintySet:
             raise ValueError(f"row set {self.row_index} must be a nonempty 2-D array")
         if not np.isfinite(rows).all():
             raise ValueError(f"row set {self.row_index} must have finite entries")
+        if not isinstance(self.row_index, (int, np.integer)):
+            raise ValueError(f"row index {self.row_index!r} must be an integer")
         if self.row_index < 0 or self.row_index >= rows.shape[1]:
             raise ValueError(f"row index {self.row_index} outside dimension {rows.shape[1]}")
         off = np.delete(rows, self.row_index, axis=1)
@@ -73,9 +75,21 @@ class ProductFamily:
         return tuple(s.size for s in self.sets)
 
     def matrix(self, choices) -> np.ndarray:
-        if len(choices) != self.dim:
-            raise ValueError(f"need {self.dim} choices, got {len(choices)}")
+        choices = _checked_choices(self, choices)
         return np.vstack([s.rows[c] for s, c in zip(self.sets, choices)])
+
+
+def _checked_choices(family: ProductFamily, choices, label: str = "choice") -> np.ndarray:
+    # The choices as an integer array holding one row index of each menu.
+    arr = np.array(choices)
+    if len(arr) != family.dim:
+        raise ValueError(f"need {family.dim} choices, got {len(arr)}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{label}s must be integers, got {choices!r}")
+    bad = np.flatnonzero((arr < 0) | (arr >= family.sizes))
+    if bad.size:
+        raise ValueError(f"{label} {arr[bad[0]]} out of range for row set {bad[0]}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -163,21 +177,13 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    d = family.dim
     # Every menu's rows in one array, menu i starting at offsets[i]: one
     # product scores all rows of a sweep.
     allrows = np.concatenate([s.rows for s in family.sets])
     offsets = np.cumsum([0, *family.sizes[:-1]])
     if start_choices is None:  # one sweep against the power loop's uniform start
         start_choices = _choose_rows(allrows.sum(axis=1), offsets, None, direction)
-    choices = np.array(start_choices)
-    if len(choices) != d:
-        raise ValueError(f"need {d} choices, got {len(choices)}")
-    if choices.dtype.kind not in "iu":
-        raise ValueError(f"start choices must be integers, got {start_choices!r}")
-    for pos, (c, s) in enumerate(zip(choices, family.sets)):
-        if not 0 <= c < s.size:
-            raise ValueError(f"start choice {c} out of range for row set {pos}")
+    choices = _checked_choices(family, start_choices, "start choice")
 
     x = allrows[offsets + choices]
     trace: list[tuple[tuple[int, ...], float]] = []
@@ -226,29 +232,15 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     return FrobeniusSplit(tuple(blocks), tuple(subfamilies))
 
 
-def _augmented(family: ProductFamily) -> ProductFamily:
-    # Append the rows of P/4 (P the cyclic permutation), whose directed cycle
-    # makes the union graph irreducible.
-    d = family.dim
-    sets = []
-    for i, s in enumerate(family.sets):
-        h = np.zeros(d)
-        h[(i + 1) % d] = 0.25
-        sets.append(UncertaintySet(i, np.vstack([s.rows, h])))
-    return ProductFamily(tuple(sets))
-
-
 def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max",
                                        **greedy_kwargs) -> GreedyOutcome:
     """Maximize the abscissa with a certificate even on reducible families.
 
-    When the plain greedy is flagged, runs it once more on the family
-    augmented with the rows of P/4, P the cyclic permutation. If that optimum
-    uses no augmented row and its eigenvector is strictly positive, it is a
-    certified maximum of the original family. Otherwise the family is split
-    into its Frobenius blocks and optimized blockwise (the block assembly is
-    exact: the assembled member is block-triangular, so its abscissa is the
-    maximum of the block optima).
+    When the plain greedy is flagged, each Frobenius block of the family is
+    maximized once, from its own nodes' start choices. The split is exact:
+    every member is block-triangular, so its abscissa is its largest block's,
+    and the blocks' menus are independent. Every block's union graph is
+    strongly connected, so no block needs a further split.
     """
     if direction != "max":
         raise PreconditionError(
@@ -258,33 +250,21 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
     if not plain.reducibility_flag:
         return plain
 
-    out = selective_greedy(_augmented(family), "max", **greedy_kwargs)
-    used_patch = any(c >= m for c, m in zip(out.row_choices, family.sizes))
-    if not used_patch and not out.reducibility_flag:
-        return out
-
     split = frobenius_blocks(family)
-    if len(split.blocks) == 1:
-        # Genuinely irreducible union graph; return the flagged greedy result.
-        return plain
-
-    d = family.dim
-    choices = [0] * d
-    iterations = 0
-    block_abscissas = []
     start = greedy_kwargs.get("start_choices")
+    choices = [0] * family.dim
+    outs = []
     for nodes, sub in zip(split.blocks, split.subfamilies):
         if start is not None:  # each block starts from its own nodes' choices
             greedy_kwargs["start_choices"] = [start[node] for node in nodes]
-        out = optimize_with_irreducibility_patch(sub, "max", **greedy_kwargs)
-        iterations += out.iterations
-        block_abscissas.append(out.abscissa)
-        for local, node in enumerate(nodes):
-            choices[node] = out.row_choices[local]
+        outs.append(selective_greedy(sub, "max", **greedy_kwargs))
+        for node, c in zip(nodes, outs[-1].row_choices):
+            choices[node] = c
     x = family.matrix(choices)
     pair = core.selected_leading_eigenpair(
         x, tol=greedy_kwargs.get("eig_tol", core.DEFAULT_TOL))
+    best = max(out.abscissa for out in outs)
     return GreedyOutcome(
-        matrix=x, abscissa=max(block_abscissas), row_choices=tuple(choices),
-        iterations=iterations, eigenvector=pair.vector, reducibility_flag=True,
-        trace=((tuple(choices), max(block_abscissas)),))
+        matrix=x, abscissa=best, row_choices=tuple(choices),
+        iterations=sum(out.iterations for out in outs), eigenvector=pair.vector,
+        reducibility_flag=True, trace=((tuple(choices), best),))

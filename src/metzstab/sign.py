@@ -133,7 +133,7 @@ def sign_ball_minimize(m: SignMatrix, k: int) -> SignBallOutcome:
     always terminates).
     """
     _require_metzler_pattern(m)
-    if k < 0:
+    if not k >= 0:
         raise PreconditionError(f"ball radius must be nonnegative, got {k}")
     if k < np.inf and k % 1:
         raise PreconditionError(f"ball radius k must be a whole number, got {k}")

@@ -28,7 +28,7 @@ def block_diagonal_family() -> ProductFamily:
     """Two decoupled 2x2 blocks: every member is reducible.
 
     The plain greedy's maximum, choices (0, 0, 0, 1), is flagged, and the
-    irreducibility patch ends in the Frobenius split at (0, 0, 1, 1).
+    Frobenius split maximizes its two blocks to (0, 0, 1, 1).
     """
     return ProductFamily((
         UncertaintySet(0, [[-1.0, 1.0, 0.0, 0.0], [-0.5, 0.2, 0.0, 0.0]]),

@@ -164,26 +164,26 @@ def test_the_split_gives_each_block_its_own_start_choices():
         assert out.abscissa == pytest.approx(want, abs=1e-8)
 
 
-def test_a_flagged_maximization_builds_one_augmented_family(monkeypatch):
-    # The block-diagonal family: the plain greedy is flagged, the one
-    # patch try, at weight 1/4, uses a patch row, and the split follows.
-    built = []
+def test_a_flagged_maximization_runs_one_greedy_per_frobenius_block(monkeypatch):
+    # The block-diagonal family: the plain greedy is flagged, and the split
+    # runs one greedy on each of its two blocks and nothing more.
+    runs = []
 
-    def recorded(fam):
-        built.append(original(fam))
-        return built[-1]
+    def recorded(fam, *args, **kwargs):
+        runs.append(fam.dim)
+        return original(fam, *args, **kwargs)
 
-    original = family._augmented
-    monkeypatch.setattr(family, "_augmented", recorded)
+    original = family.selective_greedy
+    monkeypatch.setattr(family, "selective_greedy", recorded)
     test_patch_resolves_block_diagonal_maximum()
-    assert len(built) == 1
-    for i, s in enumerate(built[0].sets):
-        np.testing.assert_array_equal(s.rows[-1], np.roll([0.0, 0.25, 0.0, 0.0], i))
+    blocks = frobenius_blocks(helpers.block_diagonal_family()).blocks
+    assert len(runs) == 1 + len(blocks) == 3
+    assert runs == [4, 2, 2]
 
 
 def test_flagged_sparse_maximizations_reach_the_vertex_optimum():
     # Sparse families whose plain greedy is flagged (142 of the 200 draws)
-    # take the patch or the split; both must land on the exhaustive optimum.
+    # take the Frobenius split, which must land on the exhaustive optimum.
     rng = np.random.default_rng(2027)
     flagged = 0
     for _ in range(200):
@@ -207,11 +207,11 @@ def test_patch_leaves_irreducible_outcome_alone():
     assert patched.row_choices == plain.row_choices
 
 
-def test_patch_returns_a_certified_member_that_uses_no_patch_row():
+def test_the_split_maximizes_a_flagged_two_by_two_blockwise():
     # From (0, 0), plain greedy stops there, eta = 1, on the vector (1, 0).
-    # On the augmented family (row 2 of each menu is the patch row) it passes
-    # through (0, 2) to (0, 1): eta = 2 with a positive vector and no patch
-    # row. The default start, each menu's largest row sum, is (0, 1) itself.
+    # The union graph has blocks {1} and {0}: menu 1 picks its row 1 (2.0)
+    # and menu 0 keeps its row 0 (1.0), so the member (0, 1) reaches 2.0.
+    # The default start, each menu's largest row sum, is (0, 1) itself.
     fam = ProductFamily((
         UncertaintySet(0, [[1.0, 1.0], [-2.0, 0.0]]),
         UncertaintySet(1, [[0.0, -2.0], [0.0, 2.0]]),
@@ -224,10 +224,10 @@ def test_patch_returns_a_certified_member_that_uses_no_patch_row():
     assert plain.reducibility_flag
     assert (plain.row_choices, plain.abscissa) == ((0, 0), 1.0)
     out = optimize_with_irreducibility_patch(fam, "max", start_choices=(0, 0))
-    assert not out.reducibility_flag
+    assert out.reducibility_flag
     assert out.row_choices == (0, 1)
     assert out.abscissa == pytest.approx(2.0, abs=1e-12)
-    assert [c for c, _ in out.trace] == [(0, 0), (0, 2), (0, 1)]
+    assert out.trace == (((0, 1), out.abscissa),)
     assert np.array_equal(out.matrix, fam.matrix((0, 1)))
 
 

@@ -120,6 +120,26 @@ def test_selective_greedy_rejects_a_start_choice_that_is_no_integer():
         ms.selective_greedy(fam, start_choices=[0.5, 0])
 
 
+def test_a_member_takes_one_row_of_each_menu():
+    fam = _family()
+    np.testing.assert_array_equal(fam.matrix([1, 0]), [[-3.0, 1.0], [1.0, -2.0]])
+    for choices in ([-1, 0], [0, 2], [0, -3]):
+        with pytest.raises(ValueError, match="out of range"):
+            fam.matrix(choices)
+    for choices in ([0.0, 1], [1.5, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            fam.matrix(choices)
+    with pytest.raises(ValueError, match="need 2 choices, got 3"):
+        fam.matrix([0, 0, 0])
+    with pytest.raises(ValueError, match="start choice -1 out of range for row set 0"):
+        ms.selective_greedy(fam, start_choices=[-1, 0])
+
+
+def test_a_row_index_is_an_integer():
+    with pytest.raises(ValueError, match="row index 1.5 must be an integer"):
+        ms.UncertaintySet(1.5, [[1.0, -2.0], [0.5, 0.0]])
+
+
 def test_power_iteration_needs_at_least_one_iteration():
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter"):
@@ -132,6 +152,11 @@ def test_a_sign_ball_radius_is_a_whole_number():
         with pytest.raises(PreconditionError, match="k must be a whole number"):
             ms.sign_ball_minimize(m, k)
     assert ms.sign_ball_minimize(m, 2.0).abscissa == ms.sign_ball_minimize(m, 2).abscissa
+
+
+def test_a_sign_ball_radius_is_a_number():
+    with pytest.raises(PreconditionError, match="nonnegative, got nan"):
+        ms.sign_ball_minimize(ms.SignMatrix(goldens.SIGN_WEB), float("nan"))
 
 
 def _nonneg():
