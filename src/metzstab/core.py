@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
 
@@ -212,77 +209,71 @@ _RATE_START = 4
 # shifted value: below it the residual of a converged iterate is noise.
 _RESIDUAL_FLOOR_ULPS = 16
 _EPS = float(np.finfo(float).eps)
+# Larger patterns are peeled before the O(d^3) closure; longer runs of single
+# nodes in an order are halved before the solve, which would cost an O(n^3) LU.
+_CLOSURE_DIM = 128
+_SOLVE_DIM = 256
 
 
-def _reaches_all(pattern: np.ndarray) -> bool:
-    # Breadth-first search from node 0 along the rows of ``pattern``.
-    seen = np.zeros(pattern.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        new = pattern[frontier].any(axis=0) & ~seen
-        seen |= new
-        if seen.all():
-            return True
-        frontier = np.flatnonzero(new)
-    return False
+def _one_component(pattern: np.ndarray) -> bool:
+    # Node 0 reaches every node and every node reaches node 0 (breadth first).
+    if not (pattern.any(axis=1).all() and pattern.any(axis=0).all()):
+        return pattern.shape[0] == 1
+    for graph in (pattern, pattern.T):
+        seen, frontier = np.arange(pattern.shape[0]) == 0, np.zeros(1, dtype=np.intp)
+        while frontier.size and not seen.all():
+            frontier = np.flatnonzero(graph[frontier].any(axis=0) & ~seen)
+            seen[frontier] = True
+        if not seen.all():
+            return False
+    return True
 
 
-def _strong_labels(a):
-    # (n_comp, labels, src, dst): csgraph's strong labels of the off-diagonal
-    # pattern of ``a`` and the labels at the two ends of each edge, or None
-    # when the pattern is one component (see strong_components).
-    pattern = np.asarray(a) != 0
+def _closure_split(pattern: np.ndarray) -> list[np.ndarray]:
+    # Reach closure: a float32 pattern + I squared until its nonzero count
+    # stops changing (0/1 sums are exact to 2^24 nodes). A component reaches
+    # more nodes than any it points to, so sorting the nodes by (reach size,
+    # smallest mutually reachable node) puts each component after its targets.
     d = pattern.shape[0]
-    np.fill_diagonal(pattern, False)  # self-loops join no components
-    if d == 1 or (pattern.any(axis=1).all() and pattern.any(axis=0).all()
-                  and _reaches_all(pattern) and _reaches_all(pattern.T)):
-        return None
-    rows, cols = np.nonzero(pattern)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d)))).astype(np.int32)
-    # Float data and int32 indices, csgraph's own types: it copies any other.
-    graph = sp.csr_matrix((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(d, d))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    return n_comp, labels, labels[rows], labels[cols]
-
-
-def _level_order(n_comp: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
-    # Labels placed level by level: next come the components whose targets
-    # are all placed, ties by label.
-    points = np.zeros((n_comp, n_comp), dtype=bool)
-    points[src, dst] = True
-    np.fill_diagonal(points, False)  # edges inside a component
-    pending = points.sum(axis=1)
-    order: list[int] = []
-    ready = np.flatnonzero(pending == 0)
-    while ready.size:
-        order += ready.tolist()
-        pending[ready] = -1  # placed: never zero again
-        pending -= points[:, ready].sum(axis=1)
-        ready = np.flatnonzero(pending == 0)
-    return order
-
-
-def _split(labels: np.ndarray) -> list[np.ndarray]:
-    # The nodes of each label, ascending, in label order: one stable argsort.
-    perm = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels)).tolist()
+    reach = pattern.astype(np.float32)
+    reach.flat[:: d + 1] = 1.0
+    count, new = 0, np.count_nonzero(reach)
+    while new > count:
+        reach = np.minimum(reach @ reach, 1.0)
+        count, new = new, np.count_nonzero(reach)
+    rep = np.minimum(reach, reach.T).argmax(axis=1)  # first mutually reachable
+    perm = np.lexsort((rep, reach.sum(axis=1)))
+    ends = (np.flatnonzero(np.diff(rep[perm])) + 1).tolist() + [d]
     return [perm[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
 def _components(a) -> tuple[np.ndarray, ...]:
-    # The components of strong_components in csgraph's label order, which
-    # places each after every component it points to. csgraph does not
-    # document that, so one pass over the edges checks it, and the level
-    # order serves when it fails. The eigen path needs no canonical order.
-    cond = _strong_labels(a)
-    if cond is None:
-        return (np.arange(np.shape(a)[0]),)
-    n_comp, labels, src, dst = cond
-    blocks = _split(labels)
-    if not (dst <= src).all():
-        blocks = [blocks[c] for c in _level_order(n_comp, src, dst)]
-    return tuple(blocks)
+    # strong_components' components in the eigen path's order: targets first.
+    pattern = np.asarray(a) != 0
+    np.fill_diagonal(pattern, False)  # self-loops join no components
+    d = pattern.shape[0]
+    if _one_component(pattern):
+        return (np.arange(d),)
+    if d <= _CLOSURE_DIM:
+        return tuple(_closure_split(pattern))
+    # Peel (the trim of McLendon et al., JPDC 2005), round by round: a node
+    # with no out-edge to the nodes left goes to first, any other with no
+    # in-edge from them to last. So first, the core, then last reversed put
+    # every node after its targets.
+    outs, ins = pattern.sum(axis=1), pattern.sum(axis=0)
+    first, last = [], []
+    while (gone := np.flatnonzero((outs == 0) | (ins == 0))).size:
+        first += gone[outs[gone] == 0].tolist()
+        last += gone[outs[gone] != 0].tolist()
+        outs -= pattern[:, gone].sum(axis=1)
+        ins -= pattern[gone].sum(axis=0)
+        outs[gone] = ins[gone] = -1  # dropped: never zero again
+    core = np.flatnonzero(outs > 0)
+    sub = pattern[core[:, None], core]
+    middle = ([] if not core.size else [core] if _one_component(sub)
+              else [core[c] for c in _closure_split(sub)])
+    ends = np.array(first + last[::-1], dtype=np.intp)[:, None]
+    return (*ends[:len(first)], *middle, *ends[len(first):])
 
 
 def strong_components(a) -> tuple[np.ndarray, ...]:
@@ -293,17 +284,17 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
     component it points to, so a system in ``a`` can be solved component by
     component in the returned order. The order is canonical: level by level,
     the components whose targets are all placed come next, ties by the
-    component's csgraph label. A pattern in which node 0 reaches every node
-    and every node reaches node 0 is one component, proved by two
-    breadth-first searches without building a graph; the searches are
-    skipped when some node has no off-diagonal entry in its row or column.
+    component's smallest node. Two breadth-first searches prove a pattern
+    one component; otherwise a reach closure splits it, after a pattern of
+    more than ``_CLOSURE_DIM`` (128) nodes sheds, round by round, the nodes
+    with no out-edge or no in-edge among those left.
     """
-    cond = _strong_labels(a)
-    if cond is None:
-        return (np.arange(np.shape(a)[0]),)
-    n_comp, labels, src, dst = cond
-    blocks = _split(labels)
-    return tuple(blocks[c] for c in _level_order(n_comp, src, dst))
+    pattern = np.asarray(a) != 0
+    level = np.full(pattern.shape[0], -1)
+    blocks = _components(a)
+    for nodes in blocks:
+        level[nodes] = level[pattern[nodes].any(axis=0)].max(initial=-1) + 1
+    return tuple(sorted(blocks, key=lambda nodes: (level[nodes[0]], nodes[0])))
 
 
 # An overflow in the shift or a sum is an inf that ends the power loop, and
@@ -459,8 +450,12 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
     sort = np.argsort(node_key[nodes], kind="stable")
     nodes = nodes[sort]
     bounds = [0] + np.cumsum(np.bincount(node_key)).tolist()
-    dense = {node_key[blocks[k][0]] for k in pairs if not critical[k]}  # N not triangular
     coef, one = np.zeros(d), 1.0  # one: the 1 of (tI - A) x = 1 in order 0's units
+
+    def cuts(i, j):  # where a block starts inside nodes[i:j]
+        label = np.repeat(np.arange(len(blocks)), [b.size for b in blocks[::-1]])
+        return i + 1 + np.flatnonzero(np.diff(label[sort[i:j]]))
+
     for q in range(len(bounds) // 2):
         lo, mid, hi = bounds[2 * q: 2 * q + 3]
         if q:
@@ -474,19 +469,23 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
         parts = [(lo, mid)] if mid > lo else []
         while parts:
             i, j = parts.pop()
+            if j - i > _SOLVE_DIM and cuts(i, j).size == j - i - 1:  # single nodes
+                parts += [(i, (i + j) // 2), ((i + j) // 2, j)]
+                continue
             part, known = nodes[i:j], nodes[j:hi]
             rhs = (arr[part[:, None], known] @ coef[known] + (one if q == 0 else 0.0)
                    if known.size else np.full(j - i, one))
             m = -arr[part[:, None], part]
             m.flat[:: j - i + 1] += lam  # (lam I - A)[part, part]
-            x, info = (lapack.dgesv if 2 * q in dense else lapack.dtrtrs)(m, rhs)[-2:]
-            coef[part] = np.nan if info else x  # info: a pivot rounded to zero
-            peak = np.nan if info else x.max()
+            try:
+                coef[part] = x = np.linalg.solve(m, rhs)
+            except np.linalg.LinAlgError:  # a pivot rounded to zero
+                coef[part] = x = np.full(j - i, np.nan)
+            peak = x.max()
             if not 2.0**-500 < peak < 2.0**500:
                 peak = coef[nodes[i:hi]].max()  # the order so far
             if not 2.0**-500 < peak < 2.0**500:
-                label = np.repeat(np.arange(len(blocks)), [b.size for b in blocks[::-1]])
-                ends = i + 1 + np.flatnonzero(np.diff(label[sort[i:j]]))
+                ends = cuts(i, j)
                 if ends.size:
                     cut = int(ends[ends.size // 2])
                     parts += [(i, cut), (cut, j)]
@@ -527,9 +526,10 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     other nodes N from its critical ones C. In reverse block order that
     matrix is block upper triangular (triangular for single nodes), so the
     LU pivots only inside a block and the substitution adds nonnegative
-    terms. Each order has its own power-of-two scale; a solve whose peak
-    leaves [2^-500, 2^500] is redone in two halves split at a block
-    boundary, so long chains of large or small entries stay in range.
+    terms; over ``_SOLVE_DIM`` (256) single nodes are solved in halves. Each
+    order has its own power-of-two scale; a solve whose peak leaves
+    [2^-500, 2^500] is redone in two halves split at a block boundary, so
+    long chains of large or small entries stay in range.
 
     ``tol`` is the power method's threshold on the relative change of the
     value and on the residual ||B v - value v||_inf, and the criticality

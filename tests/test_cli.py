@@ -460,3 +460,55 @@ def test_eig_rejects_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eig", matrix_file(tmp_path, goldens.STABLE_5), "--seed", "9"])
     assert exc.value.code == 2
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from metzstab import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([argv, cli.main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # The package needs numpy only: in a fresh interpreter with scipy
+    # blocked, every command runs to exit 0, a reducible split included.
+    def path(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    triangular = np.triu(np.random.default_rng(3).random((300, 300)), 1) / 300 - np.eye(300)
+    family = path("family.txt", formats.write_family(helpers.block_diagonal_family()))
+    argvs = [
+        ["eig", path("stable.txt", _matrix_text(goldens.STABLE_5))],
+        ["eig", path("chain.txt", _matrix_text([[-1, 1, 0], [0, -2, 1], [0, 0, -3]]))],
+        ["eig", path("triangular.txt", _matrix_text(triangular))],
+        ["destab-max", path("minus_eye.txt", _matrix_text(-np.eye(2)))],
+        ["stab-max", path("swap.txt", _matrix_text(goldens.SWAP_2))],
+        ["destab-inf", str(tmp_path / "stable.txt")],
+        ["stab-inf", path("unstable.txt", _matrix_text(goldens.UNSTABLE_5))],
+        ["stab-inf", str(tmp_path / "unstable.txt"), "--norm", "one"],
+        ["destab-schur", path("zeros.txt", _matrix_text(np.zeros((2, 2))))],
+        ["stab-schur", path("spin.txt", _matrix_text(goldens.SPIN_2))],
+        ["stab-schur", str(tmp_path / "spin.txt"), "--allow-metzler"],
+        ["sign-stab", path("sign.txt", _SIGN_TEXT)],
+        ["lss-check", path("switch.txt", _SWITCH_TEXT)],
+        ["lss-stab-2d", path("planar.txt", _PLANAR_TEXT)],
+        ["lss-stab-sign", str(tmp_path / "switch.txt")],
+        ["opt-family", family, "--direction", "max"],
+        ["opt-family", family, "--direction", "min"],
+        ["gen", "--dim", "4", "--count", "3", "--seed", "5"],
+        ["bench", "--op", "family-max", "--dim", "4", "--count", "2", "--trials", "1",
+         "--seed", "1"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [(argv, code, err) for argv, code, err in results if code != 0] == []
+    assert len(results) == len(argvs)

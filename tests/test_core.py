@@ -396,10 +396,12 @@ def test_strong_components_order_and_membership():
 
 def _graph_components(a):
     # Reference: strong components of the whole pattern from csgraph, each
-    # placed after every component it points to, ties by label.
+    # placed after every component it points to, ties by smallest node.
     pattern = np.asarray(a) != 0
     n, labels = connected_components(sp.csr_matrix(pattern.astype(float)),
                                      directed=True, connection="strong")
+    smallest = [int(np.flatnonzero(labels == c)[0]) for c in range(n)]
+    labels = np.argsort(np.argsort(smallest))[labels]  # relabelled by smallest node
     rows, cols = np.nonzero(pattern)
     points = np.zeros((n, n), dtype=bool)
     points[labels[rows], labels[cols]] = True
@@ -466,6 +468,85 @@ def test_strong_components_pinned_patterns(a, count):
     assert len(_assert_same_components(a)) == count
 
 
+def _chain_of_two_cycles(d):
+    # Nodes 2k and 2k + 1 point to each other, and node 2k + 1 to node 2k + 2:
+    # d / 2 components in one chain, none of them peeled.
+    a = np.zeros((d, d))
+    even = np.arange(0, d, 2)
+    a[even, even + 1] = a[even + 1, even] = 1.0
+    a[even[:-1] + 1, even[1:]] = 1.0
+    return a
+
+
+def _two_dense_blocks(d):
+    # Two dense halves, the first pointing to the second.
+    h = d // 2
+    a = np.zeros((d, d))
+    a[:h, :h] = a[h:, h:] = 1.0
+    a[0, h] = 1.0
+    return a
+
+
+def _random_dag(d, seed):
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((d, d)) < 0.05, 1).astype(float)
+    perm = rng.permutation(d)
+    return a[np.ix_(perm, perm)]
+
+
+def _layered_pattern(d, seed):
+    # Random strongly connected blocks and single nodes, each block pointing
+    # only to earlier ones, under a random relabelling: peeled nodes and
+    # several cores at once.
+    rng = np.random.default_rng(seed)
+    a = np.zeros((d, d))
+    start = 0
+    while start < d:
+        size = min(d - start, int(rng.choice([1, 1, 2, 5, 17])))
+        nodes = np.arange(start, start + size)
+        if size > 1:
+            a[nodes, np.roll(nodes, -1)] = 1.0  # a cycle through the block
+            a[np.ix_(nodes, nodes)] += rng.random((size, size)) < 0.2
+        if start:
+            a[start:start + size, :start] = rng.random((size, start)) < 0.01
+        start += size
+    perm = rng.permutation(d)
+    return a[np.ix_(perm, perm)]
+
+
+def _assert_split_matches_the_graph_search(a):
+    # Membership from csgraph, and both orders place each component after
+    # every component it points to.
+    pattern = a != 0
+    n, labels = connected_components(sp.csr_matrix(pattern.astype(float)),
+                                     directed=True, connection="strong")
+    want = {tuple(np.flatnonzero(labels == c)) for c in range(n)}
+    for comps in (core.strong_components(a), core._components(a)):
+        assert len(comps) == n
+        assert {tuple(c) for c in comps} == want
+        _assert_placed_after_targets(a, comps)
+
+
+@pytest.mark.parametrize("a", [
+    _chain_of_two_cycles(300),
+    _two_dense_blocks(300),
+    _random_dag(300, 1),
+    np.diag(np.arange(1.0, 301.0)),
+    *(_layered_pattern(d, d) for d in (core._CLOSURE_DIM - 1, core._CLOSURE_DIM,
+                                      core._CLOSURE_DIM + 1, 400)),
+], ids=["chain-of-two-cycles", "two-dense-blocks", "random-dag", "diagonal",
+        "layered-127", "layered-128", "layered-129", "layered-400"])
+def test_split_shapes_match_the_graph_search(a):
+    _assert_split_matches_the_graph_search(a)
+
+
+def test_split_canonical_order_on_both_sides_of_the_peel():
+    for d in (core._CLOSURE_DIM, core._CLOSURE_DIM + 1):
+        for seed in range(3):
+            a = _layered_pattern(d, 100 + seed)
+            assert len(_assert_same_components(a)) > 1
+
+
 def _assert_placed_after_targets(a, comps):
     position = np.full(len(a), -1)
     for k, c in enumerate(comps):
@@ -483,7 +564,7 @@ def _seeded_patterns(count, seed):
 
 
 def test_eigen_path_components_match_strong_components():
-    # The eigen path takes csgraph's label order: the same components as
+    # The eigen path takes the split's own order: the same components as
     # strong_components, each still after every component it points to.
     split = 0
     for a in _seeded_patterns(600, 606):
@@ -645,6 +726,25 @@ def test_selected_vector_matches_the_substitution_on_triangular_orders():
                                    rtol=0.0, atol=1e-13 * want.max())
 
 
+@pytest.mark.parametrize("kind", ["triangular", "diagonal"])
+def test_selected_vector_matches_the_substitution_on_long_single_node_orders(kind):
+    # 600 single nodes: the orders are longer than core._SOLVE_DIM, so they
+    # are solved in halves. The sparse triangle's rows sum to below 1
+    # against pivots of at least 1, so no coefficient leaves the float range.
+    d = 600
+    rng = np.random.default_rng(600)
+    a = -np.diag(1.0 + rng.random(d))
+    critical = [d - 1, *rng.choice(d - 1, 2, replace=False)]
+    a[critical, critical] = -0.5
+    if kind == "triangular":
+        edges = np.triu(rng.random((d, d)) < 0.05, 1)
+        a += edges * rng.random((d, d)) / edges.sum(axis=1).max()
+    want = oracles.selected_vector_by_components(a)
+    pair = core.selected_leading_eigenpair(a)
+    assert pair.value == -0.5
+    np.testing.assert_allclose(pair.vector, want, rtol=0.0, atol=1e-13 * want.max())
+
+
 def test_selected_vector_matches_exact_limit_on_random_reducible():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -759,35 +859,6 @@ def test_bracket_holds_the_exact_value_on_random_irreducible_blocks():
             np.testing.assert_allclose(pair.vector, vector, rtol=0.0, atol=1e-9,
                                        err_msg=f"{pair.method}\n{a}")
     assert min(methods[m] for m in ("power", "certified", "bisect")) >= 5
-
-
-def test_eigen_path_components_fall_back_to_the_level_order(monkeypatch):
-    # Labels that break the order csgraph gives (reversed: targets after
-    # their sources) send _components to the level order.
-    cases = (EQUAL_DIAGONAL_CHAIN, TWO_CRITICAL_BLOCKS, CRITICAL_FEEDS_NONCRITICAL)
-    wants = [core.selected_leading_eigenpair(a) for a in cases]
-    fallbacks = collections.Counter()
-
-    def reversed_labels(*args, **kwargs):
-        n, labels = original(*args, **kwargs)
-        return n, n - 1 - labels
-
-    def counted(*args):
-        fallbacks["level"] += 1
-        return level_order(*args)
-
-    original, level_order = core.connected_components, core._level_order
-    monkeypatch.setattr(core, "connected_components", reversed_labels)
-    monkeypatch.setattr(core, "_level_order", counted)
-    for a in _seeded_patterns(200, 707):
-        _assert_placed_after_targets(a, core._components(a))
-    assert fallbacks["level"] >= 30
-    for a, want in zip(cases, wants):
-        before = fallbacks["level"]
-        pair = core.selected_leading_eigenpair(a)
-        assert fallbacks["level"] == before + 1
-        assert pair.value == pytest.approx(want.value, abs=1e-15)
-        np.testing.assert_allclose(pair.vector, want.vector, rtol=0.0, atol=1e-15)
 
 
 def test_a_left_solve_singular_at_large_scale_keeps_the_selected_vector(monkeypatch):
