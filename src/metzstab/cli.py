@@ -41,8 +41,7 @@ def _sign_rows(m: sign.SignMatrix) -> list[list[str]]:
 
 
 def _cmd_eig(args):
-    pair = core.selected_leading_eigenpair(
-        _read(formats.read_matrix, args.matrix), tol=args.tol or core.DEFAULT_TOL)
+    pair = core.selected_leading_eigenpair(_read(formats.read_matrix, args.matrix))
     payload = {"value": pair.value, "vector": [float(x) for x in pair.vector],
                "iterations": pair.iterations, "residual": pair.residual}
     text = f"{pair.value:.12g}\n" + " ".join(f"{x:.12g}" for x in pair.vector) + "\n"
@@ -60,22 +59,20 @@ _CLOSEST = {
         lambda a, args: maxnorm.closest_unstable_max(a)),
     "stab-max": (
         "closest stable matrix, max norm", ("max",), 0.0,
-        lambda a, args: maxnorm.closest_stable_max(a, tol=args.tol or core.DEFAULT_TOL)),
+        lambda a, args: maxnorm.closest_stable_max(a)),
     "destab-inf": (
         "closest unstable matrix, l-inf norm", ("inf", "one"), 0.0,
         lambda a, args: infnorm.closest_unstable_inf_hurwitz(a)),
     "stab-inf": (
         "closest stable matrix, l-inf norm", ("inf", "one"), 0.0,
-        lambda a, args: infnorm.closest_stable_inf_hurwitz(
-            a, tol=args.tol or core.DEFAULT_TOL, max_outer=args.max_iter or 200)),
+        lambda a, args: infnorm.closest_stable_inf_hurwitz(a, max_outer=args.max_iter or 200)),
     "destab-schur": (
         "closest matrix with rho >= level, l-inf norm", ("inf", "one"), 1.0,
         lambda a, args: infnorm.closest_unstable_inf_schur(a, level=args.level)),
     "stab-schur": (
         "closest Schur-stable matrix, l-inf norm", ("inf", "one"), 1.0,
         lambda a, args: infnorm.closest_stable_inf_schur(
-            a, allow_metzler=args.allow_metzler, tol=args.tol or core.DEFAULT_TOL,
-            max_outer=args.max_iter or 200)),
+            a, allow_metzler=args.allow_metzler, max_outer=args.max_iter or 200)),
 }
 
 
@@ -106,11 +103,11 @@ def _cmd_closest(args):
 
 def _cmd_opt_family(args):
     fam = _read(formats.read_family, args.family)
-    kwargs = {"eig_tol": args.tol or core.DEFAULT_TOL, "max_iter": args.max_iter or 200}
+    max_iter = args.max_iter or 200
     if args.direction == "max" and not args.no_patch:
-        out = family.optimize_with_irreducibility_patch(fam, "max", **kwargs)
+        out = family.optimize_with_irreducibility_patch(fam, "max", max_iter=max_iter)
     else:
-        out = family.selective_greedy(fam, args.direction, **kwargs)
+        out = family.selective_greedy(fam, args.direction, max_iter=max_iter)
     payload = {"direction": args.direction,
                "abscissa": float(out.abscissa), "matrix": _mat(out.matrix),
                "row_choices": [int(c) for c in out.row_choices],
@@ -213,10 +210,8 @@ def _cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --tol, --max-iter, --seed and --norm go only on the commands that read them.
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None,
-                     help="convergence tolerance (op-specific default)")
+    # --max-iter, --seed and --norm go only on the commands that read them; the
+    # eigen tolerance is core.DEFAULT_TOL everywhere and has no flag.
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--max-iter", type=int, default=None,
                         help="iteration budget (op-specific default)")
@@ -237,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, **defaults)
         return p
 
-    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix", flags=[tol])
+    p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix")
     p.add_argument("matrix", help="matrix file or - for stdin")
 
-    # The stabilizers read --tol; the two with an outer step budget --max-iter.
-    closest_flags = {"stab-max": [tol], "stab-inf": [tol, budget], "stab-schur": [tol, budget]}
+    # The two stabilizers with an outer step budget read --max-iter.
+    closest_flags = {"stab-inf": [budget], "stab-schur": [budget]}
     for name, (help_text, norms, level, _) in _CLOSEST.items():
         p = sub(name, _cmd_closest, help_text, closest_flags.get(name, []), level=level)
         p.add_argument("matrix")
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow Metzler results with abscissa 1 instead of nonnegative")
 
     p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family",
-            flags=[tol, budget])
+            flags=[budget])
     p.add_argument("family", help="family file or - for stdin")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--no-patch", action="store_true",
@@ -296,15 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_budget(args) -> None:
-    """Reject a --max-iter below one and a --tol that is not positive."""
+    """Reject a --max-iter below one."""
     if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {args.max_iter}")
-    if getattr(args, "tol", None) is not None and not args.tol > 0.0:
-        raise ValueError(f"tol must be positive, got {args.tol}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        parser.error(f"{args.command} does not take {unread[0]}")
     try:
         _check_budget(args)
         payload, text, summary = args.func(args)

@@ -566,15 +566,14 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     return _reducible_pair(arr, blocks, tol)
 
 
-def spectral_abscissa(a, *, tol: float = DEFAULT_TOL) -> float:
+def spectral_abscissa(a) -> float:
     """Largest real part of the spectrum of a Metzler matrix."""
-    return selected_leading_eigenpair(a, tol=tol).value
+    return selected_leading_eigenpair(a).value
 
 
-def spectral_radius(a, *, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius(a) -> float:
     """Spectral radius of a nonnegative matrix (its leading eigenvalue)."""
-    arr = validate_nonnegative(a)
-    return selected_leading_eigenpair(arr, tol=tol).value
+    return selected_leading_eigenpair(validate_nonnegative(a)).value
 
 
 _NEG_GUARD = 1e-7  # relative to the largest entry: see _level_resolvent

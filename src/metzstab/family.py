@@ -148,14 +148,14 @@ def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices,
 
 
 def selective_greedy(family: ProductFamily, direction: str = "max", *,
-                     start_choices=None, max_iter: int = 200,
-                     eig_tol: float = core.DEFAULT_TOL) -> GreedyOutcome:
+                     start_choices=None, max_iter: int = 200) -> GreedyOutcome:
     """Selective greedy optimization of the spectral abscissa over a family.
 
     Each iteration computes the selected leading eigenpair of the current
-    member, then re-optimizes every row against the eigenvector; rows only
-    change on strict improvement (beyond ``TIE_TOL``), so a full sweep
-    without changes is a fixed point and the loop stops. The final iteration
+    member at ``core.DEFAULT_TOL``, then re-optimizes every row against the
+    eigenvector; rows only change on strict improvement (beyond
+    ``TIE_TOL``), so a full sweep without changes is a fixed point and the
+    loop stops. The final iteration
     (the no-change sweep) is included in ``iterations``. The default start
     takes from each menu its first row of largest (``max``) or smallest
     (``min``) row sum: one sweep against the power method's uniform start.
@@ -188,7 +188,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     x = allrows[offsets + choices]
     trace: list[tuple[tuple[int, ...], float]] = []
     for it in range(1, max_iter + 1):
-        pair = core.selected_leading_eigenpair(x, tol=eig_tol)
+        pair = core.selected_leading_eigenpair(x)
         trace.append((tuple(choices.tolist()), pair.value))
         new = _choose_rows(allrows @ pair.vector, offsets, choices, direction)
         settled = np.array_equal(new, choices)
@@ -261,8 +261,7 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
         for node, c in zip(nodes, outs[-1].row_choices):
             choices[node] = c
     x = family.matrix(choices)
-    pair = core.selected_leading_eigenpair(
-        x, tol=greedy_kwargs.get("eig_tol", core.DEFAULT_TOL))
+    pair = core.selected_leading_eigenpair(x)
     best = max(out.abscissa for out in outs)
     return GreedyOutcome(
         matrix=x, abscissa=best, row_choices=tuple(choices),

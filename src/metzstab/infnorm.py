@@ -10,9 +10,9 @@ that the closed form requires.
 Stabilization minimizes the abscissa (or radius) over the row-wise l1 ball
 B_tau(A) by a selective greedy sweep whose row minimizers have a closed form:
 sort the support of the leading eigenvector by weight, zero entries in that
-order until the budget runs out. Each swept iterate gets one eigen call at
-the caller's tolerance, whose value decides whether the ball minimum is
-stable, on the boundary or infeasible and whose vector drives the next sweep.
+order until the budget runs out. Each swept iterate gets one eigen call,
+whose value decides whether the ball minimum is stable, on the boundary or
+infeasible and whose vector drives the next sweep.
 The input's pair, computed once for the precondition, starts every descent;
 each ball after the first sweeps the input along the previous probe's final
 vector (its own where that sweep moves nothing), so a probe near tau* that
@@ -165,14 +165,14 @@ def _sweep(base: np.ndarray, x: np.ndarray, v: np.ndarray, tau: float,
     return x_next, (cols, pivots, formal)
 
 
-def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
+def _descend(x: np.ndarray, pair: core.EigenPair, step):
     """Selective greedy descent of the leading eigenvalue from ``x``.
 
     ``pair`` is the leading pair of ``x``. ``step(x, pair)`` returns the
     next iterate with a record of how it was made, or None where ``x`` is
-    final. Each new iterate gets one eigen call at ``tol``. An iterate seen
-    before proves a plateau that the steps cycle on, and then the first
-    least-value iterate seen is returned. Returns (x, pair, record, values):
+    final. Each new iterate gets one eigen call. An iterate seen before
+    proves a plateau that the steps cycle on, and then the first least-value
+    iterate seen is returned. Returns (x, pair, record, values):
     the final iterate, its pair, its step's record (None for the start) and
     the value of every iterate in turn. Raises IterationLimitError after
     ``_MAX_SWEEPS`` steps.
@@ -186,7 +186,7 @@ def _descend(x: np.ndarray, pair: core.EigenPair, step, tol: float):
         if nxt is None:
             return x, pair, record, values
         x, record = nxt
-        pair = core.selected_leading_eigenpair(x, tol=tol)
+        pair = core.selected_leading_eigenpair(x)
         values.append(pair.value)
         key = (pair.value, hash(x.tobytes()))
         if key in seen:
@@ -220,9 +220,8 @@ def _jump_candidate(x: np.ndarray, record, tau: float, level: float) -> float | 
     return tau - 1.0 / lam if lam > 0.0 else None
 
 
-def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
-                         schur: bool, level: float, tol: float,
-                         max_outer: int) -> core.StabilizationResult:
+def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair, schur: bool,
+                         level: float, max_outer: int) -> core.StabilizationResult:
     if max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     norm0 = core.matrix_norm(base, core.NormKind.INF)
@@ -256,7 +255,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
                                         abscissa=value, trace=tuple(trace))
 
     for outer in range(1, max_outer + 1):
-        x, pair, record, _ = _descend(base, base_pair, step, tol)
+        x, pair, record, _ = _descend(base, base_pair, step)
         value, carried = pair.value, pair.vector
         trace.append((tau, value))
         if abs(value - level) <= ZERO_TOL:
@@ -283,8 +282,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair,
         best=result(*best, max_outer))
 
 
-def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
-                               max_outer: int = 200) -> core.StabilizationResult:
+def closest_stable_inf_hurwitz(a, *, max_outer: int = 200) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the l-inf norm, for eta(A) > 0.
 
     Alternates ball-greedy minimization with exact boundary jumps on the
@@ -296,16 +294,14 @@ def closest_stable_inf_hurwitz(a, *, tol: float = core.DEFAULT_TOL,
     ``max_outer`` bounds the outer steps, each one ball minimization.
     """
     arr = core.validate_metzler(a)
-    base_pair = core.selected_leading_eigenpair(arr, tol=tol)
+    base_pair = core.selected_leading_eigenpair(arr)
     if base_pair.value <= ZERO_TOL:
         raise PreconditionError(
             f"matrix is already stable or on the boundary (eta={base_pair.value:.3e})")
-    return _closest_stable_ball(arr, base_pair, schur=False, level=0.0, tol=tol,
-                                max_outer=max_outer)
+    return _closest_stable_ball(arr, base_pair, schur=False, level=0.0, max_outer=max_outer)
 
 
 def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
-                             tol: float = core.DEFAULT_TOL,
                              max_outer: int = 200) -> core.StabilizationResult:
     """Closest matrix with rho <= 1 in the l-inf norm, for nonnegative A, rho(A) > 1.
 
@@ -316,9 +312,9 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
     is then 1).
     """
     arr = core.validate_nonnegative(a)
-    base_pair = core.selected_leading_eigenpair(arr, tol=tol)
+    base_pair = core.selected_leading_eigenpair(arr)
     if base_pair.value <= 1.0 + ZERO_TOL:
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
     return _closest_stable_ball(arr, base_pair, schur=not allow_metzler, level=1.0,
-                                tol=tol, max_outer=max_outer)
+                                max_outer=max_outer)

@@ -50,7 +50,7 @@ def closest_unstable_max(a) -> core.DestabilizationResult:
     return core.DestabilizationResult(tau_star=tau, matrix=arr + tau)
 
 
-def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL) -> core.StabilizationResult:
+def closest_stable_max(a) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the max norm, for eta(A) > 0.
 
     Searches the breakpoint grid {0} U {distinct positive entries of A} for
@@ -63,7 +63,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL) -> core.Stabilizatio
     first; ``iterations`` counts the evaluations after the input's.
     """
     arr = core.validate_metzler(a)
-    eta0 = core.spectral_abscissa(arr, tol=tol)
+    eta0 = core.spectral_abscissa(arr)
     if eta0 <= ZERO_TOL:
         raise PreconditionError(f"matrix is already stable or on the boundary (eta={eta0:.3e})")
 
@@ -76,7 +76,7 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL) -> core.Stabilizatio
 
     def eta_at(tau: float):
         x = _clamp(arr, tau)
-        value = core.spectral_abscissa(x, tol=tol)
+        value = core.spectral_abscissa(x)
         trace.append((tau, value))
         return x, value
 
@@ -133,8 +133,8 @@ def closest_stable_max(a, *, tol: float = core.DEFAULT_TOL) -> core.Stabilizatio
         # A(tau2) is stable, so a singular one (to working precision) has eta
         # = 0: the breakpoint is the crossing, which the eigen value missed by
         # rounding. This eigen call does not count as an evaluation.
-        return result(tau2, a2, core.spectral_abscissa(a2, tol=tol))
+        return result(tau2, a2, core.spectral_abscissa(a2))
     # m >= 0 up to rounding, and rho > 0: -A(tau2)^{-1} has a positive diagonal, H >= I.
-    rho = core.spectral_radius(np.maximum(m, 0.0), tol=tol)
+    rho = core.spectral_radius(np.maximum(m, 0.0))
     tau = tau2 - 1.0 / rho
     return result(tau, *eta_at(tau))

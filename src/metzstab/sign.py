@@ -158,7 +158,7 @@ def _sign_ball(m: SignMatrix, k: int, pair: core.EigenPair) -> SignBallOutcome:
             return None
         return np.where(take[:, None], rows, x), None
 
-    x, pair, _, values = infnorm._descend(start, pair, step, core.DEFAULT_TOL)
+    x, pair, _, values = infnorm._descend(start, pair, step)
     return SignBallOutcome(
         sign_matrix=SignMatrix(x), abscissa=pair.value, iterations=len(values),
         eigenvector=pair.vector, trace=tuple(enumerate(values)))

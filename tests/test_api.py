@@ -20,18 +20,15 @@ OPTIONS = {
     "core.matrix_norm": ("kind",),
     "core.power_iteration": ("max_iter",),
     "core.selected_leading_eigenpair": ("tol",),
-    "core.spectral_abscissa": ("tol",),
-    "core.spectral_radius": ("tol",),
     "core.validate_metzler": ("name",),
     "core.validate_nonnegative": ("name",),
-    "maxnorm.closest_stable_max": ("tol",),
     "infnorm.ball_row_minimizer": ("schur",),
-    "infnorm.closest_stable_inf_hurwitz": ("tol", "max_outer"),
-    "infnorm.closest_stable_inf_schur": ("allow_metzler", "tol", "max_outer"),
+    "infnorm.closest_stable_inf_hurwitz": ("max_outer",),
+    "infnorm.closest_stable_inf_schur": ("allow_metzler", "max_outer"),
     "infnorm.closest_unstable_inf_schur": ("level",),
     "family.optimize_with_irreducibility_patch": ("direction", "greedy_kwargs"),
     "family.row_optimize": ("direction", "incumbent"),
-    "family.selective_greedy": ("direction", "start_choices", "max_iter", "eig_tol"),
+    "family.selective_greedy": ("direction", "start_choices", "max_iter"),
     "lss.hull_max_abscissa": ("resolution",),
     "lss.stabilize_2d_lss": ("resolution",),
 }
@@ -59,4 +56,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 27
+    assert sum(len(options) for options in found.values()) == 21

@@ -147,9 +147,6 @@ _BUDGET_COMMANDS = {
 _BAD_FLAGS = {
     "max-iter-0": ("--max-iter", "0", "max_iter must be at least 1, got 0"),
     "max-iter-neg": ("--max-iter", "-1", "max_iter must be at least 1, got -1"),
-    "tol-0": ("--tol", "0", "tol must be positive, got 0.0"),
-    "tol-neg": ("--tol", "-0.5", "tol must be positive, got -0.5"),
-    "tol-nan": ("--tol", "nan", "tol must be positive, got nan"),
 }
 
 
@@ -157,7 +154,7 @@ _BAD_FLAGS = {
 @pytest.mark.parametrize("command,text,flag,value,message", [
     pytest.param(command, text, *bad, id=f"{name}-{command}")
     for name, bad in _BAD_FLAGS.items() for command, text in _BUDGET_COMMANDS.items()
-    if bad[0] == "--tol" or command not in ("eig", "stab-max")])
+    if command not in ("eig", "stab-max")])
 def test_a_budget_flag_out_of_range_is_an_input_error(tmp_path, capsys, command, text,
                                                        flag, value, message):
     # Zero used to mean the default, and -1 an empty budget.

@@ -434,14 +434,18 @@ def test_norm_is_rejected_where_it_does_not_apply(tmp_path, capsys, command, tex
 
 
 _FLAGS = {"tol": ("--tol", "1e-3"), "max-iter": ("--max-iter", "2"), "seed": ("--seed", "9")}
-# Each command with the flags it does not read. eig and stab-max read --tol
-# but have no budget that can run out.
+# Each command with the flags it does not read. No command reads --tol (the
+# eigen tolerance is core.DEFAULT_TOL), and eig and stab-max have no budget
+# that can run out.
 _UNREAD = [
     ("sign-stab", _SIGN_TEXT, ("tol", "max-iter", "seed")),
     ("destab-inf", formats.write_matrix(goldens.STABLE_5), ("tol", "max-iter", "seed")),
     ("lss-check", _SWITCH_TEXT, ("tol", "max-iter", "seed")),
-    ("eig", formats.write_matrix(goldens.STABLE_5), ("max-iter",)),
-    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ("max-iter",)),
+    ("eig", formats.write_matrix(goldens.STABLE_5), ("tol", "max-iter")),
+    ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ("tol", "max-iter")),
+    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5), ("tol",)),
+    ("stab-schur", formats.write_matrix(goldens.SPIN_2), ("tol",)),
+    ("opt-family", formats.write_family(gen.generate_family(5, 4, seed=11)), ("tol",)),
 ]
 
 
@@ -454,6 +458,17 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, text, fla
     with pytest.raises(SystemExit) as exc:
         cli.main([command, str(path), *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eig", "--max-iter", "3", "-"], "--max-iter"),
+    (["stab-inf", "--tol", "1e-3", "-"], "--tol"),
+], ids=["eig-max-iter", "stab-inf-tol"])
+def test_an_unread_flag_is_named_before_any_input_is_read(capsys, monkeypatch, argv, flag):
+    # argparse would take the flag's value as the path and name "-" instead.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not a matrix"))
+    err = rejected_by_parser(capsys, *argv)
+    assert err.endswith(f"error: {argv[0]} does not take {flag}\n")
 
 
 def test_eig_rejects_seed(tmp_path):

@@ -312,24 +312,6 @@ def test_greedy_rejects_start_choices_of_the_wrong_length(count):
         selective_greedy(fam, start_choices=[0] * count)
 
 
-def test_the_patch_passes_eig_tol_to_every_eigen_call(monkeypatch):
-    # This family ends in the blockwise assembly (12 blocks), whose last
-    # eigen call gives the assembled member's eigenvector.
-    fam = gen.generate_family(12, 3, kind="sparse", density=(0.05, 0.1), seed=0)
-    tols = []
-
-    def recorded(a, **kwargs):
-        tols.append(kwargs.get("tol", core.DEFAULT_TOL))
-        return original(a, **kwargs)
-
-    original = core.selected_leading_eigenpair
-    monkeypatch.setattr(core, "selected_leading_eigenpair", recorded)
-    out = optimize_with_irreducibility_patch(fam, "max", eig_tol=1e-6)
-    assert len(frobenius_blocks(fam).blocks) == 12
-    assert out.reducibility_flag
-    assert tols and set(tols) == {1e-6}
-
-
 def test_the_greedy_keeps_an_incumbent_that_ties_up_to_rounding():
     # The start member [[0.7, 0.1], [0.1, 0.7]] has the power vector
     # (1/2, 1/2) exactly. Under it the other row of menu 0 scores 0.4 and

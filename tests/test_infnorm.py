@@ -235,7 +235,7 @@ def test_descent_ends_on_the_first_of_two_alternating_minima(monkeypatch):
     def step(x, pair):
         return (second, "second") if np.array_equal(x, first) else (first, "first")
 
-    x, pair, record, values = infnorm._descend(start, start_pair, step, core.DEFAULT_TOL)
+    x, pair, record, values = infnorm._descend(start, start_pair, step)
     np.testing.assert_array_equal(x, first)
     assert (pair.value, record) == (0.0, "first")
     assert values == [1.0, 0.0, 0.0, 0.0]
@@ -246,14 +246,14 @@ def test_stabilize_ends_a_revisiting_ball_on_its_first_minimum(monkeypatch):
     # One ball of this input's tau search ends by the revisit rule.
     revisits = []
 
-    def watched(x, pair, step, tol):
+    def watched(x, pair, step):
         last = []
 
         def recorded(x, pair):
             last[:] = [step(x, pair)]
             return last[0]
 
-        out = descend(x, pair, recorded, tol)
+        out = descend(x, pair, recorded)
         revisits.append(last[0] is not None)
         return out
 
@@ -314,9 +314,9 @@ def test_every_later_ball_starts_along_the_last_probes_vector(allow_metzler, mon
     # later ball's follows the final vector of the probe before it.
     balls = []
 
-    def watched(x, pair, step, tol):
+    def watched(x, pair, step):
         balls.append([])
-        out = descend(x, pair, step, tol)
+        out = descend(x, pair, step)
         balls[-1].append(out[1].vector)
         return out
 
@@ -349,7 +349,7 @@ def _cold_ball_value(base, tau, schur, level):
         return None if float(np.abs(x_next - x).max()) <= still else (x_next, record)
 
     pair = core.selected_leading_eigenpair(base)
-    return infnorm._descend(base, pair, step, core.DEFAULT_TOL)[1].value
+    return infnorm._descend(base, pair, step)[1].value
 
 
 @pytest.mark.parametrize("stabilize,make,schur,level", [

@@ -178,11 +178,8 @@ def _family():
 # grid needs a whole resolution of at least 1.
 BUDGET_CASES = {
     "eig": lambda **kw: core.selected_leading_eigenpair(_metzler(), **kw),
-    "abscissa": lambda **kw: core.spectral_abscissa(_metzler(), **kw),
-    "radius": lambda **kw: core.spectral_radius(_nonneg(), **kw),
     "stab-inf": lambda **kw: ms.closest_stable_inf_hurwitz(_metzler(), **kw),
     "stab-schur": lambda **kw: ms.closest_stable_inf_schur(_nonneg(), **kw),
-    "stab-max": lambda **kw: ms.closest_stable_max(_metzler(), **kw),
     "greedy": lambda **kw: ms.selective_greedy(_family(), **kw),
     "hull": lambda **kw: ms.hull_max_abscissa(ms.SwitchingSystem(goldens.SWITCH_MODES), **kw),
     "lss-stab-2d": lambda **kw: ms.stabilize_2d_lss(
@@ -190,12 +187,9 @@ BUDGET_CASES = {
 }
 BAD_BUDGETS = {
     "eig": {"tol": (-1.0, 0.0, float("nan"))},
-    "abscissa": {"tol": (-1.0, float("nan"))},
-    "radius": {"tol": (-1.0, float("nan"))},
-    "stab-inf": {"tol": (-1.0, float("nan")), "max_outer": (0, -5)},
-    "stab-schur": {"tol": (-1.0, float("nan")), "max_outer": (0,)},
-    "stab-max": {"tol": (-1.0, float("nan"))},
-    "greedy": {"eig_tol": (-1.0, float("nan")), "max_iter": (0,)},
+    "stab-inf": {"max_outer": (0, -5)},
+    "stab-schur": {"max_outer": (0,)},
+    "greedy": {"max_iter": (0,)},
     "hull": {"resolution": (0, 2.5, float("nan"))},
     "lss-stab-2d": {"resolution": (2.5,)},
 }
