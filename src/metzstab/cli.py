@@ -65,14 +65,13 @@ _CLOSEST = {
         lambda a, args: infnorm.closest_unstable_inf_hurwitz(a)),
     "stab-inf": (
         "closest stable matrix, l-inf norm", ("inf", "one"), 0.0,
-        lambda a, args: infnorm.closest_stable_inf_hurwitz(a, max_outer=args.max_iter or 200)),
+        lambda a, args: infnorm.closest_stable_inf_hurwitz(a)),
     "destab-schur": (
         "closest matrix with rho >= level, l-inf norm", ("inf", "one"), 1.0,
         lambda a, args: infnorm.closest_unstable_inf_schur(a, level=args.level)),
     "stab-schur": (
         "closest Schur-stable matrix, l-inf norm", ("inf", "one"), 1.0,
-        lambda a, args: infnorm.closest_stable_inf_schur(
-            a, allow_metzler=args.allow_metzler, max_outer=args.max_iter or 200)),
+        lambda a, args: infnorm.closest_stable_inf_schur(a, allow_metzler=args.allow_metzler)),
 }
 
 
@@ -103,11 +102,10 @@ def _cmd_closest(args):
 
 def _cmd_opt_family(args):
     fam = _read(formats.read_family, args.family)
-    max_iter = args.max_iter or 200
     if args.direction == "max" and not args.no_patch:
-        out = family.optimize_with_irreducibility_patch(fam, "max", max_iter=max_iter)
+        out = family.optimize_with_irreducibility_patch(fam, "max")
     else:
-        out = family.selective_greedy(fam, args.direction, max_iter=max_iter)
+        out = family.selective_greedy(fam, args.direction)
     payload = {"direction": args.direction,
                "abscissa": float(out.abscissa), "matrix": _mat(out.matrix),
                "row_choices": [int(c) for c in out.row_choices],
@@ -210,11 +208,8 @@ def _cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --max-iter, --seed and --norm go only on the commands that read them; the
-    # eigen tolerance is core.DEFAULT_TOL everywhere and has no flag.
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-iter", type=int, default=None,
-                        help="iteration budget (op-specific default)")
+    # --seed and --norm go only on the commands that read them; the eigen
+    # tolerance and the iteration budgets are module constants with no flag.
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed")
     common = argparse.ArgumentParser(add_help=False)
@@ -235,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("eig", _cmd_eig, "selected leading eigenpair of a Metzler matrix")
     p.add_argument("matrix", help="matrix file or - for stdin")
 
-    # The two stabilizers with an outer step budget read --max-iter.
-    closest_flags = {"stab-inf": [budget], "stab-schur": [budget]}
     for name, (help_text, norms, level, _) in _CLOSEST.items():
-        p = sub(name, _cmd_closest, help_text, closest_flags.get(name, []), level=level)
+        p = sub(name, _cmd_closest, help_text, level=level)
         p.add_argument("matrix")
         p.add_argument("--norm", choices=norms, default=norms[0],
                        help=f"norm variant (default {norms[0]})")
@@ -248,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-metzler", action="store_true",
         help="allow Metzler results with abscissa 1 instead of nonnegative")
 
-    p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family",
-            flags=[budget])
+    p = sub("opt-family", _cmd_opt_family, "optimize the abscissa over a product family")
     p.add_argument("family", help="family file or - for stdin")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--no-patch", action="store_true",
@@ -290,19 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_budget(args) -> None:
-    """Reject a --max-iter below one."""
-    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {args.max_iter}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args, unread = parser.parse_known_args(argv)
     if unread:
         parser.error(f"{args.command} does not take {unread[0]}")
     try:
-        _check_budget(args)
         payload, text, summary = args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,8 +161,9 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     iterate keeps flipping sign, and that counts as non-convergence here (it
     is the failure mode the translation removes).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not max_iter >= 1 or max_iter % 1:
+        raise ValueError(f"max_iter must be at least 1 and a whole number, got {max_iter}")
+    max_iter = int(max_iter)
     arr = as_square_matrix(a)
     x = np.ones(arr.shape[0])
     x = x / np.linalg.norm(x)

@@ -18,6 +18,8 @@ from . import core
 from .errors import IterationLimitError, PreconditionError
 
 TIE_TOL = 1e-12
+# Sweep budget of one selective greedy run, each sweep one eigen call.
+_GREEDY_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ class ProductFamily:
 def _checked_choices(family: ProductFamily, choices, label: str = "choice") -> np.ndarray:
     # The choices as an integer array holding one row index of each menu.
     arr = np.array(choices)
+    if arr.ndim != 1:
+        raise ValueError(f"{label}s must be a 1-D sequence, got {choices!r}")
     if len(arr) != family.dim:
         raise ValueError(f"need {family.dim} choices, got {len(arr)}")
     if arr.dtype.kind not in "iu":
@@ -124,6 +128,10 @@ def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if not (np.isfinite(rows).all() and np.isfinite(v).all()):
+        raise ValueError("rows and v must be finite")
+    if incumbent is not None and not isinstance(incumbent, (int, np.integer)):
+        raise ValueError(f"incumbent {incumbent!r} must be an integer")
     if incumbent is not None and not 0 <= incumbent < len(rows):
         raise ValueError(f"incumbent {incumbent} is not a row of the {len(rows)}-row menu")
     keep = None if incumbent is None else np.array([incumbent])
@@ -148,7 +156,7 @@ def _choose_rows(scores: np.ndarray, offsets: np.ndarray, choices,
 
 
 def selective_greedy(family: ProductFamily, direction: str = "max", *,
-                     start_choices=None, max_iter: int = 200) -> GreedyOutcome:
+                     start_choices=None) -> GreedyOutcome:
     """Selective greedy optimization of the spectral abscissa over a family.
 
     Each iteration computes the selected leading eigenpair of the current
@@ -169,14 +177,12 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     Raises
     ------
     IterationLimitError
-        If ``max_iter`` sweeps pass without reaching a fixed point. Its
+        If ``_GREEDY_SWEEPS`` (200) sweeps pass without a fixed point. Its
         ``best`` is the outcome of the last member evaluated, flagged, whose
         ``trace`` lists every member visited.
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     # Every menu's rows in one array, menu i starting at offsets[i]: one
     # product scores all rows of a sweep.
     allrows = np.concatenate([s.rows for s in family.sets])
@@ -187,12 +193,12 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
 
     x = allrows[offsets + choices]
     trace: list[tuple[tuple[int, ...], float]] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _GREEDY_SWEEPS + 1):
         pair = core.selected_leading_eigenpair(x)
         trace.append((tuple(choices.tolist()), pair.value))
         new = _choose_rows(allrows @ pair.vector, offsets, choices, direction)
         settled = np.array_equal(new, choices)
-        if settled or it == max_iter:
+        if settled or it == _GREEDY_SWEEPS:
             break
         choices = new
         x = allrows[offsets + choices]
@@ -203,7 +209,7 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
                         trace=tuple(trace))
     if not settled:
         raise IterationLimitError(
-            f"greedy row selection did not settle in {max_iter} sweeps", best=out)
+            f"greedy row selection did not settle in {_GREEDY_SWEEPS} sweeps", best=out)
     return out
 
 
@@ -232,8 +238,8 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     return FrobeniusSplit(tuple(blocks), tuple(subfamilies))
 
 
-def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max",
-                                       **greedy_kwargs) -> GreedyOutcome:
+def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max", *,
+                                       start_choices=None) -> GreedyOutcome:
     """Maximize the abscissa with a certificate even on reducible families.
 
     When the plain greedy is flagged, each Frobenius block of the family is
@@ -246,18 +252,17 @@ def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "
         raise PreconditionError(
             "the irreducibility patch applies to maximization only; "
             "minimization fixed points are certified without it")
-    plain = selective_greedy(family, "max", **greedy_kwargs)
+    plain = selective_greedy(family, "max", start_choices=start_choices)
     if not plain.reducibility_flag:
         return plain
 
     split = frobenius_blocks(family)
-    start = greedy_kwargs.get("start_choices")
     choices = [0] * family.dim
     outs = []
     for nodes, sub in zip(split.blocks, split.subfamilies):
-        if start is not None:  # each block starts from its own nodes' choices
-            greedy_kwargs["start_choices"] = [start[node] for node in nodes]
-        outs.append(selective_greedy(sub, "max", **greedy_kwargs))
+        # Each block starts from its own nodes' choices.
+        start = None if start_choices is None else [start_choices[n] for n in nodes]
+        outs.append(selective_greedy(sub, "max", start_choices=start))
         for node, c in zip(nodes, outs[-1].row_choices):
             choices[node] = c
     x = family.matrix(choices)

@@ -41,6 +41,8 @@ ZERO_TOL = 1e-8
 _FP_RTOL = 1e-12
 # Sweep budget of one greedy descent, in the l-inf ball or the sign ball.
 _MAX_SWEEPS = 500
+# Outer step budget of the stabilizers' tau search, one ball minimum a step.
+_MAX_OUTER = 200
 
 
 def _bump_column(arr: np.ndarray, level: float, failure: str) -> core.DestabilizationResult:
@@ -123,7 +125,7 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
     unconstrained in the Hurwitz regime (``schur=False``) and floored at zero
     in the Schur regime. Entries outside the support of v are left at their
     original values (changing them cannot lower the objective). Inputs must
-    be finite, with ``row_index`` inside the row.
+    be finite, with ``row_index`` an integer inside the row.
     """
     base = np.asarray(row, dtype=float).copy()
     w = np.asarray(v, dtype=float)
@@ -131,6 +133,8 @@ def ball_row_minimizer(row, v, tau: float, row_index: int, *,
         raise ValueError("row and v must be 1-D arrays of equal length")
     if not (np.isfinite(base).all() and np.isfinite(w).all() and 0.0 <= tau < np.inf):
         raise ValueError("row, v and tau must be finite, and tau nonnegative")
+    if not isinstance(row_index, (int, np.integer)):
+        raise ValueError(f"row_index must be an integer, got {row_index!r}")
     if not 0 <= row_index < base.size:
         raise ValueError(f"row_index must lie in [0, {base.size}), got {row_index}")
     if float(w.min()) < 0.0:
@@ -221,9 +225,7 @@ def _jump_candidate(x: np.ndarray, record, tau: float, level: float) -> float | 
 
 
 def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair, schur: bool,
-                         level: float, max_outer: int) -> core.StabilizationResult:
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+                         level: float) -> core.StabilizationResult:
     norm0 = core.matrix_norm(base, core.NormKind.INF)
     base_max = float(np.abs(base).max())
     # A closed-form boundary matrix bounds tau*: A * level/rho or A - (eta - level) I.
@@ -254,7 +256,7 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair, schur: boo
         return core.StabilizationResult(tau_star=tau, matrix=x, iterations=outer,
                                         abscissa=value, trace=tuple(trace))
 
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         x, pair, record, _ = _descend(base, base_pair, step)
         value, carried = pair.value, pair.vector
         trace.append((tau, value))
@@ -278,11 +280,11 @@ def _closest_stable_ball(base: np.ndarray, base_pair: core.EigenPair, schur: boo
             t = t if tau_lo < t < best[0] else tau_lo + 0.5 * width
             tau = min(max(t, tau_lo + 1e-3 * width), best[0] - 1e-3 * width)
     raise IterationLimitError(
-        f"tau search did not converge in {max_outer} outer iterations",
-        best=result(*best, max_outer))
+        f"tau search did not converge in {_MAX_OUTER} outer iterations",
+        best=result(*best, _MAX_OUTER))
 
 
-def closest_stable_inf_hurwitz(a, *, max_outer: int = 200) -> core.StabilizationResult:
+def closest_stable_inf_hurwitz(a) -> core.StabilizationResult:
     """Closest Hurwitz-stable Metzler matrix in the l-inf norm, for eta(A) > 0.
 
     Alternates ball-greedy minimization with exact boundary jumps on the
@@ -291,18 +293,18 @@ def closest_stable_inf_hurwitz(a, *, max_outer: int = 200) -> core.Stabilization
     infeasible probe, or a jump that fails or lands at tau_lo, a secant step
     on (tau, eta) follows, and bisection where the secant leaves the bracket.
     Completion is accepted when the ball minimum satisfies |eta| <= ZERO_TOL.
-    ``max_outer`` bounds the outer steps, each one ball minimization.
+    At most ``_MAX_OUTER`` (200) outer steps run, each one ball minimization;
+    past them IterationLimitError carries the best stable result found.
     """
     arr = core.validate_metzler(a)
     base_pair = core.selected_leading_eigenpair(arr)
     if base_pair.value <= ZERO_TOL:
         raise PreconditionError(
             f"matrix is already stable or on the boundary (eta={base_pair.value:.3e})")
-    return _closest_stable_ball(arr, base_pair, schur=False, level=0.0, max_outer=max_outer)
+    return _closest_stable_ball(arr, base_pair, schur=False, level=0.0)
 
 
-def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
-                             max_outer: int = 200) -> core.StabilizationResult:
+def closest_stable_inf_schur(a, *, allow_metzler: bool = False) -> core.StabilizationResult:
     """Closest matrix with rho <= 1 in the l-inf norm, for nonnegative A, rho(A) > 1.
 
     With ``allow_metzler=False`` the search stays inside the nonnegative
@@ -316,5 +318,4 @@ def closest_stable_inf_schur(a, *, allow_metzler: bool = False,
     if base_pair.value <= 1.0 + ZERO_TOL:
         raise PreconditionError(
             f"matrix is already Schur stable or on the boundary (rho={base_pair.value:.6g})")
-    return _closest_stable_ball(arr, base_pair, schur=not allow_metzler, level=1.0,
-                                max_outer=max_outer)
+    return _closest_stable_ball(arr, base_pair, schur=not allow_metzler, level=1.0)

@@ -31,7 +31,9 @@ def _clamp(arr: np.ndarray, tau: float) -> np.ndarray:
 
 
 def clamp_shift(a, tau: float) -> np.ndarray:
-    """Subtract tau from every entry, clamping off-diagonal entries at zero."""
+    """Subtract a finite tau from every entry, clamping off-diagonal entries at zero."""
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     return _clamp(core.validate_metzler(a), tau)
 
 

@@ -23,12 +23,11 @@ OPTIONS = {
     "core.validate_metzler": ("name",),
     "core.validate_nonnegative": ("name",),
     "infnorm.ball_row_minimizer": ("schur",),
-    "infnorm.closest_stable_inf_hurwitz": ("max_outer",),
-    "infnorm.closest_stable_inf_schur": ("allow_metzler", "max_outer"),
+    "infnorm.closest_stable_inf_schur": ("allow_metzler",),
     "infnorm.closest_unstable_inf_schur": ("level",),
-    "family.optimize_with_irreducibility_patch": ("direction", "greedy_kwargs"),
+    "family.optimize_with_irreducibility_patch": ("direction", "start_choices"),
     "family.row_optimize": ("direction", "incumbent"),
-    "family.selective_greedy": ("direction", "start_choices", "max_iter"),
+    "family.selective_greedy": ("direction", "start_choices"),
     "lss.hull_max_abscissa": ("resolution",),
     "lss.stabilize_2d_lss": ("resolution",),
 }
@@ -56,4 +55,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 21
+    assert sum(len(options) for options in found.values()) == 18

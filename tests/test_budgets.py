@@ -1,20 +1,19 @@
-"""The iteration budgets, and the CLI's --max-iter that sets some of them.
+"""The iteration budgets, all module constants, which the tests lower to one.
 
-``stab-inf`` and ``stab-schur`` pass it as the outer step budget
-(``max_outer``) and ``opt-family`` as the greedy sweep budget
-(``max_iter``). Every input here needs more than one step of its budget, so
-a budget of one runs out: the library raises with the best iterate it
-holds, and the CLI exits 3 with the message on stderr. The ball descent's
-sweep budget, ``infnorm._MAX_SWEEPS``, and the eigen power budgets,
-``core._POWER_BUDGET`` and ``core.DEFAULT_MAX_ITER``, are module constants,
-which the tests lower to one. A block that spends its power budget takes
-the certified step, so ``stab-max`` answers as it does at the default.
+They are the l-inf stabilizers' outer step budget ``infnorm._MAX_OUTER``,
+the greedy sweep budget ``family._GREEDY_SWEEPS``, the ball descent's sweep
+budget ``infnorm._MAX_SWEEPS`` and the eigen power budgets
+``core._POWER_BUDGET`` and ``core.DEFAULT_MAX_ITER``. Every input here needs
+more than one step of its budget, so a budget of one runs out: the library
+raises with the best iterate it holds, and the CLI exits 3 with the message
+on stderr. A block that spends its power budget takes the certified step,
+so ``stab-max`` answers as it does at the default.
 """
 
 import numpy as np
 import pytest
 
-from metzstab import cli, core, formats, gen, infnorm
+from metzstab import cli, core, family, formats, gen, infnorm
 from metzstab.errors import IterationLimitError
 from metzstab.family import optimize_with_irreducibility_patch, selective_greedy
 from metzstab.infnorm import closest_stable_inf_hurwitz, closest_stable_inf_schur
@@ -29,8 +28,8 @@ SCHUR_INPUT = np.abs(goldens.UNSTABLE_5)
 FAMILY = gen.generate_family(5, 4, seed=13)
 
 
-def _schur_metzler(a, **kwargs):
-    return closest_stable_inf_schur(a, allow_metzler=True, **kwargs)
+def _schur_metzler(a):
+    return closest_stable_inf_schur(a, allow_metzler=True)
 
 
 @pytest.mark.parametrize("solve,a,level", [
@@ -38,10 +37,11 @@ def _schur_metzler(a, **kwargs):
     (closest_stable_inf_schur, SCHUR_INPUT, 1.0),
     (_schur_metzler, SCHUR_INPUT, 1.0),
 ], ids=["hurwitz", "schur", "schur-metzler"])
-def test_outer_budget_raises_with_the_best_stable_iterate(solve, a, level):
+def test_outer_budget_raises_with_the_best_stable_iterate(monkeypatch, solve, a, level):
     assert solve(a).iterations > 1
+    monkeypatch.setattr(infnorm, "_MAX_OUTER", 1)
     with pytest.raises(IterationLimitError) as err:
-        solve(a, max_outer=1)
+        solve(a)
     best = err.value.best
     assert isinstance(best, core.StabilizationResult)
     assert best.iterations == 1
@@ -61,14 +61,15 @@ def test_max_norm_power_budget_of_one_gives_the_default_answer(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda **kw: selective_greedy(FAMILY, "max", **kw),
-    lambda **kw: selective_greedy(FAMILY, "min", **kw),
-    lambda **kw: optimize_with_irreducibility_patch(FAMILY, "max", **kw),
+    lambda: selective_greedy(FAMILY, "max"),
+    lambda: selective_greedy(FAMILY, "min"),
+    lambda: optimize_with_irreducibility_patch(FAMILY, "max"),
 ], ids=["max", "min", "patch"])
-def test_sweep_budget_raises_with_the_last_member(solve):
+def test_sweep_budget_raises_with_the_last_member(monkeypatch, solve):
     assert solve().iterations > 1
+    monkeypatch.setattr(family, "_GREEDY_SWEEPS", 1)
     with pytest.raises(IterationLimitError) as err:
-        solve(max_iter=1)
+        solve()
     best = err.value.best
     assert best.iterations == 1
     # The last member evaluated: its matrix, choices and abscissa agree.
@@ -114,53 +115,17 @@ def test_cli_ball_descent_budget_exits_3(monkeypatch, tmp_path, capsys, command,
 ], ids=["stab-inf", "stab-schur", "stab-schur-metzler",
         "opt-family-max", "opt-family-min"])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
-def test_cli_budget_of_one_exits_3(tmp_path, capsys, command, text, extra, json_flag):
+def test_cli_budget_of_one_exits_3(monkeypatch, tmp_path, capsys, command, text, extra,
+                                   json_flag):
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = [command, str(path), *extra, *json_flag]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert cli.main(argv + ["--max-iter", "1"]) == 3
+    monkeypatch.setattr(infnorm, "_MAX_OUTER", 1)
+    monkeypatch.setattr(family, "_GREEDY_SWEEPS", 1)
+    assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
 
-
-def test_a_sweep_budget_below_one_is_an_input_error(tmp_path, capsys):
-    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
-        selective_greedy(FAMILY, max_iter=0)
-    path = tmp_path / "input.txt"
-    path.write_text(formats.write_family(FAMILY))
-    assert cli.main(["opt-family", str(path), "--max-iter", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: max_iter must be at least 1, got -1\n"
-
-
-_BUDGET_COMMANDS = {
-    "eig": formats.write_matrix(goldens.UNSTABLE_5),
-    "stab-max": formats.write_matrix(goldens.UNSTABLE_5),
-    "stab-inf": formats.write_matrix(goldens.UNSTABLE_5),
-    "stab-schur": formats.write_matrix(SCHUR_INPUT),
-    "opt-family": formats.write_family(FAMILY),
-}
-_BAD_FLAGS = {
-    "max-iter-0": ("--max-iter", "0", "max_iter must be at least 1, got 0"),
-    "max-iter-neg": ("--max-iter", "-1", "max_iter must be at least 1, got -1"),
-}
-
-
-# eig and stab-max take no --max-iter: test_cli.py checks the usage error.
-@pytest.mark.parametrize("command,text,flag,value,message", [
-    pytest.param(command, text, *bad, id=f"{name}-{command}")
-    for name, bad in _BAD_FLAGS.items() for command, text in _BUDGET_COMMANDS.items()
-    if command not in ("eig", "stab-max")])
-def test_a_budget_flag_out_of_range_is_an_input_error(tmp_path, capsys, command, text,
-                                                       flag, value, message):
-    # Zero used to mean the default, and -1 an empty budget.
-    path = tmp_path / "input.txt"
-    path.write_text(text)
-    assert cli.main([command, str(path), flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"

@@ -434,18 +434,19 @@ def test_norm_is_rejected_where_it_does_not_apply(tmp_path, capsys, command, tex
 
 
 _FLAGS = {"tol": ("--tol", "1e-3"), "max-iter": ("--max-iter", "2"), "seed": ("--seed", "9")}
-# Each command with the flags it does not read. No command reads --tol (the
-# eigen tolerance is core.DEFAULT_TOL), and eig and stab-max have no budget
-# that can run out.
+# Each command with the flags it does not read. No command reads --tol or
+# --max-iter: the eigen tolerance is core.DEFAULT_TOL and the iteration
+# budgets are module constants.
 _UNREAD = [
     ("sign-stab", _SIGN_TEXT, ("tol", "max-iter", "seed")),
     ("destab-inf", formats.write_matrix(goldens.STABLE_5), ("tol", "max-iter", "seed")),
     ("lss-check", _SWITCH_TEXT, ("tol", "max-iter", "seed")),
     ("eig", formats.write_matrix(goldens.STABLE_5), ("tol", "max-iter")),
     ("stab-max", formats.write_matrix(goldens.UNSTABLE_5), ("tol", "max-iter")),
-    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5), ("tol",)),
-    ("stab-schur", formats.write_matrix(goldens.SPIN_2), ("tol",)),
-    ("opt-family", formats.write_family(gen.generate_family(5, 4, seed=11)), ("tol",)),
+    ("stab-inf", formats.write_matrix(goldens.UNSTABLE_5), ("tol", "max-iter")),
+    ("stab-schur", formats.write_matrix(goldens.SPIN_2), ("tol", "max-iter")),
+    ("opt-family", formats.write_family(gen.generate_family(5, 4, seed=11)),
+     ("tol", "max-iter")),
 ]
 
 
@@ -463,7 +464,8 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, text, fla
 @pytest.mark.parametrize("argv, flag", [
     (["eig", "--max-iter", "3", "-"], "--max-iter"),
     (["stab-inf", "--tol", "1e-3", "-"], "--tol"),
-], ids=["eig-max-iter", "stab-inf-tol"])
+    (["opt-family", "--max-iter", "3", "-"], "--max-iter"),
+], ids=["eig-max-iter", "stab-inf-tol", "opt-family-max-iter"])
 def test_an_unread_flag_is_named_before_any_input_is_read(capsys, monkeypatch, argv, flag):
     # argparse would take the flag's value as the path and name "-" instead.
     monkeypatch.setattr(sys, "stdin", io.StringIO("not a matrix"))

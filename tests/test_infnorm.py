@@ -134,7 +134,7 @@ def test_row_minimizer_input_validation():
         ball_row_minimizer(row, [0.5, np.nan, 0.2], 1.0, 0)
     with pytest.raises(ValueError):
         ball_row_minimizer([1.0, np.inf, 3.0], v, 1.0, 0)
-    for row_index in (7, -1):
+    for row_index in (7, -1, 0.5):
         with pytest.raises(ValueError):
             ball_row_minimizer(row, v, 1.0, row_index)
 

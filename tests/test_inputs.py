@@ -108,9 +108,13 @@ def test_a_family_keeps_its_own_rows():
 def test_row_optimize_rejects_an_incumbent_outside_the_menu():
     rows, v = np.array([[1.0, 2.0], [3.0, 0.0]]), np.ones(2)
     assert ms.row_optimize(rows, v, incumbent=1) == 1  # a tie keeps it
-    for incumbent in (-1, 2, 5):
+    for incumbent in (-1, 2, 5, 1.5):
         with pytest.raises(ValueError, match="incumbent"):
             ms.row_optimize(rows, v, incumbent=incumbent)
+    for bad_rows, bad_v in ((np.array([[1.0, np.nan], [3.0, 0.0]]), v),
+                            (rows, np.array([np.nan, 1.0]))):
+        with pytest.raises(ValueError, match="rows and v must be finite"):
+            ms.row_optimize(bad_rows, bad_v)
 
 
 def test_selective_greedy_rejects_a_start_choice_that_is_no_integer():
@@ -131,8 +135,14 @@ def test_a_member_takes_one_row_of_each_menu():
             fam.matrix(choices)
     with pytest.raises(ValueError, match="need 2 choices, got 3"):
         fam.matrix([0, 0, 0])
+    for choices in (1, [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="choices must be a 1-D sequence"):
+            fam.matrix(choices)
     with pytest.raises(ValueError, match="start choice -1 out of range for row set 0"):
         ms.selective_greedy(fam, start_choices=[-1, 0])
+    for start in (1, [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="start choices must be a 1-D sequence"):
+            ms.selective_greedy(fam, "max", start_choices=start)
 
 
 def test_a_row_index_is_an_integer():
@@ -141,9 +151,15 @@ def test_a_row_index_is_an_integer():
 
 
 def test_power_iteration_needs_at_least_one_iteration():
-    for max_iter in (0, -3):
-        with pytest.raises(ValueError, match="max_iter"):
+    for max_iter in (0, -3, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="max_iter must be at least 1 and a whole number"):
             core.power_iteration(goldens.OSCILLATING_3, max_iter=max_iter)
+
+
+def test_clamp_shift_needs_a_finite_tau():
+    for tau in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ms.clamp_shift(goldens.STABLE_5, tau)
 
 
 def test_a_sign_ball_radius_is_a_whole_number():
@@ -159,10 +175,6 @@ def test_a_sign_ball_radius_is_a_number():
         ms.sign_ball_minimize(ms.SignMatrix(goldens.SIGN_WEB), float("nan"))
 
 
-def _nonneg():
-    return helpers.random_unstable_nonneg(_rng(), 6)
-
-
 def _metzler():
     return helpers.random_unstable_metzler(_rng(), 6)
 
@@ -172,24 +184,18 @@ def _family():
                              ms.UncertaintySet(1, [[1.0, -2.0], [0.5, 0.0]])))
 
 
-# Each public entry point with the budget and grid keywords it reads, bound
+# Each public entry point with the tol and grid keywords it reads, bound
 # to a valid input. A tol that is not positive once sent the certified
 # step's doubling search down, or by NaN, forever; the hull scan's simplex
 # grid needs a whole resolution of at least 1.
 BUDGET_CASES = {
     "eig": lambda **kw: core.selected_leading_eigenpair(_metzler(), **kw),
-    "stab-inf": lambda **kw: ms.closest_stable_inf_hurwitz(_metzler(), **kw),
-    "stab-schur": lambda **kw: ms.closest_stable_inf_schur(_nonneg(), **kw),
-    "greedy": lambda **kw: ms.selective_greedy(_family(), **kw),
     "hull": lambda **kw: ms.hull_max_abscissa(ms.SwitchingSystem(goldens.SWITCH_MODES), **kw),
     "lss-stab-2d": lambda **kw: ms.stabilize_2d_lss(
         ms.SwitchingSystem(([[0.5, 1.0], [1.0, -2.0]], [[-3.0, 0.5], [2.0, -1.0]])), **kw),
 }
 BAD_BUDGETS = {
     "eig": {"tol": (-1.0, 0.0, float("nan"))},
-    "stab-inf": {"max_outer": (0, -5)},
-    "stab-schur": {"max_outer": (0,)},
-    "greedy": {"max_iter": (0,)},
     "hull": {"resolution": (0, 2.5, float("nan"))},
     "lss-stab-2d": {"resolution": (2.5,)},
 }
