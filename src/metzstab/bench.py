@@ -32,7 +32,7 @@ def _make(op: str, dim: int, count: int, kind: str, density, rng):
 
 
 _SOLVE = {
-    "family-max": lambda fam: family.optimize_with_irreducibility_patch(fam, "max"),
+    "family-max": family.optimize_with_irreducibility_patch,
     "family-min": lambda fam: family.selective_greedy(fam, "min"),
     "stab-inf": infnorm.closest_stable_inf_hurwitz,
     "stab-schur": infnorm.closest_stable_inf_schur,
@@ -53,8 +53,9 @@ def _run_trial(op: str, dim: int, count: int, kind: str, density, seed_seq) -> t
 def run_bench(*, ops=("family-max",), dims=(25,), counts=(50,), kind: str = "full",
               density=None, trials: int = 10, seed: int = 0) -> list[dict]:
     """Run the benchmark grid; one result row per (op, dim, count) cell."""
-    if trials < 1:
+    if not trials >= 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = core._whole("trials", trials)
     rows = []
     cell = 0
     for op in ops:

@@ -103,7 +103,7 @@ def _cmd_closest(args):
 def _cmd_opt_family(args):
     fam = _read(formats.read_family, args.family)
     if args.direction == "max" and not args.no_patch:
-        out = family.optimize_with_irreducibility_patch(fam, "max")
+        out = family.optimize_with_irreducibility_patch(fam)
     else:
         out = family.selective_greedy(fam, args.direction)
     payload = {"direction": args.direction,

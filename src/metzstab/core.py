@@ -150,6 +150,13 @@ class StabilizationResult:
     trace: tuple = ()
 
 
+def _whole(name: str, value) -> int:
+    # A size, count or budget: a whole number of at least 1, as an int.
+    if not value >= 1 or value % 1:
+        raise ValueError(f"{name} must be at least 1 and a whole number, got {value}")
+    return int(value)
+
+
 def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     """Plain (unshifted) power method with a Rayleigh-quotient estimate.
 
@@ -161,9 +168,7 @@ def power_iteration(a, *, max_iter: int = 100) -> PowerIterationResult:
     iterate keeps flipping sign, and that counts as non-convergence here (it
     is the failure mode the translation removes).
     """
-    if not max_iter >= 1 or max_iter % 1:
-        raise ValueError(f"max_iter must be at least 1 and a whole number, got {max_iter}")
-    max_iter = int(max_iter)
+    max_iter = _whole("max_iter", max_iter)
     arr = as_square_matrix(a)
     x = np.ones(arr.shape[0])
     x = x / np.linalg.norm(x)
@@ -301,7 +306,7 @@ def strong_components(a) -> tuple[np.ndarray, ...]:
 # An overflow in the shift or a sum is an inf that ends the power loop, and
 # the certified step raises PreconditionError on an inf bound: no warning.
 @np.errstate(over="ignore")
-def _perron_pair(block: np.ndarray, tol: float) -> EigenPair:
+def _perron_pair(block: np.ndarray) -> EigenPair:
     # Translative power method on an irreducible Metzler block: iterate
     # A + (h + 0.1m)I from the uniform vector, h making the block nonnegative
     # and m the largest entry of A + hI. The positive diagonal rules out
@@ -331,10 +336,10 @@ def _perron_pair(block: np.ndarray, tol: float) -> EigenPair:
             # would be no iterate, and every further one NaN.
             break
         resid = float(np.abs(y - lam * x).max())
-        # Rounding keeps the residual near eps * lam, which exceeds tol once
-        # lam passes about tol / (16 eps), some 280 at the default tol.
-        stop = max(tol, floor * lam)
-        if resid <= stop and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        # Rounding keeps the residual near eps * lam, which exceeds DEFAULT_TOL
+        # once lam passes about DEFAULT_TOL / (16 eps), some 280.
+        stop = max(DEFAULT_TOL, floor * lam)
+        if resid <= stop and abs(lam - lam_prev) <= DEFAULT_TOL * max(1.0, abs(lam)):
             return EigenPair(lam - shift, x, it, resid, "power",
                              _collatz_wielandt(x, y, shift))
         if it >= _RATE_START and (
@@ -342,7 +347,7 @@ def _perron_pair(block: np.ndarray, tol: float) -> EigenPair:
             break
         lam_prev, resid_prev = lam, resid
         x = y / lam
-    return _certified_pair(block, tol, it)
+    return _certified_pair(block, it)
 
 
 def _collatz_wielandt(x: np.ndarray, y: np.ndarray,
@@ -359,14 +364,14 @@ def _collatz_wielandt(x: np.ndarray, y: np.ndarray,
     return lo - shift - pad, hi - shift + pad
 
 
-def _certified_pair(block: np.ndarray, tol: float, iterations: int) -> EigenPair:
+def _certified_pair(block: np.ndarray, iterations: int) -> EigenPair:
     # For a Metzler B, tI - B has a nonnegative inverse exactly when t
     # exceeds the leading eigenvalue lam (Berman & Plemmons, ch. 6), so a
     # positive solution of (tI - B) y = 1 proves lam < t and its absence
     # proves lam >= t. Two such tests around the dense value prove it to
-    # within tol; if either fails, bisection on the same test finds lam.
+    # within DEFAULT_TOL; if either fails, bisection on the same test finds lam.
     value = float(np.linalg.eigvals(block).real.max())
-    width = tol * max(1.0, abs(value))
+    width = DEFAULT_TOL * max(1.0, abs(value))
     lo, hi = value - width, value + width
     y = level_certificate(block, hi)
     y_lo = None if y is None else level_certificate(block, lo)
@@ -413,7 +418,7 @@ def _left_perron(block: np.ndarray, value: float, u: np.ndarray) -> np.ndarray:
     return w / (w @ u)
 
 
-def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
+def _reducible_pair(arr: np.ndarray, blocks) -> EigenPair:
     # Solve (tI - A) x(t) = 1 for every node's pole order p and leading
     # coefficient c of x_i(t) ~ c (t - lam)^-p as t falls to lam, one order
     # at a time. The nodes of highest order carry the limit direction.
@@ -422,11 +427,11 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
     values = arr.diagonal()[[nodes[0] for nodes in blocks]]
     lows, highs = values.copy(), values.copy()
     subs = {k: arr[nodes[:, None], nodes] for k, nodes in enumerate(blocks) if nodes.size > 1}
-    pairs = {k: _perron_pair(sub, tol) for k, sub in subs.items()}
+    pairs = {k: _perron_pair(sub) for k, sub in subs.items()}
     for k, pair in pairs.items():
         values[k], (lows[k], highs[k]) = pair.value, pair.bracket
     lam = float(values.max())  # the largest block bounds bracket it
-    critical = lam - values <= tol * max(1.0, abs(lam))
+    critical = lam - values <= DEFAULT_TOL * max(1.0, abs(lam))
     left = {k: _left_perron(subs[k], values[k], pairs[k].vector) for k in pairs if critical[k]}
     for k, w in left.items():
         # Two-sided Rayleigh quotient: its error, the product of the errors
@@ -502,7 +507,7 @@ def _reducible_pair(arr: np.ndarray, blocks, tol: float) -> EigenPair:
                      method, (float(lows.max()), float(highs.max())))
 
 
-def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
+def selected_leading_eigenpair(a) -> EigenPair:
     """Leading eigenvalue of a Metzler matrix with its selected eigenvector.
 
     This is the package's one eigen entry point: every eigen call of the
@@ -517,9 +522,9 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     each placed after every component it points to: lam is the largest block
     value (a single node's diagonal entry, or an irreducible block's power
     or certified value). A block is *critical* when lam minus its value is
-    at most ``tol * max(1, |lam|)``; its value is then refined to w.Bu / w.u
-    for its right and left Perron vectors u and w. The vector follows
-    exactly from each node's pole order in (tI - A)^{-1} 1 at lam (the most
+    at most ``DEFAULT_TOL * max(1, |lam|)``; its value is then refined to
+    w.Bu / w.u for its right and left Perron vectors u and w. The vector
+    follows exactly from each node's pole order in (tI - A)^{-1} 1 at lam (the most
     critical blocks on a path from it) and leading coefficient, one order at
     a time: a critical block turns its inflow r from the order below into
     (w.r / w.u) u (r for a single node), and one solve of
@@ -532,23 +537,22 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     [2^-500, 2^500] is redone in two halves split at a block boundary, so
     long chains of large or small entries stay in range.
 
-    ``tol`` is the power method's threshold on the relative change of the
-    value and on the residual ||B v - value v||_inf, and the criticality
-    threshold; the residual test is floored at 16 eps times the shifted
-    value, the rounding level of the product. An irreducible block of at
-    most ``DENSE_FALLBACK_DIM`` (64) nodes gets ``_POWER_BUDGET`` (30) power
-    iterations, a larger one ``DEFAULT_MAX_ITER`` (20,000).
-    From the fourth iteration on, a block whose residual at its last ratio
-    would not meet the test in time leaves early. Every block that does not
-    converge then takes the *certified step*: lam is the largest real part
-    from ``eigvals``, proved to ``tol * max(1, |lam|)`` by two M-matrix
+    ``DEFAULT_TOL`` is the power method's threshold on the relative change
+    of the value and on the residual ||B v - value v||_inf, and the
+    criticality threshold; the residual test is floored at 16 eps times the
+    shifted value, the rounding level of the product. An irreducible block
+    of at most ``DENSE_FALLBACK_DIM`` (64) nodes gets ``_POWER_BUDGET`` (30)
+    power iterations, a larger one ``DEFAULT_MAX_ITER`` (20,000). From the
+    fourth iteration on, a block whose residual at its last ratio would not
+    meet the test in time leaves early. Every block that does not converge
+    then takes the *certified step*: lam is the largest real part from
+    ``eigvals``, proved to ``DEFAULT_TOL * max(1, |lam|)`` by two M-matrix
     solves (for a Metzler B, tI - B has a nonnegative inverse exactly when t
     exceeds its leading eigenvalue), or, if either test fails, bisected on
     the same test down to rounding. The vector is the normalized
     (hi I - B)^{-1} 1 of the last solve at the upper end hi, the definition
-    of the selected vector. A ``tol`` that is not positive raises
-    ValueError, and a block value that overflows the float range
-    PreconditionError.
+    of the selected vector. A block value that overflows the float range
+    raises PreconditionError.
 
     The result's ``method`` says how its value was found ("diagonal",
     "power", "certified" or "bisect"; for a reducible matrix the costliest
@@ -558,13 +562,11 @@ def selected_leading_eigenpair(a, *, tol: float = DEFAULT_TOL) -> EigenPair:
     critical block's refined value stays inside it. ``iterations`` sums the
     power iterations of all blocks; ``residual`` is measured against A.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     arr = validate_metzler(a)
     blocks = _components(arr)
     if len(blocks) == 1 and arr.shape[0] > 1:
-        return _perron_pair(arr, tol)
-    return _reducible_pair(arr, blocks, tol)
+        return _perron_pair(arr)
+    return _reducible_pair(arr, blocks)
 
 
 def spectral_abscissa(a) -> float:

@@ -128,6 +128,9 @@ def row_optimize(rows: np.ndarray, v: np.ndarray, direction: str = "max",
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if np.ndim(rows) != 2 or not len(rows) or np.shape(v) != np.shape(rows)[1:]:
+        raise ValueError(f"rows must be a nonempty 2-D array as wide as v is long, got "
+                         f"shapes {np.shape(rows)} and {np.shape(v)}")
     if not (np.isfinite(rows).all() and np.isfinite(v).all()):
         raise ValueError("rows and v must be finite")
     if incumbent is not None and not isinstance(incumbent, (int, np.integer)):
@@ -238,20 +241,17 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     return FrobeniusSplit(tuple(blocks), tuple(subfamilies))
 
 
-def optimize_with_irreducibility_patch(family: ProductFamily, direction: str = "max", *,
+def optimize_with_irreducibility_patch(family: ProductFamily, *,
                                        start_choices=None) -> GreedyOutcome:
     """Maximize the abscissa with a certificate even on reducible families.
 
-    When the plain greedy is flagged, each Frobenius block of the family is
+    It maximizes only, as a minimization fixed point needs no split. When
+    the plain greedy is flagged, each Frobenius block of the family is
     maximized once, from its own nodes' start choices. The split is exact:
     every member is block-triangular, so its abscissa is its largest block's,
     and the blocks' menus are independent. Every block's union graph is
     strongly connected, so no block needs a further split.
     """
-    if direction != "max":
-        raise PreconditionError(
-            "the irreducibility patch applies to maximization only; "
-            "minimization fixed points are certified without it")
     plain = selective_greedy(family, "max", start_choices=start_choices)
     if not plain.reducibility_flag:
         return plain

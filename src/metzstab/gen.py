@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .family import ProductFamily, UncertaintySet
 
 KINDS = ("full", "sparse", "nonneg")
@@ -31,8 +32,7 @@ def generate_uncertainty_rows(dim: int, count: int, row_index: int, *,
     """One row menu: ``count`` admissible rows for the given row index."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if dim < 1 or count < 1:
-        raise ValueError("dim and count must be positive")
+    dim, count = core._whole("dim", dim), core._whole("count", count)
     if not 0 <= row_index < dim:
         raise ValueError(f"row index {row_index} outside dimension {dim}")
 
@@ -62,6 +62,7 @@ def generate_uncertainty_rows(dim: int, count: int, row_index: int, *,
 def generate_family(dim: int, count: int, *, kind: str = "full", density=None,
                     seed=None, rng: np.random.Generator | None = None) -> ProductFamily:
     """Random product family with ``count`` rows in every row menu."""
+    dim, count = core._whole("dim", dim), core._whole("count", count)
     rng = _resolve_rng(seed, rng)
     sets = tuple(
         UncertaintySet(i, generate_uncertainty_rows(
@@ -73,13 +74,12 @@ def generate_family(dim: int, count: int, *, kind: str = "full", density=None,
 def generate_metzler(dim: int, *, unstable: bool | None = None, seed=None,
                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Random dense Metzler matrix, optionally pushed (un)stable by a diagonal shift."""
+    dim = core._whole("dim", dim)
     rng = _resolve_rng(seed, rng)
     a = rng.uniform(0.0, 1.0, size=(dim, dim))
     np.fill_diagonal(a, rng.uniform(-1.0, 1.0, size=dim))
     if unstable is None:
         return a
-    from . import core
-
     eta = core.spectral_abscissa(a)
     margin = rng.uniform(0.1, 1.0)
     shift = (-eta + margin) if unstable else (-eta - margin)

@@ -31,9 +31,6 @@ _ACTIVE_TOL = 1e-12
 # the number of hull repair rounds of the planar stabilizer.
 _MARGIN = 1e-4
 _REPAIR_ROUNDS = 20
-# Eigen tolerance of the hull scan and its refinement; the worst point found
-# is evaluated again at the default tolerance.
-_SCAN_TOL = 1e-10
 # Rounds of pairwise golden-section refinement after the grid scan.
 _REFINE_ROUNDS = 2
 
@@ -111,7 +108,7 @@ def hull_max_abscissa(system: SwitchingSystem, *,
     Scans a simplex grid of the given resolution, then refines the best
     weight vector by golden-section searches along mass transfers between
     mode pairs (plain golden-section on the segment for two modes). Returns
-    the worst hull point found; its abscissa is evaluated at full tolerance.
+    the worst hull point found, evaluated again at its renormalized weights.
     """
     n = system.count
     stack = np.stack(system.modes)
@@ -120,12 +117,10 @@ def hull_max_abscissa(system: SwitchingSystem, *,
         return np.tensordot(weights, stack, axes=1)
 
     def eta(weights: np.ndarray) -> float:
-        return core.selected_leading_eigenpair(combine(weights), tol=_SCAN_TOL).value
+        return core.selected_leading_eigenpair(combine(weights)).value
 
-    r = resolution if resolution is not None else _default_resolution(n)
-    if r < 1 or r % 1:
-        raise ValueError(f"resolution must be at least 1 and a whole number, got {r}")
-    r = int(r)
+    r = core._whole("resolution", resolution if resolution is not None
+                    else _default_resolution(n))
     best_w = None
     best_eta = -np.inf
     for comp in _compositions(r, n):

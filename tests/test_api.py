@@ -5,7 +5,8 @@ cover, so the set is pinned here: adding, removing or renaming an option of
 a public function in ``core``, ``maxnorm``, ``infnorm``, ``family``, ``sign``
 or ``lss`` means editing this table. A ``**kwargs`` catch-all counts as one
 option. Budgets and tolerances that nothing needs to set are module
-constants instead.
+constants instead: every eigen call runs at ``core.DEFAULT_TOL``, and an
+option whose one accepted value is its default is no option.
 """
 
 import inspect
@@ -19,13 +20,12 @@ OPTIONS = {
     "core.is_schur_stable": ("level",),
     "core.matrix_norm": ("kind",),
     "core.power_iteration": ("max_iter",),
-    "core.selected_leading_eigenpair": ("tol",),
     "core.validate_metzler": ("name",),
     "core.validate_nonnegative": ("name",),
     "infnorm.ball_row_minimizer": ("schur",),
     "infnorm.closest_stable_inf_schur": ("allow_metzler",),
     "infnorm.closest_unstable_inf_schur": ("level",),
-    "family.optimize_with_irreducibility_patch": ("direction", "start_choices"),
+    "family.optimize_with_irreducibility_patch": ("start_choices",),
     "family.row_optimize": ("direction", "incumbent"),
     "family.selective_greedy": ("direction", "start_choices"),
     "lss.hull_max_abscissa": ("resolution",),
@@ -55,4 +55,4 @@ def _public_options() -> dict[str, tuple[str, ...]]:
 def test_public_functions_have_exactly_the_pinned_options():
     found = _public_options()
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 18
+    assert sum(len(options) for options in found.values()) == 16

@@ -63,7 +63,7 @@ def test_max_norm_power_budget_of_one_gives_the_default_answer(monkeypatch):
 @pytest.mark.parametrize("solve", [
     lambda: selective_greedy(FAMILY, "max"),
     lambda: selective_greedy(FAMILY, "min"),
-    lambda: optimize_with_irreducibility_patch(FAMILY, "max"),
+    lambda: optimize_with_irreducibility_patch(FAMILY),
 ], ids=["max", "min", "patch"])
 def test_sweep_budget_raises_with_the_last_member(monkeypatch, solve):
     assert solve().iterations > 1

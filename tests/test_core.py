@@ -330,7 +330,7 @@ def test_a_stalling_small_block_leaves_the_power_loop_by_its_rate(monkeypatch):
     pair = core.selected_leading_eigenpair(block)
     assert pair.method == "certified"
     assert pair.iterations < core._POWER_BUDGET
-    ref = core._certified_pair(block, core.DEFAULT_TOL, pair.iterations)
+    ref = core._certified_pair(block, pair.iterations)
     assert pair.value == ref.value
     assert np.array_equal(pair.vector, ref.vector)
     assert pair.bracket == ref.bracket

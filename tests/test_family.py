@@ -86,7 +86,7 @@ def test_greedy_matches_exhaustive_scan_both_directions():
     for _ in range(15):
         fam = gen.generate_family(4, 3, kind="full", rng=rng)
         menus = [s.rows for s in fam.sets]
-        got_max = optimize_with_irreducibility_patch(fam, "max")
+        got_max = optimize_with_irreducibility_patch(fam)
         want_max, _ = oracles.family_vertex_optimum(menus, "max")
         assert got_max.abscissa == pytest.approx(want_max, abs=1e-8)
         got_min = selective_greedy(fam, "min")
@@ -112,17 +112,12 @@ def test_fixed_point_rows_are_scorewise_optimal():
     row maximizes the inner product with that eigenvector over its menu."""
     rng = np.random.default_rng(43)
     fam = gen.generate_family(5, 4, kind="full", rng=rng)
-    out = optimize_with_irreducibility_patch(fam, "max")
+    out = optimize_with_irreducibility_patch(fam)
     assert out.eigenvector.min() > 0.0
     for i, s in enumerate(fam.sets):
         chosen = float(s.rows[out.row_choices[i]] @ out.eigenvector)
         best = float((s.rows @ out.eigenvector).max())
         assert chosen >= best - 1e-9 * max(1.0, abs(best))
-
-
-def test_minimization_certificate_needs_no_patch():
-    with pytest.raises(PreconditionError):
-        optimize_with_irreducibility_patch(two_row_family(), "min")
 
 
 def test_frobenius_blocks_single_component():
@@ -147,7 +142,7 @@ def test_patch_resolves_block_diagonal_maximum():
     # patch must still land on the true max.
     fam = helpers.block_diagonal_family()
     want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
-    out = optimize_with_irreducibility_patch(fam, "max")
+    out = optimize_with_irreducibility_patch(fam)
     assert out.abscissa == pytest.approx(want, abs=1e-8)
     assert core.spectral_abscissa(out.matrix) == pytest.approx(want, abs=1e-8)
 
@@ -157,9 +152,9 @@ def test_the_split_gives_each_block_its_own_start_choices():
     # start for the whole family reaches the blockwise optimum.
     fam = helpers.block_diagonal_family()
     want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
-    default = optimize_with_irreducibility_patch(fam, "max")
+    default = optimize_with_irreducibility_patch(fam)
     for start in ((0, 0, 0, 0), (1, 0, 1, 1)):
-        out = optimize_with_irreducibility_patch(fam, "max", start_choices=start)
+        out = optimize_with_irreducibility_patch(fam, start_choices=start)
         assert out.abscissa == pytest.approx(default.abscissa, abs=1e-8)
         assert out.abscissa == pytest.approx(want, abs=1e-8)
 
@@ -193,7 +188,7 @@ def test_flagged_sparse_maximizations_reach_the_vertex_optimum():
             continue
         flagged += 1
         want, _ = oracles.family_vertex_optimum([s.rows for s in fam.sets], "max")
-        out = optimize_with_irreducibility_patch(fam, "max")
+        out = optimize_with_irreducibility_patch(fam)
         assert out.abscissa == pytest.approx(want, abs=1e-8)
     assert flagged == 142
 
@@ -202,7 +197,7 @@ def test_patch_leaves_irreducible_outcome_alone():
     rng = np.random.default_rng(59)
     fam = gen.generate_family(4, 3, kind="full", rng=rng)
     plain = selective_greedy(fam, "max")
-    patched = optimize_with_irreducibility_patch(fam, "max")
+    patched = optimize_with_irreducibility_patch(fam)
     assert not plain.reducibility_flag
     assert patched.row_choices == plain.row_choices
 
@@ -223,7 +218,7 @@ def test_the_split_maximizes_a_flagged_two_by_two_blockwise():
     plain = selective_greedy(fam, "max", start_choices=(0, 0))
     assert plain.reducibility_flag
     assert (plain.row_choices, plain.abscissa) == ((0, 0), 1.0)
-    out = optimize_with_irreducibility_patch(fam, "max", start_choices=(0, 0))
+    out = optimize_with_irreducibility_patch(fam, start_choices=(0, 0))
     assert out.reducibility_flag
     assert out.row_choices == (0, 1)
     assert out.abscissa == pytest.approx(2.0, abs=1e-12)

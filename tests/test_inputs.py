@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import metzstab as ms
-from metzstab import cli, core, formats
+from metzstab import bench, cli, core, formats, gen
 from metzstab.errors import PreconditionError
 
 import goldens
@@ -100,7 +100,7 @@ def test_a_family_keeps_its_own_rows():
                                     [[1.0, -2.0], [0.5, 0.0]])]
     fam = ms.ProductFamily(tuple(ms.UncertaintySet(i, r) for i, r in enumerate(rows)))
     results = (ms.selective_greedy(fam, "min"),
-               ms.optimize_with_irreducibility_patch(fam, "max"))
+               ms.optimize_with_irreducibility_patch(fam))
     assert not any(np.shares_memory(x, r) for r in rows
                    for x in _arrays((fam, results)))
 
@@ -114,6 +114,10 @@ def test_row_optimize_rejects_an_incumbent_outside_the_menu():
     for bad_rows, bad_v in ((np.array([[1.0, np.nan], [3.0, 0.0]]), v),
                             (rows, np.array([np.nan, 1.0]))):
         with pytest.raises(ValueError, match="rows and v must be finite"):
+            ms.row_optimize(bad_rows, bad_v)
+    for bad_rows, bad_v in ((np.array([1.0, 2.0]), v), (np.ones((2, 3)), v),
+                            (np.zeros((0, 2)), v), (rows, np.float64(1.0))):
+        with pytest.raises(ValueError, match="rows must be a nonempty 2-D array as wide as v"):
             ms.row_optimize(bad_rows, bad_v)
 
 
@@ -156,6 +160,31 @@ def test_power_iteration_needs_at_least_one_iteration():
             core.power_iteration(goldens.OSCILLATING_3, max_iter=max_iter)
 
 
+# A dimension, menu size or trial count that is not a whole number of at
+# least 1, named before any row is drawn.
+SIZE_CASES = {
+    "family-dim-0": ("dim must be at least 1 and a whole number, got 0",
+                     lambda: gen.generate_family(0, 3)),
+    "family-dim-2.5": ("dim must be at least 1 and a whole number, got 2.5",
+                       lambda: gen.generate_family(2.5, 3)),
+    "family-count-2.5": ("count must be at least 1 and a whole number, got 2.5",
+                         lambda: gen.generate_family(3, 2.5)),
+    "metzler-dim-0": ("dim must be at least 1 and a whole number, got 0",
+                      lambda: gen.generate_metzler(0)),
+    "metzler-dim-nan": ("dim must be at least 1 and a whole number, got nan",
+                        lambda: gen.generate_metzler(float("nan"))),
+    "bench-trials-2.5": ("trials must be at least 1 and a whole number, got 2.5",
+                         lambda: bench.run_bench(trials=2.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CASES))
+def test_a_size_is_a_whole_number_of_at_least_one(name):
+    message, call = SIZE_CASES[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_clamp_shift_needs_a_finite_tau():
     for tau in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="tau must be finite"):
@@ -175,27 +204,19 @@ def test_a_sign_ball_radius_is_a_number():
         ms.sign_ball_minimize(ms.SignMatrix(goldens.SIGN_WEB), float("nan"))
 
 
-def _metzler():
-    return helpers.random_unstable_metzler(_rng(), 6)
-
-
 def _family():
     return ms.ProductFamily((ms.UncertaintySet(0, [[-1.0, 2.0], [-3.0, 1.0]]),
                              ms.UncertaintySet(1, [[1.0, -2.0], [0.5, 0.0]])))
 
 
-# Each public entry point with the tol and grid keywords it reads, bound
-# to a valid input. A tol that is not positive once sent the certified
-# step's doubling search down, or by NaN, forever; the hull scan's simplex
-# grid needs a whole resolution of at least 1.
+# Each public entry point with the grid keyword it reads, bound to a valid
+# input: the hull scan's simplex grid needs a whole resolution of at least 1.
 BUDGET_CASES = {
-    "eig": lambda **kw: core.selected_leading_eigenpair(_metzler(), **kw),
     "hull": lambda **kw: ms.hull_max_abscissa(ms.SwitchingSystem(goldens.SWITCH_MODES), **kw),
     "lss-stab-2d": lambda **kw: ms.stabilize_2d_lss(
         ms.SwitchingSystem(([[0.5, 1.0], [1.0, -2.0]], [[-3.0, 0.5], [2.0, -1.0]])), **kw),
 }
 BAD_BUDGETS = {
-    "eig": {"tol": (-1.0, 0.0, float("nan"))},
     "hull": {"resolution": (0, 2.5, float("nan"))},
     "lss-stab-2d": {"resolution": (2.5,)},
 }
@@ -206,8 +227,7 @@ def test_an_entry_point_rejects_a_tol_or_budget_out_of_range(name):
     call = BUDGET_CASES[name]
     for key, values in BAD_BUDGETS[name].items():
         for value in values:
-            what = "tol must be positive" if key.endswith("tol") else "must be at least 1"
-            with pytest.raises(ValueError, match=what):
+            with pytest.raises(ValueError, match="must be at least 1"):
                 call(**{key: value})
 
 

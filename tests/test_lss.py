@@ -253,13 +253,11 @@ def test_the_hull_repair_leaves_a_mode_off_the_worst_point_alone():
     np.testing.assert_array_equal(out.system.modes[1], modes[1])
 
 
-def test_the_hull_scan_tolerance_fixes_the_reported_weights():
-    # The hull maximum of SWITCH_MODES is flat: the scan's eigen tolerance
-    # moves the weights lss-check reports by about 1e-8 (0.303640198649 at
-    # 1e-12 instead of 0.303640205720), though not the abscissa. The scan
-    # runs at lss._SCAN_TOL, and the point found is evaluated again at the
-    # default tolerance.
+def test_the_hull_scan_reports_the_default_tolerance_weights():
+    # The hull maximum of SWITCH_MODES is flat, so the eigen tolerance moves
+    # the weights lss-check reports by about 1e-8, though not the abscissa:
+    # this pins them at core.DEFAULT_TOL, the tolerance of every eigen call.
     hp = hull_max_abscissa(SwitchingSystem(goldens.SWITCH_MODES))
-    np.testing.assert_allclose(hp.weights, [0.303640205720058, 0.0, 0.696359794279942],
+    np.testing.assert_allclose(hp.weights, [0.303640198649039, 0.0, 0.696359801350961],
                                rtol=1e-10, atol=0.0)
     assert hp.abscissa == pytest.approx(-0.6960045460986368, rel=1e-12)
