@@ -380,7 +380,9 @@ def _certified_pair(block: np.ndarray, iterations: int) -> EigenPair:
         method = "bisect"
         if y is None:  # lam >= hi, and at most the largest row sum
             lo, hi = hi, float(block.sum(axis=1).max()) + width
-            y, step = level_certificate(block, hi), width
+            # At least a few ulps of hi, so the search climbs at a zero width.
+            y = level_certificate(block, hi)
+            step = max(width, 4.0 * _EPS * max(1.0, abs(hi)))
             while y is None:  # only rounding fails above the row-sum bound
                 if not np.isfinite(hi):
                     raise PreconditionError(f"the leading eigenvalue of a {block.shape[0]}"

@@ -10,7 +10,7 @@ minimization unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,12 @@ _GREEDY_SWEEPS = 200
 
 @dataclass(frozen=True)
 class UncertaintySet:
-    """Menu of admissible rows for one row index of the family."""
+    """Menu of admissible rows for one row index of the family.
+
+    A set made by the caller holds its own float copy of ``rows``. The sets
+    of a :class:`ProductFamily` are other objects: read-only views into the
+    family's one array of rows.
+    """
 
     row_index: int
     rows: np.ndarray
@@ -39,8 +44,10 @@ class UncertaintySet:
             raise ValueError(f"row index {self.row_index!r} must be an integer")
         if self.row_index < 0 or self.row_index >= rows.shape[1]:
             raise ValueError(f"row index {self.row_index} outside dimension {rows.shape[1]}")
-        off = np.delete(rows, self.row_index, axis=1)
-        if off.size and float(off.min()) < 0.0:
+        # Column minima with the diagonal column left out: no copy of the menu.
+        lowest = rows.min(axis=0)
+        lowest[self.row_index] = 0.0
+        if float(lowest.min()) < 0.0:
             raise PreconditionError(
                 f"row set {self.row_index} has a negative off-diagonal entry")
         object.__setattr__(self, "rows", rows)
@@ -52,7 +59,19 @@ class UncertaintySet:
 
 @dataclass(frozen=True)
 class ProductFamily:
+    """One menu of rows per row index.
+
+    Construction checks the menus and stacks their rows into one read-only
+    array, menu i in rows ``offsets[i]:offsets[i + 1]``. The family keeps no
+    reference to the caller's sets, which are left as they were. Its
+    ``sets`` are new sets whose ``rows`` are read-only views into that
+    array. They are made on first use, since the solvers read the array
+    itself and need none.
+    """
+
     sets: tuple[UncertaintySet, ...]
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -66,19 +85,40 @@ class ProductFamily:
                 raise ValueError(f"row set at position {pos} claims index {s.row_index}")
             if s.rows.shape[1] != d:
                 raise ValueError(f"row set {pos} has width {s.rows.shape[1]}, expected {d}")
-        object.__setattr__(self, "sets", sets)
+        rows = np.concatenate([s.rows for s in sets])
+        offsets = np.cumsum([0, *(s.size for s in sets)])
+        rows.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__delattr__(self, "sets")  # made again, as views, by __getattr__
+
+    def __getattr__(self, name):
+        # Called only for a missing attribute: ``sets``, until its first use.
+        if name != "sets":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        views = []
+        for pos in range(self.dim):
+            view = object.__new__(UncertaintySet)  # validated at construction
+            object.__setattr__(view, "row_index", pos)
+            object.__setattr__(view, "rows", self._menu(pos))
+            views.append(view)
+        object.__setattr__(self, "sets", tuple(views))
+        return self.sets
+
+    def _menu(self, i: int) -> np.ndarray:
+        return self._rows[self._offsets[i]:self._offsets[i + 1]]
 
     @property
     def dim(self) -> int:
-        return len(self.sets)
+        return len(self._offsets) - 1
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(s.size for s in self.sets)
+        return tuple(np.diff(self._offsets).tolist())
 
     def matrix(self, choices) -> np.ndarray:
         choices = _checked_choices(self, choices)
-        return np.vstack([s.rows[c] for s, c in zip(self.sets, choices)])
+        return self._rows[self._offsets[:-1] + choices]
 
 
 def _checked_choices(family: ProductFamily, choices, label: str = "choice") -> np.ndarray:
@@ -186,10 +226,9 @@ def selective_greedy(family: ProductFamily, direction: str = "max", *,
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    # Every menu's rows in one array, menu i starting at offsets[i]: one
+    # The family's one array of rows, menu i starting at offsets[i]: one
     # product scores all rows of a sweep.
-    allrows = np.concatenate([s.rows for s in family.sets])
-    offsets = np.cumsum([0, *family.sizes[:-1]])
+    allrows, offsets = family._rows, family._offsets[:-1]
     if start_choices is None:  # one sweep against the power loop's uniform start
         start_choices = _choose_rows(allrows.sum(axis=1), offsets, None, direction)
     choices = _checked_choices(family, start_choices, "start choice")
@@ -226,7 +265,7 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     """
     # strong_components places each block after the blocks it points to;
     # reversed, every member is block upper triangular in the node order.
-    union = np.array([(s.rows != 0.0).any(axis=0) for s in family.sets])
+    union = np.logical_or.reduceat(family._rows != 0.0, family._offsets[:-1])
     components = core.strong_components(union)[::-1]
 
     blocks = []
@@ -234,7 +273,7 @@ def frobenius_blocks(family: ProductFamily) -> FrobeniusSplit:
     for cols in components:
         nodes = tuple(int(k) for k in cols)
         sets = tuple(
-            UncertaintySet(local, family.sets[node].rows[:, cols])
+            UncertaintySet(local, family._menu(node)[:, cols])
             for local, node in enumerate(nodes))
         blocks.append(nodes)
         subfamilies.append(ProductFamily(sets))

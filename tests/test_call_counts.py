@@ -3,11 +3,13 @@ a call makes. Counts repeat exactly, so they hold on any machine."""
 
 import collections
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metzstab import core, gen
+from metzstab.family import ProductFamily, UncertaintySet, selective_greedy
 from metzstab.infnorm import (
     closest_stable_inf_hurwitz, closest_stable_inf_schur,
     closest_unstable_inf_hurwitz, closest_unstable_inf_schur)
@@ -279,3 +281,39 @@ def test_a_sweep_that_moves_only_by_rounding_ends_the_ball(eigen_inputs):
                                                     10, 10.0))
         for p, q in zip(eigen_inputs, eigen_inputs[1:]):
             assert float(np.abs(p - q).max()) > 1e-12 * max(1.0, float(np.abs(p).max()))
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_the_greedy_copies_no_menu_row(direction):
+    # The family holds its menus in one array, so a greedy run allocates
+    # its member matrices and score vectors but no copy of the 2,000 rows.
+    fam = gen.generate_family(200, 10, seed=0)
+    row_bytes = sum(s.rows.nbytes for s in fam.sets)
+    tracemalloc.start()
+    try:
+        selective_greedy(fam, direction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < row_bytes
+
+
+def test_the_family_menus_are_read_only_views_of_one_array():
+    rng = np.random.default_rng(5)
+    arrays = [rng.uniform(0.0, 1.0, (3, 4)) for _ in range(4)]
+    sets = tuple(UncertaintySet(i, a) for i, a in enumerate(arrays))
+    own = [s.rows for s in sets]
+    before = [r.copy() for r in own]
+    fam = ProductFamily(sets)
+    base = fam.sets[0].rows.base
+    assert base is not None and not base.flags.writeable
+    for s in fam.sets:
+        assert s.rows.base is base
+        with pytest.raises(ValueError):
+            s.rows[0, 0] = 1.0
+    # The caller's sets keep their own writable arrays, unchanged.
+    for s, rows, copy in zip(sets, own, before):
+        assert s.rows is rows and rows.flags.writeable
+        np.testing.assert_array_equal(rows, copy)
+        assert not np.shares_memory(rows, base)
+        rows[0, 0] = 2.0

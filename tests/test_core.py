@@ -1,4 +1,6 @@
 import collections
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -221,6 +223,25 @@ def test_a_stalling_large_cycle_leaves_for_the_certified_step():
         pair = core.selected_leading_eigenpair(a)
         _assert_certified(pair, a)
         assert pair.iterations <= 10
+
+
+_ZERO_TOL_CERTIFIED = """
+import numpy as np
+from metzstab import core
+core.DEFAULT_TOL = 0.0
+print(core._certified_pair(np.array([[0.0, 1.0], [1.0, 0.0]]), 0).value)
+"""
+
+
+def test_the_certified_step_ends_at_a_zero_tolerance():
+    # The value 1 equals the row-sum bound, so the certified step searches
+    # upward from it. At DEFAULT_TOL = 0 its width is 0, and the step must
+    # still climb by a few ulps. A fresh interpreter with a timeout, so a
+    # loop that never ends fails this test instead of hanging the suite.
+    proc = subprocess.run([sys.executable, "-c", _ZERO_TOL_CERTIFIED],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fallback_handles_defective_leading_pair():

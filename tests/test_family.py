@@ -137,6 +137,23 @@ def test_frobenius_blocks_diagonal_family():
     assert {b for block in split.blocks for b in block} == {0, 1}
 
 
+def test_the_union_pattern_matches_a_per_set_reference():
+    # The split reads the union pattern of the family's one array of rows;
+    # a per-menu `any` gives the same blocks and the same subfamily rows.
+    rng = np.random.default_rng(2031)
+    for _ in range(30):
+        d, count = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        fam = gen.generate_family(d, count, kind="sparse", density=(0.05, 0.4), rng=rng)
+        union = np.array([(s.rows != 0.0).any(axis=0) for s in fam.sets])
+        blocks = tuple(tuple(int(k) for k in cols)
+                       for cols in core.strong_components(union)[::-1])
+        split = frobenius_blocks(fam)
+        assert split.blocks == blocks
+        for nodes, sub in zip(blocks, split.subfamilies):
+            for s, node in zip(sub.sets, nodes):
+                np.testing.assert_array_equal(s.rows, fam.sets[node].rows[:, list(nodes)])
+
+
 def test_patch_resolves_block_diagonal_maximum():
     # Every member is reducible, so the plain greedy cannot certify and the
     # patch must still land on the true max.
